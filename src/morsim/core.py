@@ -21,6 +21,7 @@ __all__ = [
     "JonesVector",
     "SusceptibilityPair",
     "validate_params",
+    "detuning_factors",
     "cartesian_to_circular",
     "circular_to_cartesian",
 ]
@@ -141,6 +142,20 @@ def validate_params(p: SystemParams) -> SystemParams:
     if p.alpha_l < 0:
         raise ParameterError(f"negative alpha_l: {p.alpha_l}")
     return p
+
+
+def detuning_factors(p: SystemParams, delta):
+    """Complex detuning factors of the probe coherences at detuning ``delta``.
+
+    Returns ``(gamma1 + i(delta + Omega), gamma2 + i(delta - Omega),
+    Gamma1 + Gamma2 + i(Delta + delta))``: the factors of rho_1g, rho_2g
+    and the two-photon coherence rho_eg.  ``delta`` is a float, or a
+    :class:`~morsim.complexgrid.ComplexGrid` for a whole grid, which
+    evaluates the same operations to the same bits.
+    """
+    return (p.gamma1 + 1j * (delta + p.Omega),
+            p.gamma2 + 1j * (delta - p.Omega),
+            p.Gamma1 + p.Gamma2 + 1j * (p.Delta + delta))
 
 
 def cartesian_to_circular(ex: complex, ey: complex) -> JonesVector:

@@ -13,7 +13,7 @@ remaining six rows follow from Hermiticity.  Conventions:
   ``gamma2 + i(delta - Omega)`` for rho_2g,
   ``Gamma1 + Gamma2 + i(Delta + delta)`` for the two-photon rho_eg,
   ``gamma1 + gamma2 + 2i*Omega`` for the Raman rho_12;
-* control half-amplitudes ``G1, G2`` act on |1>-|e>, |2>-|e| and probe
+* control half-amplitudes ``G1, G2`` act on |1>-|e>, |2>-|e> and probe
   half-amplitudes ``g1, g2`` on |g>-|1>, |g>-|2>, complex phases kept.
 
 The stationary state is found by a direct constrained linear solve
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SusceptibilityPair, SystemParams, validate_params
+from .complexgrid import ComplexGrid, detuning_axis
+from .core import SusceptibilityPair, SystemParams, detuning_factors, validate_params
 from .errors import ParameterError, SingularSystemError
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "build_generator",
     "steady_state",
     "probe_response_perturbative",
+    "probe_response_perturbative_grid",
     "probe_response_finite",
 ]
 
@@ -227,6 +229,44 @@ def steady_state(generator: GeneratorMatrix) -> DensityMatrix:
     return DensityMatrix(rho=rho)
 
 
+def _first_order_rows(a1, a2, q, G1: complex, G2: complex):
+    """Coefficients of the first-order system in (rho_1g, rho_2g, rho_eg).
+
+    ``a1, a2, q`` are the detuning factors of :func:`detuning_factors`,
+    as scalars or as complex128 arrays over a grid.
+    """
+    return ((-a1, 0.0, 1j * G1.conjugate()),
+            (0.0, -a2, 1j * G2.conjugate()),
+            (1j * G1, 1j * G2, -q))
+
+
+def _unit_drives(probe_amplitude: float) -> np.ndarray:
+    # One column per probed circular component: (g1, g2) = (amp, 0) and (0, amp).
+    return np.array(
+        [[-1j * probe_amplitude, 0.0], [0.0, -1j * probe_amplitude], [0.0, 0.0]],
+        dtype=complex,
+    )
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes; a matrix gets the same bits
+    alone as inside a stack, which ``np.linalg.norm`` does not promise."""
+    x = m.view(float)
+    return np.sqrt((x * x).sum(axis=(-2, -1)))
+
+
+def _residuals(coeffs: np.ndarray, sol: np.ndarray, rhs: np.ndarray,
+               probe_amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """Residual of each first-order solve and the bound it must not exceed."""
+    residual = _frobenius(coeffs @ sol - rhs)
+    return residual, RESIDUAL_TOL * _frobenius(coeffs) * probe_amplitude
+
+
+def _where(p: SystemParams, delta: float) -> str:
+    return (f"delta={delta}, Delta={p.Delta}, Omega={p.Omega}, "
+            f"|G1|={abs(p.G1)}, |G2|={abs(p.G2)}")
+
+
 def probe_response_perturbative(
     p: SystemParams, probe_amplitude: float = 1.0
 ) -> SusceptibilityPair:
@@ -246,38 +286,64 @@ def probe_response_perturbative(
     validate_params(p)
     if not (probe_amplitude > 0):
         raise ParameterError(f"nonpositive probe amplitude: {probe_amplitude}")
-    a1 = p.gamma1 + 1j * (p.delta + p.Omega)
-    a2 = p.gamma2 + 1j * (p.delta - p.Omega)
-    q = p.Gamma1 + p.Gamma2 + 1j * (p.Delta + p.delta)
-    coeffs = np.array(
-        [
-            [-a1, 0.0, 1j * p.G1.conjugate()],
-            [0.0, -a2, 1j * p.G2.conjugate()],
-            [1j * p.G1, 1j * p.G2, -q],
-        ],
-        dtype=complex,
-    )
-    # One column per probed circular component: (g1, g2) = (amp, 0) and (0, amp).
-    rhs = np.array(
-        [[-1j * probe_amplitude, 0.0], [0.0, -1j * probe_amplitude], [0.0, 0.0]],
-        dtype=complex,
-    )
+    a1, a2, q = detuning_factors(p, p.delta)
+    coeffs = np.array(_first_order_rows(a1, a2, q, p.G1, p.G2), dtype=complex)
+    rhs = _unit_drives(probe_amplitude)
     try:
         sol = np.linalg.solve(coeffs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"first-order coherence system singular at delta={p.delta}, "
-            f"Delta={p.Delta}, Omega={p.Omega}, |G1|={abs(p.G1)}, |G2|={abs(p.G2)}"
+            f"first-order coherence system singular at {_where(p, p.delta)}"
         ) from exc
-    residual = float(np.linalg.norm(coeffs @ sol - rhs))
-    if residual > RESIDUAL_TOL * float(np.linalg.norm(coeffs)) * probe_amplitude:
+    residual, bound = _residuals(coeffs, sol, rhs, probe_amplitude)
+    if residual > bound:
         raise SingularSystemError(
-            f"first-order solve residual {residual:.3e} too large at delta={p.delta}, "
-            f"Delta={p.Delta}, Omega={p.Omega}, |G1|={abs(p.G1)}, |G2|={abs(p.G2)}"
+            f"first-order solve residual {residual:.3e} too large at {_where(p, p.delta)}"
         )
     s_plus = p.gamma1 * complex(sol[0, 0]) / probe_amplitude
     s_minus = p.gamma2 * complex(sol[1, 1]) / probe_amplitude
     return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)
+
+
+def probe_response_perturbative_grid(p: SystemParams, deltas) -> tuple[ComplexGrid, ComplexGrid]:
+    """:func:`probe_response_perturbative` at every detuning in ``deltas``.
+
+    ``p.delta`` is validated with the rest of ``p`` but not used.  One
+    stacked ``(n, 3, 3)`` solve replaces the ``n`` scalar ones, each
+    matrix checked against its own residual bound.  Returns ``(s+, s-)``
+    as grids whose values equal those of
+    ``probe_response_perturbative(replace(p, delta=d))`` bit for bit.
+    A residual failure names the first failing detuning; a singular
+    matrix names the grid, since the stacked solve does not say which.
+    """
+    validate_params(p)
+    delta = detuning_axis(deltas)
+    factors = [f.to_numpy() for f in detuning_factors(p, delta)]
+    coeffs = np.empty((len(delta.re), 3, 3), dtype=complex)
+    for i, row in enumerate(_first_order_rows(*factors, p.G1, p.G2)):
+        for j, entry in enumerate(row):
+            coeffs[:, i, j] = entry
+    rhs = _unit_drives(1.0)
+    try:
+        sol = np.linalg.solve(coeffs, rhs)
+    except np.linalg.LinAlgError as exc:
+        span = f"one of {len(delta.re)} values in [{delta.re[0]}, {delta.re[-1]}]"
+        raise SingularSystemError(
+            f"first-order coherence system singular at {_where(p, span)}"
+        ) from exc
+    residual, bound = _residuals(coeffs, sol, rhs, 1.0)
+    failing = residual > bound
+    if failing.any():
+        i = int(np.argmax(failing))
+        raise SingularSystemError(
+            f"first-order solve residual {residual[i]:.3e} too large at "
+            f"{_where(p, float(delta.re[i]))}"
+        )
+    # The scalar's division by the unit probe amplitude can flip the sign
+    # of a zero, so it is kept.
+    s_plus = p.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0]) / 1.0
+    s_minus = p.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1]) / 1.0
+    return s_plus, s_minus
 
 
 def probe_response_finite(p: SystemParams, g_mag: float) -> SusceptibilityPair:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import cmath
 
+import numpy as np
+
+from .complexgrid import ComplexGrid
 from .core import JonesVector, SusceptibilityPair
 from .errors import ParameterError
 
@@ -17,6 +20,7 @@ __all__ = [
     "transmission_x",
     "rotation_angle",
     "output_field",
+    "observables_grid",
 ]
 
 
@@ -66,3 +70,23 @@ def output_field(e_in: JonesVector, s: SusceptibilityPair, alpha_l: float) -> Jo
     f_plus, f_minus = _phase_factors(s, alpha_l)
     return JonesVector(e_plus=e_in.e_plus * f_plus,
                        e_minus=e_in.e_minus * f_minus)
+
+
+def observables_grid(s_plus: ComplexGrid, s_minus: ComplexGrid,
+                     alpha_l: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(T_y, T_x, theta)`` of every pair on a grid, in one pass.
+
+    Each value equals that of :func:`transmission_y`,
+    :func:`transmission_x` and :func:`rotation_angle` on the same pair
+    bit for bit where it is finite (``np.float_power(x, 2.0)`` is libm
+    ``pow``, as ``x ** 2`` is on a float; ``x ** 2`` on an array is not).
+    Where the scalars raise ``OverflowError`` the grid holds inf.
+    """
+    if alpha_l < 0:
+        raise ParameterError(f"negative alpha_l: {alpha_l}")
+    f_plus = (0.5j * alpha_l * s_plus).exp()
+    f_minus = (0.5j * alpha_l * s_minus).exp()
+    t_y = 0.25 * np.float_power(abs(f_plus - f_minus), 2.0)
+    t_x = 0.25 * np.float_power(abs(f_plus + f_minus), 2.0)
+    theta = 0.25 * alpha_l * (s_minus.re - s_plus.re)
+    return t_y, t_x, theta

@@ -35,15 +35,17 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import observables
-from .analytic import s_pair
+from .analytic import s_pair, s_pair_grid
+from .complexgrid import ComplexGrid
 from .core import SusceptibilityPair, SystemParams, validate_params
 from .errors import ConfigError, CrossValidationError, EmitError, MorsimError
-from .lindblad import probe_response_perturbative
+from .lindblad import probe_response_perturbative, probe_response_perturbative_grid
 
 __all__ = [
     "DeltaGrid",
@@ -56,6 +58,7 @@ __all__ = [
     "emit",
     "CSV_HEADER",
     "ENGINES",
+    "MAX_DELTA_POINTS",
     "FORMATS",
     "PRESET_NAMES",
 ]
@@ -70,6 +73,11 @@ CSV_HEADER = ("variant", "delta", "re_s_plus", "im_s_plus",
 # Maximum tolerated relative disagreement between the analytic and
 # numeric engines when running in cross-validation ("both") mode.
 CROSS_VALIDATION_TOL = 1e-6
+
+# Largest accepted delta grid: 50x the largest preset grid, about 140 MB
+# of rows and output at ~1.4 kB per point.  Checked before the grid is
+# built, so an oversized config fails fast instead of exhausting memory.
+MAX_DELTA_POINTS = 100_000
 
 _PARAM_KEYS = ("gamma1", "gamma2", "Gamma1", "Gamma2",
                "Omega", "Delta", "G1", "G2", "alpha_l")
@@ -141,6 +149,8 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError(f"delta_min must be < delta_max (got {grid.min} >= {grid.max})")
     if grid.points < 2:
         raise ConfigError(f"delta_points must be >= 2 (got {grid.points})")
+    if grid.points > MAX_DELTA_POINTS:
+        raise ConfigError(f"delta_points must be <= {MAX_DELTA_POINTS} (got {grid.points})")
     if cfg.engine not in ENGINES:
         raise ConfigError(f"engine must be one of {'|'.join(ENGINES)} (got {cfg.engine!r})")
     if cfg.out_format not in FORMATS:
@@ -164,15 +174,17 @@ def _parse_value(key: str, text: str, line_no: int):
     try:
         if key in _COMPLEX_KEYS:
             return complex(text)
-        if key == "delta_points":
-            return int(text)
-        if key in _GRID_KEYS:
-            return float(text)
-        if key in _PARAM_KEYS:
-            return float(text)
+        if key != "delta_points":
+            if key in _GRID_KEYS or key in _PARAM_KEYS:
+                return float(text)
+            return text  # meta keys stay strings
+        points = int(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value for {key!r}: {text!r}", line=line_no) from exc
-    return text  # meta keys stay strings
+    if points > MAX_DELTA_POINTS:
+        raise ConfigError(f"delta_points must be <= {MAX_DELTA_POINTS} (got {points})",
+                          line=line_no)
+    return points
 
 
 def _check_key(key: str, allowed: tuple[str, ...], line_no: int) -> None:
@@ -341,6 +353,78 @@ def _rel_err(a: complex, b: complex) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
+def _rel_err_grid(a: ComplexGrid, b: ComplexGrid) -> np.ndarray:
+    """:func:`_rel_err` at every grid point."""
+    scale = np.maximum(abs(a), abs(b))
+    return np.where(scale > 0, abs(a - b) / scale, 0.0)
+
+
+def _scalar_series(name: str, merged: SystemParams, deltas: np.ndarray, engine: str):
+    """One variant evaluated point by point through the scalar functions.
+
+    Returns its rows and its worst cross-validation error as
+    ``(error, variant, delta)``, or None outside ``both`` mode.
+    """
+    rows: list[OutputRow] = []
+    worst = None
+    for delta in deltas:
+        p = replace(merged, delta=float(delta))
+        try:
+            if engine in ("analytic", "both"):
+                analytic_pair = s_pair(p)
+                rows.append(_make_row(name, delta, analytic_pair, p.alpha_l, "analytic"))
+            if engine in ("numeric", "both"):
+                numeric_pair = probe_response_perturbative(p)
+                rows.append(_make_row(name, delta, numeric_pair, p.alpha_l, "numeric"))
+        except MorsimError as exc:
+            raise type(exc)(f"variant {name!r}, delta={float(delta)}: {exc}") from exc
+        if engine == "both":
+            err = max(_rel_err(analytic_pair.s_plus, numeric_pair.s_plus),
+                      _rel_err(analytic_pair.s_minus, numeric_pair.s_minus))
+            if worst is None or err > worst[0]:
+                worst = (err, name, float(delta))
+    return rows, worst
+
+
+def _grid_series(name: str, merged: SystemParams, deltas: np.ndarray, engine: str):
+    """:func:`_scalar_series` evaluated as whole-grid columns.
+
+    Returns None when a check fails or a value is not finite: there the
+    grid cannot promise the scalar functions' errors and values, so the
+    caller falls back to :func:`_scalar_series`.
+    """
+    pairs = {}
+    try:
+        if engine in ("analytic", "both"):
+            pairs["analytic"] = s_pair_grid(merged, deltas)
+        if engine in ("numeric", "both"):
+            pairs["numeric"] = probe_response_perturbative_grid(merged, deltas)
+    except MorsimError:
+        return None
+    n = len(deltas)
+    delta_column = deltas.tolist()
+    series = []
+    for label, (s_plus, s_minus) in pairs.items():
+        columns = (s_plus.re, s_plus.im, s_minus.re, s_minus.im,
+                   *observables.observables_grid(s_plus, s_minus, merged.alpha_l))
+        if not all(np.isfinite(c).all() for c in columns):
+            return None
+        series.append(list(map(OutputRow, repeat(name, n), delta_column,
+                               *(c.tolist() for c in columns), repeat(label, n))))
+    worst = None
+    if engine == "both":
+        (a_plus, a_minus), (n_plus, n_minus) = pairs["analytic"], pairs["numeric"]
+        err = np.maximum(_rel_err_grid(a_plus, n_plus), _rel_err_grid(a_minus, n_minus))
+        if not np.isfinite(err).all():
+            return None
+        i = int(np.argmax(err))
+        worst = (float(err[i]), name, delta_column[i])
+        rows = [None] * (2 * n)
+        rows[0::2], rows[1::2] = series
+        return rows, worst
+    return series[0], worst
+
+
 def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
     """Evaluate every (variant, delta) sample in deterministic order.
 
@@ -349,6 +433,12 @@ def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
     followed by the numeric one, and the whole sweep fails if the two
     engines disagree beyond ``CROSS_VALIDATION_TOL`` anywhere (the
     worst-offending row is reported).
+
+    Each variant is evaluated over its whole delta grid at once, with
+    the same values, checks and errors as the scalar functions point by
+    point.  A variant where a check fails or a value is not finite is
+    evaluated point by point instead, so its errors name the first
+    failing sample exactly as the scalar functions report it.
     """
     validate_config(cfg)
     deltas = cfg.delta_grid.values()
@@ -357,26 +447,14 @@ def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
 
     for variant in cfg.variants:
         merged = variant.apply(cfg.base)
-        for delta in deltas:
-            p = replace(merged, delta=float(delta))
-            try:
-                if cfg.engine in ("analytic", "both"):
-                    analytic_pair = s_pair(p)
-                    rows.append(_make_row(variant.name, delta, analytic_pair,
-                                          p.alpha_l, "analytic"))
-                if cfg.engine in ("numeric", "both"):
-                    numeric_pair = probe_response_perturbative(p)
-                    rows.append(_make_row(variant.name, delta, numeric_pair,
-                                          p.alpha_l, "numeric"))
-            except MorsimError as exc:
-                raise type(exc)(
-                    f"variant {variant.name!r}, delta={float(delta)}: {exc}"
-                ) from exc
-            if cfg.engine == "both":
-                err = max(_rel_err(analytic_pair.s_plus, numeric_pair.s_plus),
-                          _rel_err(analytic_pair.s_minus, numeric_pair.s_minus))
-                if worst is None or err > worst[0]:
-                    worst = (err, variant.name, float(delta))
+        with np.errstate(all="ignore"):
+            result = _grid_series(variant.name, merged, deltas, cfg.engine)
+        if result is None:
+            result = _scalar_series(variant.name, merged, deltas, cfg.engine)
+        series, series_worst = result
+        rows.extend(series)
+        if series_worst is not None and (worst is None or series_worst[0] > worst[0]):
+            worst = series_worst
 
     if worst is not None and worst[0] > CROSS_VALIDATION_TOL:
         raise CrossValidationError(

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from morsim import SystemParams
+from morsim import (
+    CrossValidationError,
+    MorsimError,
+    SystemParams,
+    probe_response_perturbative,
+    s_pair,
+    sweep,
+)
+from morsim.sweep import _make_row, validate_config
 
 
 def rel_err(a: complex, b: complex) -> float:
@@ -54,3 +64,44 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def scalar_sweep(cfg):
+    """Reference for ``run_sweep``: every sample through the scalar functions.
+
+    The point-by-point loop the grid evaluation replaced, kept verbatim
+    so that rows, errors and the cross-validation report of the grid
+    path can be compared with it for exact equality.
+    """
+    validate_config(cfg)
+    rows = []
+    worst = None
+    for variant in cfg.variants:
+        merged = variant.apply(cfg.base)
+        for delta in cfg.delta_grid.values():
+            p = replace(merged, delta=float(delta))
+            try:
+                if cfg.engine in ("analytic", "both"):
+                    analytic_pair = s_pair(p)
+                    rows.append(_make_row(variant.name, delta, analytic_pair,
+                                          p.alpha_l, "analytic"))
+                if cfg.engine in ("numeric", "both"):
+                    numeric_pair = probe_response_perturbative(p)
+                    rows.append(_make_row(variant.name, delta, numeric_pair,
+                                          p.alpha_l, "numeric"))
+            except MorsimError as exc:
+                raise type(exc)(
+                    f"variant {variant.name!r}, delta={float(delta)}: {exc}"
+                ) from exc
+            if cfg.engine == "both":
+                err = max(rel_err(analytic_pair.s_plus, numeric_pair.s_plus),
+                          rel_err(analytic_pair.s_minus, numeric_pair.s_minus))
+                if worst is None or err > worst[0]:
+                    worst = (err, variant.name, float(delta))
+    if worst is not None and worst[0] > sweep.CROSS_VALIDATION_TOL:
+        raise CrossValidationError(
+            f"analytic and numeric engines disagree: worst relative error "
+            f"{worst[0]:.3e} at variant {worst[1]!r}, delta={worst[2]} "
+            f"(tolerance {sweep.CROSS_VALIDATION_TOL:.0e})"
+        )
+    return rows

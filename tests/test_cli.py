@@ -73,6 +73,20 @@ def test_degenerate_parameters_are_numeric_failure(tmp_path, capsys):
     assert "denominator" in capsys.readouterr().err
 
 
+def test_closed_form_overflow_is_numeric_failure(tmp_path, capsys):
+    # |G1|^2 exceeds the float range; this used to end in a raw OverflowError.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "G1 = 1e200\ndelta_min = -1\ndelta_max = 1\ndelta_points = 3\n"
+        "engine = analytic\n",
+        encoding="utf-8",
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: variant 'base', delta=-1.0: overflow")
+    assert "Traceback" not in err
+
+
 def test_figure_writes_named_csv(tmp_path):
     out_dir = tmp_path / "figures"
     assert main(["figure", "fig3", "--out", str(out_dir)]) == 0

@@ -1,0 +1,192 @@
+"""Whole-grid evaluation against the scalar functions, for exact equality.
+
+Every grid column must carry the same bits as the scalar function at
+each detuning, and ``run_sweep`` must give the rows, errors and
+cross-validation report of the point-by-point loop in
+``helpers.scalar_sweep``.  Nothing here is compared with a tolerance.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from helpers import random_params, scalar_sweep
+from morsim import (
+    DeltaGrid,
+    SingularSystemError,
+    SweepConfig,
+    SystemParams,
+    Variant,
+    emit,
+    parse_config,
+    probe_response_perturbative,
+    rotation_angle,
+    run_sweep,
+    s_pair,
+    transmission_x,
+    transmission_y,
+)
+from morsim import lindblad, sweep
+from morsim.analytic import s_pair_grid
+from morsim.lindblad import probe_response_perturbative_grid
+from morsim.observables import observables_grid
+
+# (name, random_params keywords, lower decay rate: None keeps the drawn
+# one, "random" draws a common one).  A unit gamma makes many products
+# exact, which hides rounding differences, so other rates are drawn too.
+REGIMES = [
+    ("drawn_gamma", {}, None),
+    ("random_gamma", {}, "random"),
+    ("strong_control", {"g_max": 1e8, "detuning_max": 1e3}, "random"),
+    ("narrow_lines", {"detuning_max": 10.0}, 1e-9),
+]
+
+
+def _draws(seed: int, equal_gammas: bool, regime: tuple, count: int = 12):
+    _, kwargs, gamma = regime
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = random_params(rng, equal_gammas=equal_gammas, **kwargs)
+        if gamma is not None:
+            g = rng.uniform(0.2, 3.0) if gamma == "random" else gamma
+            p = replace(p, gamma1=g, gamma2=g if equal_gammas else p.gamma2)
+        width = kwargs.get("detuning_max", 100.0)
+        deltas = np.concatenate([np.linspace(-width, width, 21),
+                                 rng.uniform(-width, width, 20)])
+        yield p, deltas
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _assert_same_pairs(grid_pair, scalar_pairs):
+    s_plus, s_minus = grid_pair
+    for column, expected in (
+        (s_plus.re, [q.s_plus.real for q in scalar_pairs]),
+        (s_plus.im, [q.s_plus.imag for q in scalar_pairs]),
+        (s_minus.re, [q.s_minus.real for q in scalar_pairs]),
+        (s_minus.im, [q.s_minus.imag for q in scalar_pairs]),
+    ):
+        assert np.array_equal(_bits(column), _bits(expected))
+
+
+@pytest.mark.parametrize("regime", REGIMES, ids=[r[0] for r in REGIMES])
+def test_closed_form_grid_equals_scalar(regime):
+    for p, deltas in _draws(101, True, regime):
+        scalar = [s_pair(replace(p, delta=float(d))) for d in deltas]
+        _assert_same_pairs(s_pair_grid(p, deltas), scalar)
+
+
+@pytest.mark.parametrize("equal_gammas", [True, False], ids=["equal", "unequal"])
+@pytest.mark.parametrize("regime", REGIMES, ids=[r[0] for r in REGIMES])
+def test_first_order_grid_equals_scalar(regime, equal_gammas):
+    for p, deltas in _draws(202, equal_gammas, regime):
+        scalar = [probe_response_perturbative(replace(p, delta=float(d))) for d in deltas]
+        _assert_same_pairs(probe_response_perturbative_grid(p, deltas), scalar)
+
+
+@pytest.mark.parametrize("equal_gammas", [True, False], ids=["equal", "unequal"])
+@pytest.mark.parametrize("regime", REGIMES, ids=[r[0] for r in REGIMES])
+def test_observables_grid_equal_scalar(regime, equal_gammas):
+    for p, deltas in _draws(303, equal_gammas, regime):
+        scalar = [probe_response_perturbative(replace(p, delta=float(d))) for d in deltas]
+        t_y, t_x, theta = observables_grid(*probe_response_perturbative_grid(p, deltas),
+                                           p.alpha_l)
+        assert np.array_equal(_bits(t_y), _bits([transmission_y(q, p.alpha_l) for q in scalar]))
+        assert np.array_equal(_bits(t_x), _bits([transmission_x(q, p.alpha_l) for q in scalar]))
+        assert np.array_equal(_bits(theta), _bits([rotation_angle(q, p.alpha_l) for q in scalar]))
+
+
+@pytest.mark.parametrize("engine", ["analytic", "numeric", "both"])
+def test_sweep_rows_equal_scalar_loop(engine):
+    rng = np.random.default_rng(404)
+    variants = []
+    for i in range(6):
+        p = random_params(rng, equal_gammas=engine != "numeric")
+        variants.append(Variant(f"v{i}", {name: getattr(p, name) for name in (
+            "gamma1", "gamma2", "Gamma1", "Gamma2", "Omega", "Delta", "G1", "G2")}))
+    cfg = SweepConfig(delta_grid=DeltaGrid(-120.0, 120.0, 97), variants=tuple(variants),
+                      engine=engine)
+    # JSON prints every bit and tells -0.0 from 0.0, which == on rows does not.
+    assert emit(run_sweep(cfg), "json") == emit(scalar_sweep(cfg), "json")
+
+
+def _outcome(run, cfg):
+    try:
+        return "rows", emit(run(cfg), "json")
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _assert_same_error(cfg):
+    grid = _outcome(run_sweep, cfg)
+    assert grid[0] != "rows", "expected the sweep to fail"
+    assert grid == _outcome(scalar_sweep, cfg)
+
+
+def test_unequal_gammas_error_matches_scalar_loop():
+    cfg = SweepConfig(
+        base=SystemParams(gamma1=1.0, gamma2=2.0),
+        delta_grid=DeltaGrid(-1.0, 1.0, 3),
+        variants=(Variant("fine", {"gamma2": 1.0}), Variant("odd")),
+        engine="analytic",
+    )
+    _assert_same_error(cfg)
+
+
+def test_degenerate_denominator_error_matches_scalar_loop():
+    cfg = parse_config(
+        "gamma1 = 1e-7\ngamma2 = 1e-7\nGamma1 = 5e-10\nGamma2 = 5e-10\n"
+        "delta_min = -1e-9\ndelta_max = 1e-9\ndelta_points = 2\n"
+        "engine = analytic\n"
+    )
+    _assert_same_error(cfg)
+
+
+@pytest.mark.parametrize("g1", [1e200, 1.3e154])
+def test_closed_form_overflow_error_matches_scalar_loop(g1):
+    cfg = SweepConfig(
+        base=SystemParams(G2=g1 / 3, Omega=2.0),
+        delta_grid=DeltaGrid(-5.0, 5.0, 5),
+        variants=(Variant("fine", {"G1": 1.0, "G2": 0.0}), Variant("huge", {"G1": g1})),
+        engine="both",
+    )
+    _assert_same_error(cfg)
+
+
+def test_nonfinite_grid_point_error_matches_scalar_loop():
+    # The step of this grid overflows, so linspace yields a nan inside it.
+    cfg = SweepConfig(delta_grid=DeltaGrid(-1e308, 1e308, 3), engine="numeric")
+    with np.errstate(all="ignore"):
+        _assert_same_error(cfg)
+
+
+def test_forced_cross_validation_failure_matches_scalar_loop(monkeypatch):
+    monkeypatch.setattr(sweep, "CROSS_VALIDATION_TOL", 0.0)
+    cfg = SweepConfig(
+        base=SystemParams(Omega=5.0, Delta=5.0, G2=10.0),
+        delta_grid=DeltaGrid(-80.0, 80.0, 161),
+        variants=(Variant("G1=0", {"G1": 0.0}), Variant("G1=20", {"G1": 20.0}),
+                  Variant("G1=50", {"G1": 50.0})),
+        engine="both",
+    )
+    _assert_same_error(cfg)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-17, 3e-17, 1e-16])
+def test_residual_bound_matches_scalar_loop(monkeypatch, tol):
+    # Tight bounds that some points of the grid pass and others fail:
+    # the stacked solve must fail at the same first point as the loop.
+    monkeypatch.setattr(lindblad, "RESIDUAL_TOL", tol)
+    cfg = SweepConfig(
+        base=SystemParams(gamma2=0.6, Omega=3.0, Delta=-4.0, G2=7.0 - 2.0j),
+        delta_grid=DeltaGrid(-60.0, 60.0, 121),
+        variants=(Variant("a", {"G1": 15.0 + 4.0j}), Variant("b", {"G1": 40.0})),
+        engine="numeric",
+    )
+    grid, scalar = _outcome(run_sweep, cfg), _outcome(scalar_sweep, cfg)
+    assert grid == scalar
+    if tol == 0.0:
+        assert grid[0] is SingularSystemError

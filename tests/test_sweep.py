@@ -18,6 +18,7 @@ from morsim import (
     preset,
     run_sweep,
 )
+from morsim.sweep import MAX_DELTA_POINTS, validate_config
 
 MINIMAL = """
 # minimal sweep
@@ -59,6 +60,24 @@ def test_parse_variants_and_complex_values():
 def test_single_point_grid_rejected():
     with pytest.raises(ConfigError, match=">= 2"):
         parse_config("delta_points = 1\n")
+
+
+def test_oversized_grid_rejected_with_line_number():
+    parse_config(f"delta_points = {MAX_DELTA_POINTS}\n")
+    with pytest.raises(ConfigError, match=rf"line 2: delta_points must be <= {MAX_DELTA_POINTS}"):
+        parse_config(f"Omega = 1\ndelta_points = {MAX_DELTA_POINTS + 1}\n")
+
+
+def test_oversized_grid_rejected_before_allocation(monkeypatch):
+    def no_grid(self):
+        raise AssertionError("grid built before the size check")
+
+    monkeypatch.setattr(DeltaGrid, "values", no_grid)
+    cfg = SweepConfig(delta_grid=DeltaGrid(-1.0, 1.0, MAX_DELTA_POINTS + 1))
+    with pytest.raises(ConfigError, match="delta_points must be <="):
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match="delta_points must be <="):
+        run_sweep(cfg)
 
 
 def test_reversed_grid_rejected():
