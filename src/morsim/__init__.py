@@ -9,7 +9,7 @@ transmission, rotation angle, output Jones vector).  A sweep layer and
 CLI produce the spectra as CSV/JSON.
 """
 
-from .analytic import chi_from_s, s_no_control, s_pair, s_plus_sigma_minus_control
+from .analytic import s_pair
 from .core import (
     JonesVector,
     SusceptibilityPair,
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .lindblad import (
     DensityMatrix,
-    GeneratorMatrix,
     build_generator,
     probe_response_finite,
     probe_response_perturbative,
@@ -58,11 +57,7 @@ __all__ = [
     "cartesian_to_circular",
     "circular_to_cartesian",
     "s_pair",
-    "s_no_control",
-    "s_plus_sigma_minus_control",
-    "chi_from_s",
     "DensityMatrix",
-    "GeneratorMatrix",
     "build_generator",
     "steady_state",
     "probe_response_perturbative",

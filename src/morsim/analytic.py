@@ -33,9 +33,6 @@ from .errors import NumericError, ParameterError
 __all__ = [
     "s_pair",
     "s_pair_grid",
-    "s_no_control",
-    "s_plus_sigma_minus_control",
-    "chi_from_s",
 ]
 
 # Below this magnitude (gamma-scaled units) a response denominator is
@@ -137,45 +134,3 @@ def s_pair_grid(p: SystemParams, deltas) -> tuple[ComplexGrid, ComplexGrid]:
             at = replace(p, delta=float(delta.re[i]))
             raise _overflow(at) if unbounded[i] else _vanishing(abs_plus[i], abs_minus[i], at)
         return num_plus / den_plus, num_minus / den_minus
-
-
-def s_no_control(p: SystemParams) -> SusceptibilityPair:
-    """Bare-medium response ``s(+/-) = gamma / ((delta +/- Omega) - i gamma)``.
-
-    Equals :func:`s_pair` at ``G1 = G2 = 0``.  Unequal lower rates are
-    supported by using ``gamma1`` for s+ and ``gamma2`` for s-.
-    """
-    validate_params(p)
-    s_plus = p.gamma1 / ((p.delta + p.Omega) - 1j * p.gamma1)
-    s_minus = p.gamma2 / ((p.delta - p.Omega) - 1j * p.gamma2)
-    return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)
-
-
-def s_plus_sigma_minus_control(p: SystemParams) -> complex:
-    """s+ for a purely sigma- polarized control field (``G2 = 0``).
-
-    Reduces to ``i gamma q / (|G1|^2 + d+ q)``; for large |G1| its real
-    and imaginary parts develop the Autler-Townes doublet.  Must agree
-    with ``s_pair(p).s_plus`` to machine precision.
-    """
-    validate_params(p)
-    _require_equal_gammas(p)
-    if p.G2 != 0:
-        raise ParameterError(f"G2 nonzero: {p.G2} (sigma- control case requires G2 = 0)")
-    gamma = p.gamma1
-    d_plus, _, q = detuning_factors(p, p.delta)
-    den = abs(p.G1) ** 2 + d_plus * q
-    if abs(den) < DENOMINATOR_GUARD:
-        raise NumericError(
-            f"vanishing denominator in sigma- control form (|den|={abs(den):.3e}) at {p}"
-        )
-    return 1j * gamma * q / den
-
-
-def chi_from_s(s: complex, alpha: float, k: float) -> complex:
-    """Physical susceptibility ``chi = alpha/(4 pi k) * s``."""
-    if not (k > 0):
-        raise ParameterError(f"nonpositive wavenumber: {k}")
-    if alpha < 0:
-        raise ParameterError(f"negative absorption coefficient: {alpha}")
-    return (alpha / (4.0 * math.pi * k)) * complex(s)

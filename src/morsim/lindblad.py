@@ -1,25 +1,34 @@
 """Steady-state density-matrix engine for the four-level medium.
 
-The engine encodes the equations of motion for the 4x4 density matrix in
-the rotating frame, basis ordered ``{|e>, |1>, |2>, |g>}`` (indices
-0..3).  Ten equations are written out explicitly (the diagonal and the
-upper-triangle coherences ee, e1, e2, eg, 11, 12, 1g, 22, 2g, gg); the
+The equations of motion of the 4x4 density matrix in the rotating frame,
+basis ordered ``{|e>, |1>, |2>, |g>}`` (indices 0..3), are written once,
+as a table ``(a, b) -> {(m, n): coefficient}`` holding the coefficient
+of ``rho_mn`` in ``d/dt rho_ab``.  Its ten rows are the diagonal and the
+upper-triangle coherences ee, e1, e2, eg, 11, 12, 1g, 22, 2g, gg; the
 remaining six rows follow from Hermiticity.  Conventions:
 
 * populations in |e> decay at ``2*Gamma1`` into |1> and ``2*Gamma2``
   into |2>; sublevels decay at ``2*gamma_i`` into |g>;
-* the optical coherences carry the detuning factors
+* the optical coherences carry the detuning factors of
+  :func:`~morsim.core.detuning_factors`,
   ``gamma1 + i(delta + Omega)`` for rho_1g,
   ``gamma2 + i(delta - Omega)`` for rho_2g,
   ``Gamma1 + Gamma2 + i(Delta + delta)`` for the two-photon rho_eg,
-  ``gamma1 + gamma2 + 2i*Omega`` for the Raman rho_12;
+  and ``gamma1 + gamma2 + 2i*Omega`` for the Raman rho_12;
 * control half-amplitudes ``G1, G2`` act on |1>-|e>, |2>-|e> and probe
   half-amplitudes ``g1, g2`` on |g>-|1>, |g>-|2>, complex phases kept.
 
-The stationary state is found by a direct constrained linear solve
-(one redundant row replaced by the trace condition), which is exact to
-round-off and immune to the stiffness a time integrator would face at
-large control amplitudes.
+Both engines read the table.  :func:`build_generator` assembles it into
+the 16x16 generator ``L``, whose stationary state :func:`steady_state`
+finds by a direct constrained linear solve (one redundant row replaced
+by the trace condition), exact to round-off and immune to the stiffness
+a time integrator would face at large control amplitudes.  The weak-probe
+response is linear response around ``rho0 = |g><g|``: with
+``L = L0 + L1(g)`` the first-order state solves ``L0 rho1 = -L1 rho0``.
+At zero probe the rows of rho_1g, rho_2g and rho_eg close on those three
+coherences, so the first-order system is the table's 3x3 coherence
+block, driven by minus those rows' rho_gg column; only the three
+coherence rows are built for it.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from .errors import ParameterError, SingularSystemError
 
 __all__ = [
     "DensityMatrix",
-    "GeneratorMatrix",
     "build_generator",
     "steady_state",
     "probe_response_perturbative",
@@ -44,6 +52,9 @@ __all__ = [
 
 # Basis indices, order {e, 1, 2, g}.
 _E, _M1, _M2, _G = 0, 1, 2, 3
+# Unknowns of the first-order system, in solve order, and the ground population.
+_COHERENCES = ((_M1, _G), (_M2, _G), (_E, _G))
+_GG = (_G, _G)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -87,51 +98,44 @@ class DensityMatrix:
         return complex(self.rho[upper, lower])
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """16x16 linear map acting on the column-stacked density matrix.
+def _coherence_rows(p: SystemParams, factors, g1: complex, g2: complex) -> dict:
+    """Equations of motion of the probe coherences rho_1g, rho_2g, rho_eg.
 
-    ``matrix[4a+b, 4m+n]`` is the coefficient of ``rho_mn`` in the
-    equation of motion of ``rho_ab``.  Probe amplitudes are retained so
-    the response extraction can divide them back out.
+    ``factors`` are the detuning factors of :func:`detuning_factors`, as
+    scalars or as complex128 arrays over a grid; the other coefficients
+    are scalars.
     """
+    a1, a2, q = factors
+    G1, G2 = p.G1, p.G2
+    return {
+        (_M1, _G): {
+            (_M1, _G): -a1,
+            (_G, _G): 1j * g1, (_M1, _M1): -1j * g1,
+            (_E, _G): 1j * G1.conjugate(), (_M1, _M2): -1j * g2,
+        },
+        (_M2, _G): {
+            (_M2, _G): -a2,
+            (_G, _G): 1j * g2, (_M2, _M2): -1j * g2,
+            (_E, _G): 1j * G2.conjugate(), (_M2, _M1): -1j * g1,
+        },
+        (_E, _G): {
+            (_E, _G): -q,
+            (_M1, _G): 1j * G1, (_M2, _G): 1j * G2,
+            (_E, _M1): -1j * g1, (_E, _M2): -1j * g2,
+        },
+    }
 
-    matrix: np.ndarray
-    g1: complex
-    g2: complex
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (16, 16):
-            raise ParameterError(f"generator must be 16x16, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "g1", complex(self.g1))
-        object.__setattr__(self, "g2", complex(self.g2))
+def _equations_of_motion(p: SystemParams, g1: complex, g2: complex) -> dict:
+    """The ten explicit equations, ``(a, b) -> {(m, n): coefficient}``.
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Time derivative of a 4x4 state under this generator."""
-        rho = np.asarray(rho, dtype=complex)
-        return (self.matrix @ rho.reshape(16)).reshape(4, 4)
-
-
-def build_generator(p: SystemParams, g1: complex, g2: complex) -> GeneratorMatrix:
-    """Assemble the equations of motion as a 16x16 matrix.
-
-    Each explicit equation is entered as a table of
-    ``(element) -> coefficient`` terms; rows for conjugate elements are
-    filled with conjugated coefficients on transposed element indices,
-    which preserves Hermiticity by construction.
+    ``coefficient`` multiplies ``rho_mn`` in ``d/dt rho_ab``.
     """
-    validate_params(p)
-    g1 = complex(g1)
-    g2 = complex(g2)
     gamma1, gamma2 = p.gamma1, p.gamma2
     Gam = p.Gamma1 + p.Gamma2
     G1, G2 = p.G1, p.G2
-    Om, De, de = p.Omega, p.Delta, p.delta
-
-    rows: dict[tuple[int, int], dict[tuple[int, int], complex]] = {
+    Om, De = p.Omega, p.Delta
+    rows = {
         (_E, _E): {
             (_E, _E): -2.0 * Gam,
             (_M1, _E): 1j * G1, (_E, _M1): -1j * G1.conjugate(),
@@ -147,11 +151,6 @@ def build_generator(p: SystemParams, g1: complex, g2: complex) -> GeneratorMatri
             (_M2, _M2): 1j * G2, (_E, _E): -1j * G2,
             (_M1, _M2): 1j * G1, (_E, _G): -1j * g2.conjugate(),
         },
-        (_E, _G): {
-            (_E, _G): -(Gam + 1j * (De + de)),
-            (_M1, _G): 1j * G1, (_M2, _G): 1j * G2,
-            (_E, _M1): -1j * g1, (_E, _M2): -1j * g2,
-        },
         (_M1, _M1): {
             (_E, _E): 2.0 * p.Gamma1, (_M1, _M1): -2.0 * gamma1,
             (_E, _M1): 1j * G1.conjugate(), (_M1, _E): -1j * G1,
@@ -162,20 +161,10 @@ def build_generator(p: SystemParams, g1: complex, g2: complex) -> GeneratorMatri
             (_E, _M2): 1j * G1.conjugate(), (_G, _M2): 1j * g1,
             (_M1, _E): -1j * G2, (_M1, _G): -1j * g2.conjugate(),
         },
-        (_M1, _G): {
-            (_M1, _G): -(gamma1 + 1j * (de + Om)),
-            (_G, _G): 1j * g1, (_M1, _M1): -1j * g1,
-            (_E, _G): 1j * G1.conjugate(), (_M1, _M2): -1j * g2,
-        },
         (_M2, _M2): {
             (_E, _E): 2.0 * p.Gamma2, (_M2, _M2): -2.0 * gamma2,
             (_E, _M2): 1j * G2.conjugate(), (_M2, _E): -1j * G2,
             (_G, _M2): 1j * g2, (_M2, _G): -1j * g2.conjugate(),
-        },
-        (_M2, _G): {
-            (_M2, _G): -(gamma2 + 1j * (de - Om)),
-            (_G, _G): 1j * g2, (_M2, _M2): -1j * g2,
-            (_E, _G): 1j * G2.conjugate(), (_M2, _M1): -1j * g1,
         },
         (_G, _G): {
             (_M1, _M1): 2.0 * gamma1, (_M2, _M2): 2.0 * gamma2,
@@ -183,20 +172,39 @@ def build_generator(p: SystemParams, g1: complex, g2: complex) -> GeneratorMatri
             (_M2, _G): 1j * g2.conjugate(), (_G, _M2): -1j * g2,
         },
     }
+    rows.update(_coherence_rows(p, detuning_factors(p, p.delta), g1, g2))
+    return rows
 
-    matrix = np.zeros((16, 16), dtype=complex)
-    for (a, b), terms in rows.items():
+
+def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
+    """The equations of motion as a read-only 16x16 complex matrix.
+
+    ``matrix[4a+b, 4m+n]`` is the coefficient of ``rho_mn`` in the
+    equation of motion of ``rho_ab``, so the matrix acts on the
+    row-major flattened density matrix.  Rows for conjugate elements
+    are filled with conjugated coefficients on transposed element
+    indices, which preserves Hermiticity by construction.
+    """
+    validate_params(p)
+    index, values = [], []
+    for (a, b), terms in _equations_of_motion(p, complex(g1), complex(g2)).items():
         for (m, n), coeff in terms.items():
-            matrix[4 * a + b, 4 * m + n] += coeff
-        if a != b:
-            # Hermitian completion: d/dt rho_ba = conj(d/dt rho_ab).
-            for (m, n), coeff in terms.items():
-                matrix[4 * b + a, 4 * n + m] += coeff.conjugate()
-    return GeneratorMatrix(matrix=matrix, g1=g1, g2=g2)
+            index.append(16 * (4 * a + b) + 4 * m + n)
+            values.append(coeff)
+            if a != b:
+                # Hermitian completion: d/dt rho_ba = conj(d/dt rho_ab).
+                index.append(16 * (4 * b + a) + 4 * n + m)
+                values.append(coeff.conjugate())
+    # Every entry is written once; adding to zero turns a -0.0 part into +0.0.
+    matrix = np.zeros(256, dtype=complex)
+    matrix[np.array(index)] += np.array(values, dtype=complex)
+    matrix = matrix.reshape(16, 16)
+    matrix.flags.writeable = False
+    return matrix
 
 
-def steady_state(generator: GeneratorMatrix) -> DensityMatrix:
-    """Unique stationary state of the generator.
+def steady_state(generator: np.ndarray) -> DensityMatrix:
+    """Unique stationary state of a 16x16 generator from :func:`build_generator`.
 
     Replaces the (redundant) ground-population row with the unit-trace
     condition and solves the resulting 16x16 system directly.  The raw
@@ -204,7 +212,9 @@ def steady_state(generator: GeneratorMatrix) -> DensityMatrix:
     projected out before validation; the residual certificate is
     computed on the returned state.
     """
-    L = generator.matrix
+    L = np.asarray(generator, dtype=complex)
+    if L.shape != (16, 16):
+        raise ParameterError(f"generator must be 16x16, got {L.shape}")
     constrained = np.array(L)
     gg = 4 * _G + _G
     constrained[gg, :] = 0.0
@@ -229,23 +239,22 @@ def steady_state(generator: GeneratorMatrix) -> DensityMatrix:
     return DensityMatrix(rho=rho)
 
 
-def _first_order_rows(a1, a2, q, G1: complex, G2: complex):
-    """Coefficients of the first-order system in (rho_1g, rho_2g, rho_eg).
+def _first_order_system(p: SystemParams, factors, probe_amplitude: float):
+    """``(L0, -L1 rho0)`` of the first-order system, read off the coherence rows.
 
-    ``a1, a2, q`` are the detuning factors of :func:`detuning_factors`,
-    as scalars or as complex128 arrays over a grid.
+    Returns the coefficient block over (rho_1g, rho_2g, rho_eg) as
+    nested lists and the ``(3, 2)`` drive, one column per circular probe
+    component driven alone.  The probe enters the coherence rows only
+    outside their own columns, so the block is the same in either
+    evaluation.
     """
-    return ((-a1, 0.0, 1j * G1.conjugate()),
-            (0.0, -a2, 1j * G2.conjugate()),
-            (1j * G1, 1j * G2, -q))
-
-
-def _unit_drives(probe_amplitude: float) -> np.ndarray:
-    # One column per probed circular component: (g1, g2) = (amp, 0) and (0, amp).
-    return np.array(
-        [[-1j * probe_amplitude, 0.0], [0.0, -1j * probe_amplitude], [0.0, 0.0]],
-        dtype=complex,
-    )
+    plus = _coherence_rows(p, factors, probe_amplitude, 0.0)
+    minus = _coherence_rows(p, factors, 0.0, probe_amplitude)
+    block = [[row.get(col, 0.0) for col in _COHERENCES] for row in plus.values()]
+    # 0 - x rather than -x keeps the zero parts of the drive at +0.0.
+    drive = [[0.0 - plus[c].get(_GG, 0.0), 0.0 - minus[c].get(_GG, 0.0)]
+             for c in _COHERENCES]
+    return block, np.array(drive, dtype=complex)
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -274,21 +283,21 @@ def probe_response_perturbative(
 
     To lowest order in the probe the populations stay at the zero-probe
     stationary state (all weight in |g>) and the three coherences
-    (rho_1g, rho_2g, rho_eg) close among themselves.  Each circular
+    (rho_1g, rho_2g, rho_eg) close among themselves; their block of the
+    equations-of-motion table is solved directly.  Each circular
     probe component is applied separately, so the returned pair is the
     diagonal response per component: s+ is rho_1g per unit g1 (times
     gamma1), s- is rho_2g per unit g2 (times gamma2).  Supports
     gamma1 != gamma2.
 
-    ``probe_amplitude`` rescales the internal unit drives; by linearity
+    ``probe_amplitude`` rescales the drives; by linearity
     it must not change the result (exposed for exactly that check).
     """
     validate_params(p)
     if not (probe_amplitude > 0):
         raise ParameterError(f"nonpositive probe amplitude: {probe_amplitude}")
-    a1, a2, q = detuning_factors(p, p.delta)
-    coeffs = np.array(_first_order_rows(a1, a2, q, p.G1, p.G2), dtype=complex)
-    rhs = _unit_drives(probe_amplitude)
+    block, rhs = _first_order_system(p, detuning_factors(p, p.delta), probe_amplitude)
+    coeffs = np.array(block, dtype=complex)
     try:
         sol = np.linalg.solve(coeffs, rhs)
     except np.linalg.LinAlgError as exc:
@@ -319,11 +328,11 @@ def probe_response_perturbative_grid(p: SystemParams, deltas) -> tuple[ComplexGr
     validate_params(p)
     delta = detuning_axis(deltas)
     factors = [f.to_numpy() for f in detuning_factors(p, delta)]
+    block, rhs = _first_order_system(p, factors, 1.0)
     coeffs = np.empty((len(delta.re), 3, 3), dtype=complex)
-    for i, row in enumerate(_first_order_rows(*factors, p.G1, p.G2)):
+    for i, row in enumerate(block):
         for j, entry in enumerate(row):
             coeffs[:, i, j] = entry
-    rhs = _unit_drives(1.0)
     try:
         sol = np.linalg.solve(coeffs, rhs)
     except np.linalg.LinAlgError as exc:

@@ -147,6 +147,8 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError(f"nonfinite delta grid bounds: [{grid.min}, {grid.max}]")
     if not grid.min < grid.max:
         raise ConfigError(f"delta_min must be < delta_max (got {grid.min} >= {grid.max})")
+    if not math.isfinite(grid.max - grid.min):
+        raise ConfigError(f"delta grid span overflows: [{grid.min}, {grid.max}]")
     if grid.points < 2:
         raise ConfigError(f"delta_points must be >= 2 (got {grid.points})")
     if grid.points > MAX_DELTA_POINTS:
@@ -465,6 +467,10 @@ def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
     return rows
 
 
+def _nonfinite(x: float) -> EmitError:
+    return EmitError(f"nonfinite value in output row: {x!r}")
+
+
 def _format_number(x: float) -> str:
     """Positional decimal with 12 significant digits.
 
@@ -473,7 +479,7 @@ def _format_number(x: float) -> str:
     recovers the value to better than 1e-11 relative.
     """
     if not math.isfinite(x):
-        raise EmitError(f"nonfinite value in output row: {x!r}")
+        raise _nonfinite(x)
     if x == 0.0:
         return "0"
     return format(_TWELVE_DIGITS.create_decimal(Decimal(x)), "f")
@@ -501,7 +507,14 @@ def _csv_bytes(rows: list[OutputRow]) -> bytes:
 
 def _json_bytes(rows: list[OutputRow]) -> bytes:
     payload = [row.as_dict() for row in rows]
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        # NaN and Infinity are not JSON; name the first one, as the CSV path does.
+        bad = next(value for row in payload for value in row.values()
+                   if isinstance(value, float) and not math.isfinite(value))
+        raise _nonfinite(bad) from None
+    return (text + "\n").encode("utf-8")
 
 
 def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:

@@ -9,11 +9,17 @@ import numpy as np
 from morsim import (
     CrossValidationError,
     MorsimError,
+    NumericError,
+    ParameterError,
+    SusceptibilityPair,
     SystemParams,
     probe_response_perturbative,
     s_pair,
     sweep,
+    validate_params,
 )
+from morsim.analytic import DENOMINATOR_GUARD, _require_equal_gammas
+from morsim.core import detuning_factors
 from morsim.sweep import _make_row, validate_config
 
 
@@ -64,6 +70,45 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def apply_generator(generator: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Time derivative of a 4x4 state under a 16x16 generator."""
+    return (generator @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
+
+
+def s_no_control(p: SystemParams) -> SusceptibilityPair:
+    """Bare-medium response ``s(+/-) = gamma / ((delta +/- Omega) - i gamma)``.
+
+    Reference for ``s_pair`` and the density-matrix engine at
+    ``G1 = G2 = 0``.  Unequal lower rates are supported by using
+    ``gamma1`` for s+ and ``gamma2`` for s-.
+    """
+    validate_params(p)
+    s_plus = p.gamma1 / ((p.delta + p.Omega) - 1j * p.gamma1)
+    s_minus = p.gamma2 / ((p.delta - p.Omega) - 1j * p.gamma2)
+    return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)
+
+
+def s_plus_sigma_minus_control(p: SystemParams) -> complex:
+    """s+ for a purely sigma- polarized control field (``G2 = 0``).
+
+    Reference for ``s_pair(p).s_plus``: reduces to
+    ``i gamma q / (|G1|^2 + d+ q)``; for large |G1| its real and
+    imaginary parts develop the Autler-Townes doublet.
+    """
+    validate_params(p)
+    _require_equal_gammas(p)
+    if p.G2 != 0:
+        raise ParameterError(f"G2 nonzero: {p.G2} (sigma- control case requires G2 = 0)")
+    gamma = p.gamma1
+    d_plus, _, q = detuning_factors(p, p.delta)
+    den = abs(p.G1) ** 2 + d_plus * q
+    if abs(den) < DENOMINATOR_GUARD:
+        raise NumericError(
+            f"vanishing denominator in sigma- control form (|den|={abs(den):.3e}) at {p}"
+        )
+    return 1j * gamma * q / den
 
 
 def scalar_sweep(cfg):

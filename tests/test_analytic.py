@@ -5,16 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import pair_rel_err, random_complex, random_params
-from morsim import (
-    NumericError,
-    ParameterError,
-    SystemParams,
-    chi_from_s,
-    s_no_control,
-    s_pair,
-    s_plus_sigma_minus_control,
-)
+from helpers import pair_rel_err, random_params, s_no_control, s_plus_sigma_minus_control
+from morsim import NumericError, ParameterError, SystemParams, s_pair
 
 
 def test_no_control_reduction_spot_values():
@@ -129,27 +121,3 @@ def test_passivity_sample():
         assert pair.s_plus.imag >= 0.0, f"negative Im s+ at {p}"
         assert pair.s_minus.imag >= 0.0, f"negative Im s- at {p}"
 
-
-def test_chi_scaling_zero_absorption():
-    assert chi_from_s(1j, alpha=0.0, k=2.0) == 0.0
-
-
-def test_chi_scaling_unit_case():
-    assert chi_from_s(1.0, alpha=4 * math.pi, k=1.0) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_chi_scaling_is_linear():
-    rng = np.random.default_rng(26)
-    for _ in range(50):
-        s = random_complex(rng, 10.0)
-        a = rng.uniform(0.1, 5.0)
-        assert chi_from_s(a * s, 2.0, 3.0) == pytest.approx(
-            a * chi_from_s(s, 2.0, 3.0), rel=1e-12
-        )
-
-
-def test_chi_rejects_nonpositive_wavenumber():
-    with pytest.raises(ParameterError, match="wavenumber"):
-        chi_from_s(1.0, alpha=1.0, k=0.0)
-    with pytest.raises(ParameterError, match="wavenumber"):
-        chi_from_s(1.0, alpha=1.0, k=-2.0)

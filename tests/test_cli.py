@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -85,6 +86,18 @@ def test_closed_form_overflow_is_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: variant 'base', delta=-1.0: overflow")
     assert "Traceback" not in err
+
+
+def test_overflowing_grid_span_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "span.cfg"
+    cfg.write_text("delta_min = -1e308\ndelta_max = 1e308\ndelta_points = 3\n",
+                   encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "delta grid span overflows" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_figure_writes_named_csv(tmp_path):

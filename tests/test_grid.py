@@ -157,7 +157,7 @@ def test_closed_form_overflow_error_matches_scalar_loop(g1):
 
 
 def test_nonfinite_grid_point_error_matches_scalar_loop():
-    # The step of this grid overflows, so linspace yields a nan inside it.
+    # The span of this grid overflows; both paths reject it in validate_config.
     cfg = SweepConfig(delta_grid=DeltaGrid(-1e308, 1e308, 3), engine="numeric")
     with np.errstate(all="ignore"):
         _assert_same_error(cfg)

@@ -5,16 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import pair_rel_err, random_density, random_params
+from helpers import (
+    apply_generator,
+    pair_rel_err,
+    random_density,
+    random_params,
+    rel_err,
+    s_no_control,
+)
 from morsim import (
     DensityMatrix,
-    GeneratorMatrix,
     ParameterError,
     SystemParams,
     build_generator,
     probe_response_finite,
     probe_response_perturbative,
-    s_no_control,
     s_pair,
     steady_state,
 )
@@ -27,7 +32,7 @@ def test_generator_conserves_trace():
     for _ in range(100):
         p = random_params(rng, equal_gammas=False)
         gen = build_generator(p, g1=rng.uniform(0, 0.01), g2=rng.uniform(0, 0.01))
-        drho = gen.apply(random_density(rng))
+        drho = apply_generator(gen, random_density(rng))
         assert abs(np.trace(drho)) < 1e-12
 
 
@@ -36,7 +41,7 @@ def test_generator_preserves_hermiticity():
     for _ in range(100):
         p = random_params(rng, equal_gammas=False)
         gen = build_generator(p, g1=0.005j, g2=0.003)
-        drho = gen.apply(random_density(rng))
+        drho = apply_generator(gen, random_density(rng))
         assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
 
 
@@ -45,7 +50,7 @@ def test_spontaneous_decay_of_sublevel_population():
     gen = build_generator(p, g1=0.0, g2=0.0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 1.0  # all population in |1>
-    drho = gen.apply(rho)
+    drho = apply_generator(gen, rho)
     assert drho[1, 1] == pytest.approx(-2 * p.gamma1)
     assert drho[3, 3] == pytest.approx(+2 * p.gamma1)
     assert np.max(np.abs(drho - np.diag(np.diag(drho)))) == 0.0
@@ -57,7 +62,23 @@ def test_upper_coherence_decay_coefficient():
                      Omega=2.0, Delta=3.0, delta=-1.0, G1=5.0, G2=7.0)
     gen = build_generator(p, g1=0.001, g2=0.001)
     row, col = 4 * 0 + 1, 4 * 0 + 1  # rho_e1 equation, rho_e1 element
-    assert gen.matrix[row, col] == -(1.1 + 0.4 + 1.5 + 1j * (3.0 - 2.0))
+    assert gen[row, col] == -(1.1 + 0.4 + 1.5 + 1j * (3.0 - 2.0))
+
+
+@pytest.mark.parametrize("element, expected", [
+    # -(gamma1 + i(delta + Omega)), -(gamma2 + i(delta - Omega)),
+    # -(Gamma1 + Gamma2 + i(Delta + delta)), written out so that a slip in
+    # the shared detuning factors cannot pass in both engines.
+    ((1, 3), -(1.5 + 1j * (-1.0 + 2.0))),
+    ((2, 3), -(0.9 + 1j * (-1.0 - 2.0))),
+    ((0, 3), -(1.1 + 0.4 + 1j * (3.0 + -1.0))),
+], ids=["rho_1g", "rho_2g", "rho_eg"])
+def test_probe_coherence_decay_coefficient(element, expected):
+    p = SystemParams(gamma1=1.5, gamma2=0.9, Gamma1=1.1, Gamma2=0.4,
+                     Omega=2.0, Delta=3.0, delta=-1.0, G1=5.0, G2=7.0)
+    gen = build_generator(p, g1=0.001, g2=0.001)
+    index = 4 * element[0] + element[1]
+    assert gen[index, index] == expected
 
 
 def test_zero_probe_steady_state_is_ground():
@@ -75,16 +96,39 @@ def test_steady_state_invariants_on_random_draws():
         p = random_params(rng, equal_gammas=False)
         gen = build_generator(p, g1=rng.uniform(1e-5, 0.01), g2=rng.uniform(1e-5, 0.01))
         state = steady_state(gen)  # DensityMatrix validates on construction
-        residual = np.linalg.norm(gen.matrix @ state.rho.reshape(16))
-        assert residual <= 1e-10 * np.linalg.norm(gen.matrix)
+        residual = np.linalg.norm(gen @ state.rho.reshape(16))
+        assert residual <= 1e-10 * np.linalg.norm(gen)
         assert state.populations.min() >= -1e-12
 
 
 def test_steady_state_residual_at_reference_point():
     gen = build_generator(replace(FIG3_BASE, delta=0.3), g1=1e-3, g2=0.0)
     rho = steady_state(gen).rho
-    residual = np.linalg.norm(gen.matrix @ rho.reshape(16))
-    assert residual <= 1e-10 * np.linalg.norm(gen.matrix)
+    residual = np.linalg.norm(gen @ rho.reshape(16))
+    assert residual <= 1e-10 * np.linalg.norm(gen)
+
+
+def test_first_order_solve_is_linear_response_of_generator():
+    # Around rho0 = |g><g|, L = L0 + L1(g) gives L0 rho1 = -L1 rho0 on the
+    # coherences (rho_1g, rho_2g, rho_eg), each probe component alone.
+    coherences = [4 * 1 + 3, 4 * 2 + 3, 4 * 0 + 3]
+    gg = 4 * 3 + 3
+    ground = np.zeros(16, dtype=complex)
+    ground[gg] = 1.0
+    rng = np.random.default_rng(36)
+    for _ in range(50):
+        p = random_params(rng, equal_gammas=False)
+        L0 = build_generator(p, g1=0.0, g2=0.0)
+        assert np.all(L0 @ ground == 0.0)
+        assert np.all(np.delete(L0[coherences], coherences, axis=1) == 0.0)
+        block = L0[np.ix_(coherences, coherences)]
+        g = rng.uniform(1e-3, 1.0)
+        pair = probe_response_perturbative(p)
+        for k, (g1, g2), gamma, s in [(0, (g, 0.0), p.gamma1, pair.s_plus),
+                                      (1, (0.0, g), p.gamma2, pair.s_minus)]:
+            L1 = build_generator(p, g1=g1, g2=g2) - L0
+            rho1 = np.linalg.solve(block, -L1[coherences, gg])
+            assert rel_err(s, gamma * rho1[k] / g) < 1e-12
 
 
 def test_perturbative_matches_bare_medium_without_control():
@@ -175,4 +219,4 @@ def test_density_matrix_validation():
 
 def test_generator_matrix_validation():
     with pytest.raises(ParameterError, match="16x16"):
-        GeneratorMatrix(np.zeros((4, 4), dtype=complex), g1=0.0, g2=0.0)
+        steady_state(np.zeros((4, 4), dtype=complex))

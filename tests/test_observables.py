@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import s_no_control
 from morsim import (
     ParameterError,
     SusceptibilityPair,
@@ -12,7 +13,6 @@ from morsim import (
     circular_to_cartesian,
     output_field,
     rotation_angle,
-    s_no_control,
     transmission_x,
     transmission_y,
 )

@@ -80,6 +80,18 @@ def test_oversized_grid_rejected_before_allocation(monkeypatch):
         run_sweep(cfg)
 
 
+def test_overflowing_grid_span_rejected(monkeypatch):
+    def no_grid(self):
+        raise AssertionError("grid built before the span check")
+
+    monkeypatch.setattr(DeltaGrid, "values", no_grid)
+    cfg = SweepConfig(delta_grid=DeltaGrid(-1e308, 1e308, 3))
+    with pytest.raises(ConfigError, match=r"delta grid span overflows: \[-1e\+308, 1e\+308\]"):
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match="delta grid span overflows"):
+        run_sweep(cfg)
+
+
 def test_reversed_grid_rejected():
     with pytest.raises(ConfigError, match="delta_min"):
         parse_config("delta_min = 10\ndelta_max = -10\n")
@@ -286,6 +298,14 @@ def test_emit_json_keys_and_values():
     assert len(payload) == len(rows)
     assert list(payload[0].keys()) == list(CSV_HEADER)
     assert payload[0]["t_y"] == rows[0].t_y
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_emit_rejects_nonfinite_values(out_format, bad):
+    row = OutputRow("v", 0.0, 0.5, bad, 0.0, 0.0, 0.0, 0.0, 0.0, "analytic")
+    with pytest.raises(EmitError, match=rf"nonfinite value in output row: {bad!r}"):
+        emit([row], out_format)
 
 
 def test_emit_rejects_empty_rows():
