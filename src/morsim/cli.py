@@ -70,7 +70,11 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 def _run_figure_command(args: argparse.Namespace) -> int:
     cfg = preset(args.name)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return 1
     path = out_dir / f"{args.name}.csv"
     rows = run_sweep(cfg)
     emit(rows, "csv", path)

@@ -186,6 +186,11 @@ def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
     indices, which preserves Hermiticity by construction.
     """
     validate_params(p)
+    return _assemble_generator(p, g1, g2)
+
+
+def _assemble_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
+    """:func:`build_generator` for parameters already validated."""
     index, values = [], []
     for (a, b), terms in _equations_of_motion(p, complex(g1), complex(g2)).items():
         for (m, n), coeff in terms.items():
@@ -372,8 +377,8 @@ def probe_response_finite(p: SystemParams, g_mag: float) -> SusceptibilityPair:
             f"probe too strong: g={g_mag} exceeds {MAX_FINITE_PROBE} "
             f"(weak-probe extraction would be unreliable)"
         )
-    rho_plus = steady_state(build_generator(p, g1=g_mag, g2=0.0)).rho
-    rho_minus = steady_state(build_generator(p, g1=0.0, g2=g_mag)).rho
+    rho_plus = steady_state(_assemble_generator(p, g1=g_mag, g2=0.0)).rho
+    rho_minus = steady_state(_assemble_generator(p, g1=0.0, g2=g_mag)).rho
     s_plus = p.gamma1 * complex(rho_plus[_M1, _G]) / g_mag
     s_minus = p.gamma2 * complex(rho_minus[_M2, _G]) / g_mag
     return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)

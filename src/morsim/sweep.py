@@ -29,14 +29,17 @@ with resonant and detuned control; elliptically polarized control).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
 from itertools import repeat
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +124,7 @@ class SweepConfig:
     out_path: str | None = None
 
 
-@dataclass(frozen=True)
-class OutputRow:
+class OutputRow(NamedTuple):
     """One spectral sample: detuning plus every derived observable."""
 
     variant: str
@@ -137,7 +139,7 @@ class OutputRow:
     engine: str
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_HEADER}
+        return dict(zip(CSV_HEADER, self))
 
 
 def validate_config(cfg: SweepConfig) -> SweepConfig:
@@ -476,7 +478,9 @@ def _format_number(x: float) -> str:
 
     Values are rounded to 12 significant digits and printed without
     exponent notation, so repeated runs are byte-identical and parsing
-    recovers the value to better than 1e-11 relative.
+    recovers the value to better than 1e-11 relative.  A value whose
+    exact binary expansion has fewer digits prints exactly (``20``,
+    ``0.5``).
     """
     if not math.isfinite(x):
         raise _nonfinite(x)
@@ -485,27 +489,107 @@ def _format_number(x: float) -> str:
     return format(_TWELVE_DIGITS.create_decimal(Decimal(x)), "f")
 
 
-def _csv_bytes(rows: list[OutputRow]) -> bytes:
+# Rows are serialized in chunks of this many, so the per-column arrays of
+# one chunk, not of the whole output, are alive at once.
+_CHUNK_ROWS = 4096
+
+# CSV row templates indexed by a fallback mask: bit j set means number
+# column j is a string from _format_number, printed by "%*s" at width 0;
+# the others print by "%.*f" at the precision that gives the same digits.
+_CSV_ROWS = tuple(
+    "%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(8)) + "%s\n"
+    for mask in range(256)
+)
+_MASK_BITS = 1 << np.arange(8)
+
+# JSON object template of one row, as json.dumps(..., indent=2) lays it out
+# inside the top-level array: strings pre-encoded, floats by float.__repr__.
+_JSON_ROW = "{\n    " + ",\n    ".join(
+    f"{json.encoder.encode_basestring_ascii(name)}: "
+    + ("%s" if name in ("variant", "engine") else "%r")
+    for name in CSV_HEADER
+) + "\n  }"
+
+
+def _chunks(rows: list[OutputRow]):
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        yield rows[start:start + _CHUNK_ROWS]
+
+
+def _float_column(column: tuple) -> np.ndarray | None:
+    """``column`` as a float64 array if every value is a ``float``, else None."""
+    if set(map(type, column)) == {float}:
+        return np.array(column)
+    return None
+
+
+def _csv_precisions(column: tuple) -> np.ndarray:
+    """The "%.*f" precision that prints each value as _format_number does.
+
+    The value rounded to 12 significant digits has decimal exponent
+    ``e``; its digits end ``11 - e`` places after the point, and "%.*f"
+    rounds the exact binary value half to even at that place, as the
+    ``Decimal`` context does.  The precision is negative where that does
+    not hold or ``e`` is not certain: zero and nonfinite values, non-float
+    values, ``x * 2**17`` integral (the exact expansion may have 12
+    digits or fewer and print unpadded), values whose ``log10`` lies
+    within 1e-10 of an integer (rounding may carry into the next decade,
+    and ``floor(log10)`` may be off by one), and ``e >= 12`` (printed
+    with padding zeros before the point).
+    """
+    x = _float_column(column)
+    if x is None:
+        return np.full(len(column), -1)
+    with np.errstate(all="ignore"):
+        magnitude = np.log10(np.abs(x))
+        scaled = x * 2.0 ** 17
+        exact = (np.isfinite(magnitude) & (scaled != np.floor(scaled))
+                 & (np.abs(magnitude - np.rint(magnitude)) >= 1e-10))
+        return np.where(exact, 11 - np.floor(magnitude), -1).astype(int)
+
+
+def _csv_field(value) -> str:
+    """``value`` as csv.writer writes it inside a row, quoted if it must be."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.variant,
-            _format_number(row.delta),
-            _format_number(row.re_s_plus),
-            _format_number(row.im_s_plus),
-            _format_number(row.re_s_minus),
-            _format_number(row.im_s_minus),
-            _format_number(row.t_y),
-            _format_number(row.t_x),
-            _format_number(row.theta_rad),
-            row.engine,
-        ])
-    return buffer.getvalue().encode("utf-8")
+    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
+    return buffer.getvalue()[:-2]
 
 
-def _json_bytes(rows: list[OutputRow]) -> bytes:
+def _csv_chunk(rows: list[OutputRow]) -> str:
+    """CSV lines of ``rows``, each printed by one template of _CSV_ROWS.
+
+    Values the precision pass cannot print are formatted by
+    _format_number in row order, so its error for the first nonfinite
+    value is the one raised.
+    """
+    variant, *numbers, engine = zip(*rows)
+    precision = np.stack([_csv_precisions(column) for column in numbers], axis=1)
+    fallback = precision < 0
+    values = [list(column) for column in numbers]
+    for i, j in zip(*np.nonzero(fallback)):
+        values[j][i] = _format_number(numbers[j][i])
+    precision[fallback] = 0
+    if set(map(type, variant + engine)) == {str}:
+        quote = {name: _csv_field(name) for name in {*variant, *engine}}.__getitem__
+    else:
+        # Equal values of other types (1, True, 1.0; 0.0, -0.0) print apart.
+        quote = _csv_field
+    fields = [map(quote, variant)]
+    for width_or_precision, column in zip(precision.T.tolist(), values):
+        fields += (width_or_precision, column)
+    fields.append(map(quote, engine))
+    templates = map(_CSV_ROWS.__getitem__, (fallback @ _MASK_BITS).tolist())
+    return "".join(map(str.__mod__, templates, zip(*fields)))
+
+
+def _csv_bytes(rows: list[OutputRow]) -> bytes:
+    header = ",".join(CSV_HEADER) + "\n"
+    return header.encode() + b"".join(_csv_chunk(chunk).encode("utf-8")
+                                      for chunk in _chunks(rows))
+
+
+def _json_reference(rows: list[OutputRow]) -> str:
+    """``rows`` as json.dumps lays them out inside the top-level array."""
     payload = [row.as_dict() for row in rows]
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
@@ -514,7 +598,78 @@ def _json_bytes(rows: list[OutputRow]) -> bytes:
         bad = next(value for row in payload for value in row.values()
                    if isinstance(value, float) and not math.isfinite(value))
         raise _nonfinite(bad) from None
-    return (text + "\n").encode("utf-8")
+    return text[len("[\n  "):-len("\n]")]
+
+
+def _json_chunk(rows: list[OutputRow]) -> str:
+    """The array items of ``rows``, each printed by the _JSON_ROW template.
+
+    A chunk holding a value that is not a ``float`` (numbers) or a
+    ``str`` (names) goes to json.dumps instead.
+    """
+    variant, *numbers, engine = zip(*rows)
+    arrays = [_float_column(column) for column in numbers]
+    if any(a is None for a in arrays) or set(map(type, variant + engine)) != {str}:
+        return _json_reference(rows)
+    finite = np.isfinite(np.stack(arrays, axis=1))
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), len(numbers))
+        raise _nonfinite(numbers[j][i])
+    encoded = {name: json.encoder.encode_basestring_ascii(name)
+               for name in {*variant, *engine}}
+    args = zip(map(encoded.__getitem__, variant), *numbers, map(encoded.__getitem__, engine))
+    return ",\n  ".join(map(_JSON_ROW.__mod__, args))
+
+
+def _json_bytes(rows: list[OutputRow]) -> bytes:
+    items = ",\n  ".join(_json_chunk(chunk) for chunk in _chunks(rows))
+    return f"[\n  {items}\n]\n".encode("utf-8")
+
+
+def _write_path(destination, data: bytes) -> None:
+    """Write ``data`` to the file named by ``destination``.
+
+    A regular file, or a path that does not exist yet, is replaced whole:
+    ``data`` goes to a temporary file beside it, which is then renamed
+    over it, so a failed write leaves no partial file and an existing
+    file keeps its old bytes.  The new file gets the mode (and, where
+    the process may set it, the owner) ``Path.write_bytes`` would leave:
+    an existing file's, else ``0o666`` less the umask.  A symbolic link
+    is written through.  Being a new inode, the file is no longer shared
+    with hard links to the old one.
+
+    Anything else that exists (a device such as ``/dev/null``, a FIFO,
+    ``/dev/stdout`` on a pipe) is written in place, as ``write_bytes``
+    does.
+    """
+    try:
+        old = os.stat(destination)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(destination, "wb") as stream:
+            stream.write(data)
+        return
+    target = os.path.realpath(destination)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        if old is not None:
+            with contextlib.suppress(PermissionError):
+                os.chown(tmp, old.st_uid, old.st_gid)
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
@@ -522,7 +677,10 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
 
     ``destination`` may be None (return bytes only), a path, or a
     binary file-like object.  Output is deterministic byte-for-byte for
-    identical rows.
+    identical rows.  A path to a regular file is replaced as a whole: if
+    the write fails, no partial file is left and an existing file keeps
+    its old bytes.  Any other existing path (a device, a FIFO) is
+    written in place.
     """
     if not rows:
         raise EmitError("no rows to emit")
@@ -538,7 +696,7 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
             destination.write(data)
         else:
             try:
-                Path(destination).write_bytes(data)
+                _write_path(destination, data)
             except OSError as exc:
                 raise EmitError(f"cannot write {destination}: {exc}") from exc
     return data

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 from dataclasses import replace
+from decimal import Context, Decimal
 
 import numpy as np
 
 from morsim import (
+    CSV_HEADER,
     CrossValidationError,
+    EmitError,
     MorsimError,
     NumericError,
     ParameterError,
@@ -150,3 +157,47 @@ def scalar_sweep(cfg):
             f"(tolerance {sweep.CROSS_VALIDATION_TOL:.0e})"
         )
     return rows
+
+
+_TWELVE_DIGITS = Context(prec=12)
+
+
+def _nonfinite(x) -> EmitError:
+    return EmitError(f"nonfinite value in output row: {x!r}")
+
+
+def reference_number(x) -> str:
+    """Reference for a CSV number field: ``Decimal`` rounded to 12 digits.
+
+    The formatter the CSV writer was first written with, kept verbatim
+    so that the writer's bytes can be compared with it.
+    """
+    if not math.isfinite(x):
+        raise _nonfinite(x)
+    if x == 0.0:
+        return "0"
+    return format(_TWELVE_DIGITS.create_decimal(Decimal(x)), "f")
+
+
+def reference_csv(rows) -> bytes:
+    """Reference for ``emit(rows, "csv")``: csv.writer, one field at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([row.variant,
+                         *(reference_number(getattr(row, name)) for name in CSV_HEADER[1:-1]),
+                         row.engine])
+    return buffer.getvalue().encode("utf-8")
+
+
+def reference_json(rows) -> bytes:
+    """Reference for ``emit(rows, "json")``: json.dumps of the row dicts."""
+    payload = [{name: getattr(row, name) for name in CSV_HEADER} for row in rows]
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        bad = next(value for row in payload for value in row.values()
+                   if isinstance(value, float) and not math.isfinite(value))
+        raise _nonfinite(bad) from None
+    return (text + "\n").encode("utf-8")

@@ -116,6 +116,16 @@ def test_figure_output_is_reproducible(tmp_path):
     assert (first / "fig4.csv").read_bytes() == (second / "fig4.csv").read_bytes()
 
 
+def test_figure_out_naming_a_file_is_validation_error(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_bytes(b"keep")
+    assert main(["figure", "fig2", "--out", str(existing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {existing}: ")
+    assert "Traceback" not in err
+    assert existing.read_bytes() == b"keep"
+
+
 def test_unknown_figure_name_is_usage_error():
     assert main(["figure", "fig9"]) == 1
 

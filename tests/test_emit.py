@@ -1,0 +1,281 @@
+"""Byte identity of ``emit`` with the reference writers in ``helpers``.
+
+The CSV and JSON writers print rows through templates; these tests hold
+them to the plain ``Decimal`` / ``csv.writer`` / ``json.dumps`` encoders
+they replaced, on drawn and on hostile values, and check that a path to
+a regular file is replaced whole or not at all, while a device or a FIFO
+is written in place.
+"""
+
+import errno
+import io
+import math
+import os
+import random
+import stat
+import struct
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import morsim
+from morsim import EmitError, OutputRow, emit
+from morsim.sweep import _CHUNK_ROWS
+
+from helpers import reference_csv, reference_json, reference_number
+
+
+def _rows(values, variant="v", engine="analytic"):
+    """Rows of eight numbers each, ``values`` padded with 0.5."""
+    values = list(values)
+    values += [0.5] * (-len(values) % 8)
+    return [OutputRow(variant, *values[i:i + 8], engine) for i in range(0, len(values), 8)]
+
+
+def _assert_same_bytes(rows):
+    assert emit(rows, "csv") == reference_csv(rows)
+    assert emit(rows, "json") == reference_json(rows)
+
+
+def _ulps(x: float, count: int):
+    """``x`` and its ``count`` neighbours on either side."""
+    out = [x]
+    up = down = x
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 8),
+                min_size=1, max_size=8))
+def test_csv_number_fields_match_reference(values):
+    rows = [OutputRow("v", *numbers, "analytic") for numbers in values]
+    lines = emit(rows, "csv").decode("utf-8").split("\n")[1:-1]
+    for numbers, line in zip(values, lines):
+        assert line.split(",")[1:-1] == [reference_number(x) for x in numbers]
+    assert emit(rows, "json") == reference_json(rows)
+
+
+def _hostile_values():
+    rng = random.Random(20261018)
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    # Powers of ten and their neighbours: floor(log10) and carries.
+    for k in range(-310, 20):
+        values += _ulps(float(f"1e{k}"), 4)
+    # Rounding carries into the next decade, with their neighbours.
+    for text in ("9.999999999995", "99999999999.95", "999999999999.5", "0.9999999999995",
+                 "9.99999999999499", "99999999999.949", "-9.999999999995"):
+        values += _ulps(float(text), 3)
+    for k in range(-20, 14):
+        values += _ulps(float("9" * 12 + "5") * 10.0 ** (k - 12), 2)
+    # Exact 13-digit ties m * 2**-j (m odd), and dyadics with short expansions.
+    for j in range(1, 19):
+        for _ in range(40):
+            m = rng.randrange(10 ** 12 // 5 ** j + 1, 10 ** 13 // 5 ** j + 1) | 1
+            values.append(math.ldexp(m, -j))
+    values += [20.0, 0.5, -0.125, 1000.0, 3.0517578125e-05, 2.0 ** -17, 2.0 ** -18]
+    for _ in range(400):
+        m = rng.randrange(1, 1 << rng.randrange(1, 53))
+        values.append(math.ldexp(m, rng.randrange(-40, 30)))
+    # e >= 12: integers and non-integers above 1e12.
+    values += [1e12, 123456789012.5, 1234567890123.0, 1.5e13, 4.2e15, 1e22, 1e300]
+    for _ in range(400):
+        values.append(float(rng.randrange(1, 10 ** rng.randrange(1, 15))))
+    # Subnormals, magnitudes from 1e-30 to 1e14, and random bit patterns.
+    values += [math.ldexp(rng.randrange(1, 1 << 52), -1074) for _ in range(50)]
+    values += [rng.random() * 10.0 ** rng.uniform(-30, 14) for _ in range(2000)]
+    patterns = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                for _ in range(2000)]
+    values += [x for x in patterns if math.isfinite(x)]
+    signed = [x * rng.choice((1.0, -1.0)) for x in values]
+    return values + signed
+
+
+def test_hostile_values_match_reference():
+    _assert_same_bytes(_rows(_hostile_values()))
+
+
+def test_rows_across_chunks_match_reference():
+    rng = random.Random(7)
+    values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-8, 8)
+              for _ in range(8 * (2 * _CHUNK_ROWS + 3))]
+    _assert_same_bytes(_rows(values))
+
+
+@pytest.mark.parametrize("name", ['a,"b"', " leading space", "line\nbreak", "carriage\rreturn",
+                                  "é", "tab\there", "", '"'])
+def test_names_are_quoted_and_escaped_like_reference(name):
+    _assert_same_bytes(_rows([0.1, 2.5, -3.75], variant=name, engine=name))
+    _assert_same_bytes(_rows([0.1], variant=name) + _rows([0.2], variant="plain"))
+
+
+@pytest.mark.parametrize("variant, engine", [(1, True), (True, 1.0), (0.0, -0.0), (1, "1")])
+def test_non_str_names_match_reference(variant, engine):
+    # Equal names of different types (1 == True == 1.0, 0.0 == -0.0) keep
+    # the spelling csv.writer gives each.
+    _assert_same_bytes(_rows([0.1, 2.5], variant=variant, engine=engine))
+    _assert_same_bytes(_rows([0.1], variant=variant) + _rows([0.2], variant=engine))
+
+
+@pytest.mark.parametrize("value", [3, -7, 2 ** 60 + 1, 10 ** 17, True])
+def test_non_float_number_matches_reference(value):
+    rows = _rows([0.1, value, 0.3, value])
+    _assert_same_bytes(rows)
+
+
+def _assert_same_error(rows, out_format):
+    reference = reference_csv if out_format == "csv" else reference_json
+    with pytest.raises(EmitError) as expected:
+        reference(rows)
+    with pytest.raises(EmitError) as actual:
+        emit(rows, out_format)
+    assert str(actual.value) == str(expected.value)
+    return str(actual.value)
+
+
+@pytest.mark.parametrize("column", range(8))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_nonfinite_error_matches_reference(out_format, bad, column):
+    values = [0.3] * 24
+    # The first nonfinite value in row order is the one named, also when
+    # a different one sits in an earlier column of a later row.
+    values[8 + column] = bad
+    values[16] = -bad if math.isinf(bad) else math.inf
+    assert repr(bad) in _assert_same_error(_rows(values), out_format)
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_nonfinite_error_names_first_value_across_chunks(out_format):
+    values = [0.3] * (8 * (_CHUNK_ROWS + 2))
+    values[8 * _CHUNK_ROWS - 1] = -math.inf
+    values[8 * _CHUNK_ROWS] = math.nan
+    assert "-inf" in _assert_same_error(_rows(values), out_format)
+
+
+# -- writing to a path ---------------------------------------------------
+
+
+def _fail_midway(monkeypatch):
+    """Make os.write write half of what it is given, then fail."""
+    real_write = os.write
+    calls = []
+
+    def write(fd, data):
+        if calls:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        calls.append(fd)
+        return real_write(fd, bytes(data)[:len(data) // 2])
+
+    monkeypatch.setattr(os, "write", write)
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    target.chmod(0o640)
+    _fail_midway(monkeypatch)
+    with pytest.raises(EmitError, match="cannot write .*out.csv: .*No space left"):
+        emit(_rows([0.1, 0.2]), "csv", target)
+    assert target.read_bytes() == b"old bytes\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+def test_failed_write_of_new_file_leaves_nothing(tmp_path, monkeypatch):
+    _fail_midway(monkeypatch)
+    with pytest.raises(EmitError, match="cannot write"):
+        emit(_rows([0.1, 0.2]), "json", tmp_path / "out.json")
+    assert os.listdir(tmp_path) == []
+
+
+def test_new_file_mode_matches_write_bytes(tmp_path):
+    reference = tmp_path / "reference"
+    reference.write_bytes(b"")
+    target = tmp_path / "out.csv"
+    data = emit(_rows([0.1]), "csv", target)
+    assert target.read_bytes() == data
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "reference"]
+
+
+def test_existing_file_keeps_its_mode(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old")
+    target.chmod(0o600)
+    data = emit(_rows([0.1]), "csv", target)
+    assert target.read_bytes() == data
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_existing_file_keeps_its_owner(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old")
+    if os.geteuid() == 0:
+        os.chown(target, 4321, 4321)
+    before = target.stat()
+    emit(_rows([0.1]), "csv", target)
+    after = target.stat()
+    assert (after.st_uid, after.st_gid) == (before.st_uid, before.st_gid)
+
+
+def _forbid_replace(monkeypatch):
+    """Fail the test, without renaming anything, if os.replace is called."""
+    def replace(*args):
+        raise AssertionError(f"os.replace{args}: a non-regular file must be written in place")
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def test_device_destination_is_written_in_place(monkeypatch):
+    _forbid_replace(monkeypatch)
+    data = emit(_rows([0.1]), "csv", os.devnull)
+    assert data.startswith(b"variant,")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_fifo_destination_is_written_in_place(tmp_path, monkeypatch):
+    _forbid_replace(monkeypatch)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        data = emit(_rows([0.1, 0.2]), "json", fifo)
+        assert os.read(reader, 1 << 16) == data
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_dev_stdout_on_a_pipe_gets_the_bytes():
+    script = ("from morsim import OutputRow, emit\n"
+              "emit([OutputRow('v', *[0.5] * 8, 'analytic')], 'csv', '/dev/stdout')\n")
+    source_root = os.path.dirname(os.path.dirname(morsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    result = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, check=False, timeout=60)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == emit([OutputRow("v", *[0.5] * 8, "analytic")], "csv")
+
+
+def test_symlink_destination_is_written_through(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"old")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    data = emit(_rows([0.1]), "csv", link)
+    assert link.is_symlink()
+    assert real.read_bytes() == data
+
+
+def test_file_like_destination_gets_the_bytes():
+    buffer = io.BytesIO()
+    data = emit(_rows([0.1]), "json", buffer)
+    assert buffer.getvalue() == data

@@ -9,10 +9,11 @@ says why.
 """
 
 import hashlib
+import math
 
 import pytest
 
-from morsim import emit, parse_config, preset, run_sweep
+from morsim import OutputRow, emit, parse_config, preset, run_sweep
 
 PRESET_SHA256 = {
     "fig2": "b30c01e8192908b7d96f13cb33eb2dfe50a8572af71f859c8b2d6f1e149dcce0",
@@ -76,3 +77,34 @@ def test_json_bytes_are_pinned(name):
     cfg = parse_config(text)
     data = emit(run_sweep(cfg), cfg.out_format)
     assert hashlib.sha256(data).hexdigest() == expected
+
+
+# sha256 of the hostile rows below, taken from the Decimal / json.dumps
+# writers the template writers replaced.
+HOSTILE_SHA256 = {
+    "csv": "61de83bf9215c062f0e667733d7a3f25d80d9baff894b441df83c4a3632d381d",
+    "json": "8374b7c3f5a84b15f4b47267a77b93e37a85621a8027139aca63f5dfd2b08596",
+}
+
+
+def _hostile_rows() -> list[OutputRow]:
+    values = [0.0, -0.0, 20.0, 0.5, -0.125, 1000.0, 2.0 ** -17, 2.0 ** -18, 1 / 3,
+              9.999999999995, 99999999999.95, 999999999999.5, 0.9999999999995,
+              123456789012.5, 1234567890123.0, 1.5e13, 1e22, 1e300, 5e-324,
+              2.2250738585072014e-308, 1.7976931348623157e308, 3.0517578125e-05]
+    for k in range(-30, 16):
+        x = float(f"1e{k}")
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    values += [math.ldexp(m, -j) for j in range(1, 24) for m in (1, 3, 12345, 987654321)]
+    values += [x * k for x in (0.1, 0.7, 1.1) for k in range(1, 40)]
+    values += [-x for x in values]
+    values += [0.25] * (-len(values) % 8)
+    names = ['a,"b"', " lead", "line\nbreak", "é"]
+    return [OutputRow(names[i % 4], *values[8 * i:8 * i + 8], "analytic")
+            for i in range(len(values) // 8)]
+
+
+@pytest.mark.parametrize("out_format", sorted(HOSTILE_SHA256))
+def test_hostile_value_bytes_are_pinned(out_format):
+    data = emit(_hostile_rows(), out_format)
+    assert hashlib.sha256(data).hexdigest() == HOSTILE_SHA256[out_format]

@@ -22,6 +22,7 @@ from morsim import (
     probe_response_perturbative,
     s_pair,
     steady_state,
+    validate_params,
 )
 
 FIG3_BASE = SystemParams(Omega=5.0, Delta=5.0, G1=20.0, G2=0.0, alpha_l=30.0)
@@ -174,6 +175,28 @@ def test_finite_probe_discrepancy_is_quadratic():
     errs = np.array([discrepancy(g) for g in gs])
     order = np.polyfit(np.log(gs), np.log(errs), 1)[0]
     assert 1.8 <= order <= 2.2
+
+
+def test_finite_probe_validates_parameters_once(monkeypatch):
+    import morsim.lindblad as lindblad
+
+    p = replace(FIG3_BASE, delta=0.3, G2=4.0)
+    expected = (steady_state(build_generator(p, g1=1e-3, g2=0.0)).rho[1, 3],
+                steady_state(build_generator(p, g1=0.0, g2=1e-3)).rho[2, 3])
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return validate_params(params)
+
+    monkeypatch.setattr(lindblad, "validate_params", counting)
+    fin = probe_response_finite(p, 1e-3)
+    assert calls == [p]
+    # The generators it solves are those of the public builder.
+    assert fin.s_plus == p.gamma1 * complex(expected[0]) / 1e-3
+    assert fin.s_minus == p.gamma2 * complex(expected[1]) / 1e-3
+    with pytest.raises(ParameterError):
+        probe_response_finite(replace(p, gamma1=-1.0), 1e-3)
 
 
 def test_finite_probe_rejects_out_of_range_amplitudes():

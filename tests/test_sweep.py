@@ -285,6 +285,21 @@ def test_emit_csv_round_trip():
             assert abs(value - reference) <= 1e-11 * max(abs(reference), 1e-300)
 
 
+def test_output_row_contract():
+    values = ("v", 0.5, 1.0, -2.0, 3.0, -4.0, 0.25, 0.75, 0.1, "analytic")
+    row = OutputRow(*values)
+    assert row == OutputRow(**dict(zip(CSV_HEADER, values)))
+    assert OutputRow._fields == CSV_HEADER
+    assert tuple(row) == values
+    assert row.as_dict() == dict(zip(CSV_HEADER, values))
+    assert list(row.as_dict()) == list(CSV_HEADER)
+    assert row.t_x == 0.75
+    with pytest.raises(AttributeError):
+        row.delta = 1.0
+    with pytest.raises(AttributeError):
+        row.extra = 1.0
+
+
 def test_emit_is_deterministic():
     rows_a = run_sweep(_tiny_config(engine="both"))
     rows_b = run_sweep(_tiny_config(engine="both"))
