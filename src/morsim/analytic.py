@@ -110,13 +110,19 @@ def s_pair(p: SystemParams) -> SusceptibilityPair:
                               s_minus=num_minus / den_minus)
 
 
-def s_pair_grid(p: SystemParams, deltas) -> tuple[ComplexGrid, ComplexGrid]:
+def s_pair_grid(
+    p: SystemParams, deltas
+) -> tuple[ComplexGrid, ComplexGrid, tuple[int, NumericError] | None]:
     """:func:`s_pair` at every probe detuning in ``deltas`` at once.
 
     ``p.delta`` is validated with the rest of ``p`` but not used.
-    Returns ``(s+, s-)`` as grids whose values equal those of
-    ``s_pair(replace(p, delta=d))`` bit for bit, and raises what
-    :func:`s_pair` raises at the first failing detuning.
+    Returns ``(s+, s-, failure)``: two grids whose values equal those of
+    ``s_pair(replace(p, delta=d))`` bit for bit, and ``failure``, None
+    or ``(i, error)`` with ``i`` the first detuning where :func:`s_pair`
+    raises and ``error`` what it raises there.  Values from ``i`` on are
+    not defined.  What fails at every detuning (invalid parameters,
+    unequal gammas, an overflowing ``|G|^2``) is raised, naming the
+    first detuning.
     """
     validate_params(p)
     _require_equal_gammas(p)
@@ -129,8 +135,10 @@ def s_pair_grid(p: SystemParams, deltas) -> tuple[ComplexGrid, ComplexGrid]:
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)
         unbounded = ~(np.isfinite(abs_plus) & np.isfinite(abs_minus))
         failing = unbounded | (abs_plus < DENOMINATOR_GUARD) | (abs_minus < DENOMINATOR_GUARD)
+        failure = None
         if failing.any():
             i = int(np.argmax(failing))
             at = replace(p, delta=float(delta.re[i]))
-            raise _overflow(at) if unbounded[i] else _vanishing(abs_plus[i], abs_minus[i], at)
-        return num_plus / den_plus, num_minus / den_minus
+            failure = (i, _overflow(at) if unbounded[i]
+                       else _vanishing(abs_plus[i], abs_minus[i], at))
+        return num_plus / den_plus, num_minus / den_minus, failure

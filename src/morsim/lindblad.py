@@ -77,14 +77,15 @@ class DensityMatrix:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ParameterError(f"density matrix must be 4x4, got {rho.shape}")
+        # Each check is written to fail on nan.
         herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm_dev > HERMITICITY_TOL:
+        if not herm_dev <= HERMITICITY_TOL:
             raise ParameterError(f"non-Hermitian density matrix: deviation {herm_dev:.3e}")
         trace_dev = abs(complex(np.trace(rho)) - 1.0)
-        if trace_dev > TRACE_TOL:
+        if not trace_dev <= TRACE_TOL:
             raise ParameterError(f"trace differs from 1 by {trace_dev:.3e}")
         pops = np.real(np.diag(rho))
-        if float(pops.min()) < POPULATION_TOL:
+        if not float(pops.min()) >= POPULATION_TOL:
             raise ParameterError(f"negative population: {pops.min():.3e}")
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
@@ -234,9 +235,11 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     rho = vec.reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
 
-    residual = float(np.linalg.norm(L @ rho.reshape(16)))
-    scale = float(np.linalg.norm(L))
-    if residual > RESIDUAL_TOL * scale:
+    with np.errstate(all="ignore"):
+        residual = float(np.linalg.norm(L @ rho.reshape(16)))
+        scale = float(np.linalg.norm(L))
+    # Fails on a nan residual, and on a bound that overflows to inf.
+    if not residual <= RESIDUAL_TOL * scale < np.inf:
         raise SingularSystemError(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||L|| = "
             f"{RESIDUAL_TOL * scale:.3e}"
@@ -270,15 +273,31 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 
 
 def _residuals(coeffs: np.ndarray, sol: np.ndarray, rhs: np.ndarray,
-               probe_amplitude: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of each first-order solve and the bound it must not exceed."""
-    residual = _frobenius(coeffs @ sol - rhs)
-    return residual, RESIDUAL_TOL * _frobenius(coeffs) * probe_amplitude
+               probe_amplitude: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual of each first-order solve, its bound, and whether it fails.
+
+    A residual passes only if it is at most a finite bound, so a nan
+    residual fails, and so does any residual once the bound overflows.
+    """
+    with np.errstate(all="ignore"):
+        residual = _frobenius(coeffs @ sol - rhs)
+        bound = RESIDUAL_TOL * _frobenius(coeffs) * probe_amplitude
+    return residual, bound, ~((residual <= bound) & (bound < np.inf))
 
 
 def _where(p: SystemParams, delta: float) -> str:
     return (f"delta={delta}, Delta={p.Delta}, Omega={p.Omega}, "
             f"|G1|={abs(p.G1)}, |G2|={abs(p.G2)}")
+
+
+def _singular_error(p: SystemParams, delta: float) -> SingularSystemError:
+    return SingularSystemError(f"first-order coherence system singular at {_where(p, delta)}")
+
+
+def _residual_error(residual: float, bound: float, p: SystemParams,
+                    delta: float) -> SingularSystemError:
+    what = f"residual {residual:.3e} too large" if bound < np.inf else "residual bound overflows"
+    return SingularSystemError(f"first-order solve {what} at {_where(p, delta)}")
 
 
 def probe_response_perturbative(
@@ -306,29 +325,29 @@ def probe_response_perturbative(
     try:
         sol = np.linalg.solve(coeffs, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"first-order coherence system singular at {_where(p, p.delta)}"
-        ) from exc
-    residual, bound = _residuals(coeffs, sol, rhs, probe_amplitude)
-    if residual > bound:
-        raise SingularSystemError(
-            f"first-order solve residual {residual:.3e} too large at {_where(p, p.delta)}"
-        )
+        raise _singular_error(p, p.delta) from exc
+    residual, bound, failing = _residuals(coeffs, sol, rhs, probe_amplitude)
+    if failing:
+        raise _residual_error(residual, bound, p, p.delta)
     s_plus = p.gamma1 * complex(sol[0, 0]) / probe_amplitude
     s_minus = p.gamma2 * complex(sol[1, 1]) / probe_amplitude
     return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)
 
 
-def probe_response_perturbative_grid(p: SystemParams, deltas) -> tuple[ComplexGrid, ComplexGrid]:
+def probe_response_perturbative_grid(
+    p: SystemParams, deltas
+) -> tuple[ComplexGrid, ComplexGrid, tuple[int, SingularSystemError] | None]:
     """:func:`probe_response_perturbative` at every detuning in ``deltas``.
 
     ``p.delta`` is validated with the rest of ``p`` but not used.  One
     stacked ``(n, 3, 3)`` solve replaces the ``n`` scalar ones, each
-    matrix checked against its own residual bound.  Returns ``(s+, s-)``
-    as grids whose values equal those of
-    ``probe_response_perturbative(replace(p, delta=d))`` bit for bit.
-    A residual failure names the first failing detuning; a singular
-    matrix names the grid, since the stacked solve does not say which.
+    matrix checked against its own residual bound.  Returns
+    ``(s+, s-, failure)``: two grids whose values equal those of
+    ``probe_response_perturbative(replace(p, delta=d))`` bit for bit,
+    and ``failure``, None or ``(i, error)`` with ``i`` the first detuning
+    where the scalar function raises and ``error`` what it raises there.
+    Values from ``i`` on are not defined.  Invalid parameters raise, as
+    they fail at every detuning.
     """
     validate_params(p)
     delta = detuning_axis(deltas)
@@ -338,26 +357,31 @@ def probe_response_perturbative_grid(p: SystemParams, deltas) -> tuple[ComplexGr
     for i, row in enumerate(block):
         for j, entry in enumerate(row):
             coeffs[:, i, j] = entry
+    failure = None
     try:
         sol = np.linalg.solve(coeffs, rhs)
-    except np.linalg.LinAlgError as exc:
-        span = f"one of {len(delta.re)} values in [{delta.re[0]}, {delta.re[-1]}]"
-        raise SingularSystemError(
-            f"first-order coherence system singular at {_where(p, span)}"
-        ) from exc
-    residual, bound = _residuals(coeffs, sol, rhs, 1.0)
-    failing = residual > bound
+    except np.linalg.LinAlgError:
+        # The stacked solve does not say which matrix is singular: solve
+        # them one by one up to the first that is, leaving nan after it.
+        sol = np.full((len(coeffs), 3, 2), np.nan, dtype=complex)
+        for i, matrix in enumerate(coeffs):
+            try:
+                sol[i] = np.linalg.solve(matrix, rhs)
+            except np.linalg.LinAlgError:
+                failure = (i, _singular_error(p, float(delta.re[i])))
+                break
+    residual, bound, failing = _residuals(coeffs, sol, rhs, 1.0)
     if failing.any():
         i = int(np.argmax(failing))
-        raise SingularSystemError(
-            f"first-order solve residual {residual[i]:.3e} too large at "
-            f"{_where(p, float(delta.re[i]))}"
-        )
+        # From a singular matrix on, the nan solutions fail their residuals too.
+        if failure is None or i < failure[0]:
+            failure = (i, _residual_error(residual[i], bound[i], p, float(delta.re[i])))
     # The scalar's division by the unit probe amplitude can flip the sign
     # of a zero, so it is kept.
-    s_plus = p.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0]) / 1.0
-    s_minus = p.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1]) / 1.0
-    return s_plus, s_minus
+    with np.errstate(all="ignore"):
+        s_plus = p.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0]) / 1.0
+        s_minus = p.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1]) / 1.0
+    return s_plus, s_minus, failure
 
 
 def probe_response_finite(p: SystemParams, g_mag: float) -> SusceptibilityPair:

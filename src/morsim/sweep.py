@@ -43,12 +43,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import observables
-from .analytic import s_pair, s_pair_grid
+from .analytic import s_pair_grid
 from .complexgrid import ComplexGrid
-from .core import SusceptibilityPair, SystemParams, validate_params
-from .errors import ConfigError, CrossValidationError, EmitError, MorsimError
-from .lindblad import probe_response_perturbative, probe_response_perturbative_grid
+from .core import SystemParams, validate_params
+from .errors import ConfigError, CrossValidationError, EmitError, MorsimError, NumericError
+from .lindblad import probe_response_perturbative_grid
+from .observables import observables_grid
 
 __all__ = [
     "DeltaGrid",
@@ -336,66 +336,24 @@ def preset(name: str) -> SweepConfig:
     raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
 
 
-def _make_row(variant: str, delta: float, pair: SusceptibilityPair,
-              alpha_l: float, engine: str) -> OutputRow:
-    return OutputRow(
-        variant=variant,
-        delta=float(delta),
-        re_s_plus=pair.s_plus.real,
-        im_s_plus=pair.s_plus.imag,
-        re_s_minus=pair.s_minus.real,
-        im_s_minus=pair.s_minus.imag,
-        t_y=observables.transmission_y(pair, alpha_l),
-        t_x=observables.transmission_x(pair, alpha_l),
-        theta_rad=observables.rotation_angle(pair, alpha_l),
-        engine=engine,
-    )
-
-
-def _rel_err(a: complex, b: complex) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
+def _at(name: str, delta: float, exc: MorsimError) -> MorsimError:
+    """``exc`` with the variant and the detuning where it occurred in front."""
+    return type(exc)(f"variant {name!r}, delta={delta}: {exc}")
 
 
 def _rel_err_grid(a: ComplexGrid, b: ComplexGrid) -> np.ndarray:
-    """:func:`_rel_err` at every grid point."""
+    """``|a - b| / max(|a|, |b|)`` at every grid point, 0 where both vanish."""
     scale = np.maximum(abs(a), abs(b))
     return np.where(scale > 0, abs(a - b) / scale, 0.0)
 
 
-def _scalar_series(name: str, merged: SystemParams, deltas: np.ndarray, engine: str):
-    """One variant evaluated point by point through the scalar functions.
+def _series(name: str, merged: SystemParams, deltas: np.ndarray, engine: str):
+    """Rows of one variant, evaluated as whole-grid columns.
 
-    Returns its rows and its worst cross-validation error as
-    ``(error, variant, delta)``, or None outside ``both`` mode.
-    """
-    rows: list[OutputRow] = []
-    worst = None
-    for delta in deltas:
-        p = replace(merged, delta=float(delta))
-        try:
-            if engine in ("analytic", "both"):
-                analytic_pair = s_pair(p)
-                rows.append(_make_row(name, delta, analytic_pair, p.alpha_l, "analytic"))
-            if engine in ("numeric", "both"):
-                numeric_pair = probe_response_perturbative(p)
-                rows.append(_make_row(name, delta, numeric_pair, p.alpha_l, "numeric"))
-        except MorsimError as exc:
-            raise type(exc)(f"variant {name!r}, delta={float(delta)}: {exc}") from exc
-        if engine == "both":
-            err = max(_rel_err(analytic_pair.s_plus, numeric_pair.s_plus),
-                      _rel_err(analytic_pair.s_minus, numeric_pair.s_minus))
-            if worst is None or err > worst[0]:
-                worst = (err, name, float(delta))
-    return rows, worst
-
-
-def _grid_series(name: str, merged: SystemParams, deltas: np.ndarray, engine: str):
-    """:func:`_scalar_series` evaluated as whole-grid columns.
-
-    Returns None when a check fails or a value is not finite: there the
-    grid cannot promise the scalar functions' errors and values, so the
-    caller falls back to :func:`_scalar_series`.
+    Returns the rows and, in ``both`` mode, the relative disagreement of
+    the engines at each detuning (else None).  Raises the first failure
+    in row order, by detuning, then analytic before numeric: a check
+    the engine fails there, or an output value that is not finite.
     """
     pairs = {}
     try:
@@ -403,30 +361,37 @@ def _grid_series(name: str, merged: SystemParams, deltas: np.ndarray, engine: st
             pairs["analytic"] = s_pair_grid(merged, deltas)
         if engine in ("numeric", "both"):
             pairs["numeric"] = probe_response_perturbative_grid(merged, deltas)
-    except MorsimError:
-        return None
+    except MorsimError as exc:
+        # Raised for the whole grid: it fails at the first detuning.
+        raise _at(name, float(deltas[0]), exc) from exc
+    columns, failures = {}, []
+    for rank, (label, (s_plus, s_minus, failure)) in enumerate(pairs.items()):
+        columns[label] = (s_plus.re, s_plus.im, s_minus.re, s_minus.im,
+                          *observables_grid(s_plus, s_minus, merged.alpha_l))
+        nonfinite = ~np.isfinite(columns[label])
+        if nonfinite.any():
+            i = int(np.argmax(nonfinite.any(axis=0)))
+            j = int(np.argmax(nonfinite[:, i]))
+            if failure is None or i < failure[0]:
+                failure = (i, NumericError(f"nonfinite {label} value "
+                                           f"{CSV_HEADER[2 + j]}={float(columns[label][j][i])!r}"))
+        if failure is not None:
+            failures.append((failure[0], rank, failure[1]))
+    if failures:
+        i, _, exc = min(failures, key=lambda f: f[:2])
+        raise _at(name, float(deltas[i]), exc) from exc
+
     n = len(deltas)
     delta_column = deltas.tolist()
-    series = []
-    for label, (s_plus, s_minus) in pairs.items():
-        columns = (s_plus.re, s_plus.im, s_minus.re, s_minus.im,
-                   *observables.observables_grid(s_plus, s_minus, merged.alpha_l))
-        if not all(np.isfinite(c).all() for c in columns):
-            return None
-        series.append(list(map(OutputRow, repeat(name, n), delta_column,
-                               *(c.tolist() for c in columns), repeat(label, n))))
-    worst = None
-    if engine == "both":
-        (a_plus, a_minus), (n_plus, n_minus) = pairs["analytic"], pairs["numeric"]
-        err = np.maximum(_rel_err_grid(a_plus, n_plus), _rel_err_grid(a_minus, n_minus))
-        if not np.isfinite(err).all():
-            return None
-        i = int(np.argmax(err))
-        worst = (float(err[i]), name, delta_column[i])
-        rows = [None] * (2 * n)
-        rows[0::2], rows[1::2] = series
-        return rows, worst
-    return series[0], worst
+    series = [list(map(OutputRow, repeat(name, n), delta_column,
+                       *(c.tolist() for c in label_columns), repeat(label, n)))
+              for label, label_columns in columns.items()]
+    if engine != "both":
+        return series[0], None
+    (a_plus, a_minus, _), (n_plus, n_minus, _) = pairs.values()
+    rows = [None] * (2 * n)
+    rows[0::2], rows[1::2] = series
+    return rows, np.maximum(_rel_err_grid(a_plus, n_plus), _rel_err_grid(a_minus, n_minus))
 
 
 def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
@@ -439,33 +404,33 @@ def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
     worst-offending row is reported).
 
     Each variant is evaluated over its whole delta grid at once, with
-    the same values, checks and errors as the scalar functions point by
-    point.  A variant where a check fails or a value is not finite is
-    evaluated point by point instead, so its errors name the first
-    failing sample exactly as the scalar functions report it.
+    the values of the scalar functions point by point.  The first
+    failure in row order is raised, prefixed with its variant and
+    detuning: the error the scalar function raises there, or a
+    :class:`NumericError` for an output value that is not finite.
     """
     validate_config(cfg)
     deltas = cfg.delta_grid.values()
     rows: list[OutputRow] = []
-    worst: tuple[float, str, float] | None = None
+    errors: list[np.ndarray] = []
+    with np.errstate(all="ignore"):
+        for variant in cfg.variants:
+            series, err = _series(variant.name, variant.apply(cfg.base), deltas, cfg.engine)
+            rows.extend(series)
+            if err is not None:
+                errors.append(err)
 
-    for variant in cfg.variants:
-        merged = variant.apply(cfg.base)
-        with np.errstate(all="ignore"):
-            result = _grid_series(variant.name, merged, deltas, cfg.engine)
-        if result is None:
-            result = _scalar_series(variant.name, merged, deltas, cfg.engine)
-        series, series_worst = result
-        rows.extend(series)
-        if series_worst is not None and (worst is None or series_worst[0] > worst[0]):
-            worst = series_worst
-
-    if worst is not None and worst[0] > CROSS_VALIDATION_TOL:
-        raise CrossValidationError(
-            f"analytic and numeric engines disagree: worst relative error "
-            f"{worst[0]:.3e} at variant {worst[1]!r}, delta={worst[2]} "
-            f"(tolerance {CROSS_VALIDATION_TOL:.0e})"
-        )
+    if errors:
+        err = np.concatenate(errors)
+        # The first worst sample; a nan disagreement counts as the worst.
+        worst = int(np.argmax(err))
+        if not err[worst] <= CROSS_VALIDATION_TOL:
+            v, i = divmod(worst, len(deltas))
+            raise CrossValidationError(
+                f"analytic and numeric engines disagree: worst relative error "
+                f"{err[worst]:.3e} at variant {cfg.variants[v].name!r}, delta={float(deltas[i])} "
+                f"(tolerance {CROSS_VALIDATION_TOL:.0e})"
+            )
     return rows
 
 

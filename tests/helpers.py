@@ -21,13 +21,16 @@ from morsim import (
     SusceptibilityPair,
     SystemParams,
     probe_response_perturbative,
+    rotation_angle,
     s_pair,
     sweep,
+    transmission_x,
+    transmission_y,
     validate_params,
 )
 from morsim.analytic import DENOMINATOR_GUARD, _require_equal_gammas
 from morsim.core import detuning_factors
-from morsim.sweep import _make_row, validate_config
+from morsim.sweep import OutputRow, validate_config
 
 
 def rel_err(a: complex, b: complex) -> float:
@@ -118,12 +121,30 @@ def s_plus_sigma_minus_control(p: SystemParams) -> complex:
     return 1j * gamma * q / den
 
 
+def make_row(variant: str, delta: float, pair: SusceptibilityPair,
+             alpha_l: float, engine: str) -> OutputRow:
+    """One output row from a scalar pair, through the scalar observables."""
+    return OutputRow(
+        variant=variant,
+        delta=float(delta),
+        re_s_plus=pair.s_plus.real,
+        im_s_plus=pair.s_plus.imag,
+        re_s_minus=pair.s_minus.real,
+        im_s_minus=pair.s_minus.imag,
+        t_y=transmission_y(pair, alpha_l),
+        t_x=transmission_x(pair, alpha_l),
+        theta_rad=rotation_angle(pair, alpha_l),
+        engine=engine,
+    )
+
+
 def scalar_sweep(cfg):
     """Reference for ``run_sweep``: every sample through the scalar functions.
 
     The point-by-point loop the grid evaluation replaced, kept verbatim
     so that rows, errors and the cross-validation report of the grid
-    path can be compared with it for exact equality.
+    path can be compared with it for exact equality.  It has no rule
+    for nonfinite output values, which ``run_sweep`` raises on.
     """
     validate_config(cfg)
     rows = []
@@ -135,12 +156,12 @@ def scalar_sweep(cfg):
             try:
                 if cfg.engine in ("analytic", "both"):
                     analytic_pair = s_pair(p)
-                    rows.append(_make_row(variant.name, delta, analytic_pair,
-                                          p.alpha_l, "analytic"))
+                    rows.append(make_row(variant.name, delta, analytic_pair,
+                                         p.alpha_l, "analytic"))
                 if cfg.engine in ("numeric", "both"):
                     numeric_pair = probe_response_perturbative(p)
-                    rows.append(_make_row(variant.name, delta, numeric_pair,
-                                          p.alpha_l, "numeric"))
+                    rows.append(make_row(variant.name, delta, numeric_pair,
+                                         p.alpha_l, "numeric"))
             except MorsimError as exc:
                 raise type(exc)(
                     f"variant {variant.name!r}, delta={float(delta)}: {exc}"

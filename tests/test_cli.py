@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import morsim
 from morsim.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -98,6 +101,57 @@ def test_overflowing_grid_span_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "delta grid span overflows" in err
     assert "RuntimeWarning" not in err
+
+
+NAN_RESIDUAL = """
+gamma1 = 1e-300
+gamma2 = 1e-300
+G1 = 1e100
+G2 = 1e100
+delta_min = -1
+delta_max = 1
+delta_points = 3
+engine = numeric
+"""
+
+# Im s+ of about -1.3e-132 from round-off, times alpha_l = 6.3e303: the
+# phase factor overflows, so t_y is inf.
+ROUND_OFF_GAIN = """
+gamma1 = 3.376689848517434e+135
+gamma2 = 2.4146827611492772e-186
+Gamma1 = 3.833319013012058e+36
+Gamma2 = 2.719443263522792e-133
+Omega = 1.2733836507463303e+45
+Delta = 1.9108633072754406e-172
+G1 = 1.007304769086807e+109+1.1655747166230988e-90j
+G2 = 9.334529818899107e-265
+alpha_l = 6.329106568668493e+303
+delta_min = -1.028406174307043e+41
+delta_max = 1.028406174307043e+41
+delta_points = 5
+engine = numeric
+"""
+
+
+@pytest.mark.parametrize("config, message", [
+    (NAN_RESIDUAL, "numeric failure: variant 'base', delta=0.0: first-order solve residual nan"),
+    (ROUND_OFF_GAIN, "numeric failure: variant 'base', delta=-1.028406174307043e+41: "
+                     "nonfinite numeric value t_y=inf"),
+], ids=["nan_residual", "round_off_gain"])
+def test_nonfinite_sweep_is_numeric_failure(tmp_path, config, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    source_root = os.path.dirname(os.path.dirname(morsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    result = subprocess.run([sys.executable, "-m", "morsim.cli", "sweep", "--config", str(cfg)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            check=False, timeout=60)
+    err = result.stderr.decode()
+    assert result.returncode == 2, err
+    assert err.startswith(message)
+    assert "RuntimeWarning" not in err
+    assert "Traceback" not in err
+    assert result.stdout == b""
 
 
 def test_figure_writes_named_csv(tmp_path):

@@ -4,6 +4,9 @@ Every grid column must carry the same bits as the scalar function at
 each detuning, and ``run_sweep`` must give the rows, errors and
 cross-validation report of the point-by-point loop in
 ``helpers.scalar_sweep``.  Nothing here is compared with a tolerance.
+Where an output value is not finite the loop writes it or lets
+``cmath`` raise, and ``run_sweep`` raises a ``NumericError`` at that
+point instead; that rule is tested on its own.
 """
 
 from dataclasses import replace
@@ -14,6 +17,7 @@ import pytest
 from helpers import random_params, scalar_sweep
 from morsim import (
     DeltaGrid,
+    NumericError,
     SingularSystemError,
     SweepConfig,
     SystemParams,
@@ -29,6 +33,7 @@ from morsim import (
 )
 from morsim import lindblad, sweep
 from morsim.analytic import s_pair_grid
+from morsim.complexgrid import ComplexGrid
 from morsim.lindblad import probe_response_perturbative_grid
 from morsim.observables import observables_grid
 
@@ -62,7 +67,8 @@ def _bits(values) -> np.ndarray:
 
 
 def _assert_same_pairs(grid_pair, scalar_pairs):
-    s_plus, s_minus = grid_pair
+    s_plus, s_minus, failure = grid_pair
+    assert failure is None
     for column, expected in (
         (s_plus.re, [q.s_plus.real for q in scalar_pairs]),
         (s_plus.im, [q.s_plus.imag for q in scalar_pairs]),
@@ -92,8 +98,8 @@ def test_first_order_grid_equals_scalar(regime, equal_gammas):
 def test_observables_grid_equal_scalar(regime, equal_gammas):
     for p, deltas in _draws(303, equal_gammas, regime):
         scalar = [probe_response_perturbative(replace(p, delta=float(d))) for d in deltas]
-        t_y, t_x, theta = observables_grid(*probe_response_perturbative_grid(p, deltas),
-                                           p.alpha_l)
+        s_plus, s_minus, _ = probe_response_perturbative_grid(p, deltas)
+        t_y, t_x, theta = observables_grid(s_plus, s_minus, p.alpha_l)
         assert np.array_equal(_bits(t_y), _bits([transmission_y(q, p.alpha_l) for q in scalar]))
         assert np.array_equal(_bits(t_x), _bits([transmission_x(q, p.alpha_l) for q in scalar]))
         assert np.array_equal(_bits(theta), _bits([rotation_angle(q, p.alpha_l) for q in scalar]))
@@ -190,3 +196,54 @@ def test_residual_bound_matches_scalar_loop(monkeypatch, tol):
     assert grid == scalar
     if tol == 0.0:
         assert grid[0] is SingularSystemError
+
+
+@pytest.mark.parametrize("g, failure", [
+    # The stacked solve is singular at delta = 0 only: the grid finds that matrix.
+    (1e153, "delta=0.0: first-order coherence system singular"),
+    # The residual bound overflows, so the first point already fails.
+    (1e154, "delta=-5.0: first-order solve residual bound overflows"),
+])
+def test_singular_stack_error_matches_scalar_loop(g, failure):
+    cfg = SweepConfig(
+        base=SystemParams(gamma1=5e-324, gamma2=5e-324, Gamma1=0.0, Gamma2=1e-300,
+                          Omega=5.0, G1=g, G2=g),
+        delta_grid=DeltaGrid(-5.0, 5.0, 3),
+        engine="numeric",
+    )
+    _assert_same_error(cfg)
+    assert _outcome(run_sweep, cfg)[1].startswith(f"variant 'base', {failure}")
+
+
+def _fake_engine(label, check=None, nonfinite=None):
+    """A grid engine whose check fails at index ``check`` and whose s+ is
+    nan at index ``nonfinite``."""
+    def evaluate(p, deltas):
+        zeros = np.zeros(len(deltas))
+        re = zeros.copy()
+        if nonfinite is not None:
+            re[nonfinite] = np.nan
+        failure = None if check is None else (check, SingularSystemError(f"{label} check"))
+        return ComplexGrid(re, zeros), ComplexGrid(zeros, zeros), failure
+    return evaluate
+
+
+@pytest.mark.parametrize("analytic, numeric, expected", [
+    ({"check": 2}, {"nonfinite": 1}, "delta=1.0: nonfinite numeric value re_s_plus=nan"),
+    ({"nonfinite": 1}, {"check": 1}, "delta=1.0: nonfinite analytic value re_s_plus=nan"),
+    ({"check": 1}, {"check": 1}, "delta=1.0: analytic check"),
+    ({"nonfinite": 2}, {"check": 1}, "delta=1.0: numeric check"),
+    # Values from a failing check on are not defined and not looked at.
+    ({"check": 2, "nonfinite": 3}, {}, "delta=2.0: analytic check"),
+    ({"check": 3, "nonfinite": 2}, {}, "delta=2.0: nonfinite analytic value re_s_plus=nan"),
+])
+def test_first_failure_in_row_order_is_raised(monkeypatch, analytic, numeric, expected):
+    monkeypatch.setattr(sweep, "s_pair_grid", _fake_engine("analytic", **analytic))
+    monkeypatch.setattr(sweep, "probe_response_perturbative_grid",
+                        _fake_engine("numeric", **numeric))
+    cfg = SweepConfig(delta_grid=DeltaGrid(0.0, 4.0, 5), engine="both")
+    with pytest.raises(NumericError) as info:
+        run_sweep(cfg)
+    kind = SingularSystemError if expected.endswith("check") else NumericError
+    assert type(info.value) is kind
+    assert str(info.value) == f"variant 'base', {expected}"

@@ -16,6 +16,7 @@ from helpers import (
 from morsim import (
     DensityMatrix,
     ParameterError,
+    SingularSystemError,
     SystemParams,
     build_generator,
     probe_response_finite,
@@ -24,6 +25,8 @@ from morsim import (
     steady_state,
     validate_params,
 )
+from morsim import lindblad
+from morsim.lindblad import probe_response_perturbative_grid
 
 FIG3_BASE = SystemParams(Omega=5.0, Delta=5.0, G1=20.0, G2=0.0, alpha_l=30.0)
 
@@ -238,6 +241,42 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.0, 0.0, 0.0, 2.0]).astype(complex))
     with pytest.raises(ParameterError, match="population"):
         DensityMatrix(np.diag([-0.5, 0.0, 0.5, 1.0]).astype(complex))
+
+
+def test_density_matrix_rejects_nan():
+    with pytest.raises(ParameterError, match="Hermitian.*nan"):
+        DensityMatrix(np.full((4, 4), np.nan))
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("HERMITICITY_TOL", "Hermitian"), ("TRACE_TOL", "trace"), ("POPULATION_TOL", "population"),
+])
+def test_density_matrix_checks_fail_on_nan(monkeypatch, tol, message):
+    # A nan state already fails the Hermiticity check.  A nan tolerance
+    # fails a comparison exactly when a nan deviation does, and reaches
+    # each check of a valid state in turn.
+    monkeypatch.setattr(lindblad, tol, math.nan)
+    with pytest.raises(ParameterError, match=message):
+        DensityMatrix(np.diag([0.25] * 4).astype(complex))
+
+
+@pytest.mark.parametrize("p, message", [
+    # The solve returns nan, so the residual is nan.
+    (SystemParams(gamma1=1e-300, gamma2=1e-300, G1=1e100, G2=1e100), "residual nan too large"),
+    # RESIDUAL_TOL * ||L|| overflows to inf, which no residual exceeds.
+    (SystemParams(G1=1.4e154), "residual bound overflows"),
+], ids=["nan_residual", "overflowing_bound"])
+def test_first_order_residual_must_be_within_a_finite_bound(p, message):
+    with pytest.raises(SingularSystemError, match=message) as info:
+        probe_response_perturbative(p)
+    *_, failure = probe_response_perturbative_grid(p, [p.delta])
+    assert failure[0] == 0
+    assert type(failure[1]) is SingularSystemError and str(failure[1]) == str(info.value)
+
+
+def test_steady_state_residual_bound_must_be_finite():
+    with pytest.raises(SingularSystemError, match="residual"):
+        steady_state(build_generator(SystemParams(G1=1e154), 1e-3, 0.0))
 
 
 def test_generator_matrix_validation():

@@ -1,0 +1,84 @@
+"""Physical properties of the response, over drawn parameter sets.
+
+Two symmetries of the four-level medium that neither engine is written
+to respect by construction:
+
+* the sublevel mirror: relabelling |1> <-> |2> swaps the two lower
+  rates, the two upper rates and the two control components, and
+  reverses the field (``Omega -> -Omega``); it must map s+ onto s-;
+* passivity: the medium only absorbs, so Im s+ and Im s- are
+  nonnegative and ``t_x + t_y <= 1``.
+
+They are checked on ``probe_response_perturbative`` with unequal rates
+and on the rows ``run_sweep`` writes, for both engines where the closed
+form applies.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_params, rel_err
+from morsim import (
+    DeltaGrid,
+    SweepConfig,
+    Variant,
+    probe_response_perturbative,
+    run_sweep,
+    transmission_x,
+    transmission_y,
+)
+
+# Worst mirror mismatch measured over 3,000 draws: 4.8e-15 relative.
+MIRROR_TOL = 1e-12
+
+_PARAM_KEYS = ("gamma1", "gamma2", "Gamma1", "Gamma2", "Omega", "Delta", "G1", "G2")
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+examples = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+def _mirror(p):
+    return replace(p, gamma1=p.gamma2, gamma2=p.gamma1, Gamma1=p.Gamma2, Gamma2=p.Gamma1,
+                   G1=p.G2, G2=p.G1, Omega=-p.Omega)
+
+
+@examples
+@given(seeds)
+def test_sublevel_mirror_swaps_the_responses(seed):
+    p = random_params(np.random.default_rng(seed), equal_gammas=False)
+    pair, mirrored = probe_response_perturbative(p), probe_response_perturbative(_mirror(p))
+    assert rel_err(pair.s_plus, mirrored.s_minus) <= MIRROR_TOL
+    assert rel_err(pair.s_minus, mirrored.s_plus) <= MIRROR_TOL
+
+
+@examples
+@given(seeds)
+def test_medium_is_passive(seed):
+    p = random_params(np.random.default_rng(seed), equal_gammas=False)
+    pair = probe_response_perturbative(p)
+    assert pair.s_plus.imag >= 0 and pair.s_minus.imag >= 0
+    assert transmission_x(pair, p.alpha_l) + transmission_y(pair, p.alpha_l) <= 1
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seeds, st.booleans())
+def test_sweep_rows_are_mirrored_and_passive(seed, equal_gammas):
+    p = random_params(np.random.default_rng(seed), equal_gammas=equal_gammas)
+    variants = tuple(Variant(name, {key: getattr(q, key) for key in _PARAM_KEYS})
+                     for name, q in (("p", p), ("mirror", _mirror(p))))
+    cfg = SweepConfig(delta_grid=DeltaGrid(-150.0, 150.0, 31), variants=variants,
+                      engine="both" if equal_gammas else "numeric")
+    rows = run_sweep(cfg)
+    for row in rows:
+        assert row.im_s_plus >= 0 and row.im_s_minus >= 0
+        assert row.t_x + row.t_y <= 1
+    half = len(rows) // 2
+    for row, mirrored in zip(rows[:half], rows[half:]):
+        assert (row.delta, row.engine) == (mirrored.delta, mirrored.engine)
+        assert rel_err(complex(row.re_s_plus, row.im_s_plus),
+                       complex(mirrored.re_s_minus, mirrored.im_s_minus)) <= MIRROR_TOL
+        assert rel_err(complex(row.re_s_minus, row.im_s_minus),
+                       complex(mirrored.re_s_plus, mirrored.im_s_plus)) <= MIRROR_TOL

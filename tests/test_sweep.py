@@ -203,7 +203,7 @@ def test_parallel_evaluation_matches_serial_order():
     from dataclasses import replace as dc_replace
 
     from morsim import s_pair
-    from morsim.sweep import _make_row
+    from helpers import make_row
 
     cfg = _tiny_config(engine="analytic")
     serial = run_sweep(cfg)
@@ -216,7 +216,7 @@ def test_parallel_evaluation_matches_serial_order():
 
     def evaluate(task):
         variant_index, name, p = task
-        return variant_index, p.delta, _make_row(name, p.delta, s_pair(p), p.alpha_l, "analytic")
+        return variant_index, p.delta, make_row(name, p.delta, s_pair(p), p.alpha_l, "analytic")
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(evaluate, reversed(tasks)))
