@@ -45,6 +45,7 @@ from .sweep import (
     parse_config,
     preset,
     run_sweep,
+    write_sweep,
 )
 
 __version__ = "0.1.0"
@@ -73,6 +74,7 @@ __all__ = [
     "parse_config",
     "preset",
     "run_sweep",
+    "write_sweep",
     "emit",
     "CSV_HEADER",
     "MorsimError",

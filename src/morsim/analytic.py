@@ -22,13 +22,13 @@ same expression serves one detuning (:func:`s_pair`) and a whole grid
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .complexgrid import ComplexGrid, detuning_axis
-from .core import SusceptibilityPair, SystemParams, detuning_factors, validate_params
-from .errors import NumericError, ParameterError
+from .complexgrid import ComplexGrid, promote
+from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
+                   param_rows, validate_params)
+from .errors import MorsimError, NumericError, ParameterError
 
 __all__ = [
     "s_pair",
@@ -40,25 +40,42 @@ __all__ = [
 DENOMINATOR_GUARD = 1e-12
 
 
+def _unequal_gammas(p: SystemParams) -> ParameterError:
+    return ParameterError(
+        f"unequal gammas: closed forms hold only for gamma1 == gamma2 "
+        f"(got {p.gamma1} and {p.gamma2}); use the density-matrix engine"
+    )
+
+
 def _require_equal_gammas(p: SystemParams) -> None:
     if p.gamma1 != p.gamma2:
-        raise ParameterError(
-            f"unequal gammas: closed forms hold only for gamma1 == gamma2 "
-            f"(got {p.gamma1} and {p.gamma2}); use the density-matrix engine"
-        )
+        raise _unequal_gammas(p)
 
 
-def _closed_form(p: SystemParams, delta):
+def _abs_squared(z):
+    """``abs(z) ** 2`` by libm ``pow``, for a complex or a ComplexGrid.
+
+    ``**`` on an array squares by multiplication instead, and only a
+    float raises ``OverflowError``; an array holds inf.
+    """
+    magnitude = abs(z)
+    if isinstance(magnitude, np.ndarray):
+        return np.float_power(magnitude, 2.0)
+    return magnitude ** 2
+
+
+def _closed_form(p, delta):
     """``(num+, den+, num-, den-)`` at detuning ``delta``, grouped as in
     the module docstring.
 
-    ``delta`` is a float or a :class:`ComplexGrid`; both evaluate the
-    same operations in the same order.  Raises ``OverflowError`` when
-    ``|G|^2`` exceeds the float range.
+    ``p`` and ``delta`` are a SystemParams and a float, or ParamColumns
+    and a :class:`ComplexGrid`; both evaluate the same operations in the
+    same order.  On a float, raises ``OverflowError`` when ``|G|^2``
+    exceeds the float range.
     """
-    gamma = p.gamma1
-    g1_sq = abs(p.G1) ** 2
-    g2_sq = abs(p.G2) ** 2
+    gamma = promote(p.gamma1)
+    g1_sq = _abs_squared(p.G1)
+    g2_sq = _abs_squared(p.G2)
     d_plus, d_minus, q = detuning_factors(p, delta)
 
     num_plus = 1j * gamma * (g2_sq + d_minus * q)
@@ -111,34 +128,37 @@ def s_pair(p: SystemParams) -> SusceptibilityPair:
 
 
 def s_pair_grid(
-    p: SystemParams, deltas
-) -> tuple[ComplexGrid, ComplexGrid, tuple[int, NumericError] | None]:
+    p: SystemParams | ParamColumns, deltas
+) -> tuple[ComplexGrid, ComplexGrid, tuple[int, MorsimError] | None]:
     """:func:`s_pair` at every probe detuning in ``deltas`` at once.
 
-    ``p.delta`` is validated with the rest of ``p`` but not used.
-    Returns ``(s+, s-, failure)``: two grids whose values equal those of
-    ``s_pair(replace(p, delta=d))`` bit for bit, and ``failure``, None
-    or ``(i, error)`` with ``i`` the first detuning where :func:`s_pair`
+    ``p`` is a SystemParams, validated here (its ``delta`` is not used),
+    or ParamColumns holding one row per detuning.  Returns ``(s+, s-,
+    failure)``: two grids whose values equal those of :func:`s_pair` at
+    each row's parameters and detuning bit for bit, and ``failure``,
+    None or ``(i, error)`` with ``i`` the first row where :func:`s_pair`
     raises and ``error`` what it raises there.  Values from ``i`` on are
-    not defined.  What fails at every detuning (invalid parameters,
-    unequal gammas, an overflowing ``|G|^2``) is raised, naming the
-    first detuning.
+    not defined.  What fails for a whole parameter set (unequal gammas,
+    an overflowing ``|G|^2``) fails at its first row.
     """
-    validate_params(p)
-    _require_equal_gammas(p)
-    delta = detuning_axis(deltas)
+    p, delta = param_rows(p, deltas)
     with np.errstate(all="ignore"):
-        try:
-            num_plus, den_plus, num_minus, den_minus = _closed_form(p, delta)
-        except OverflowError as exc:
-            raise _overflow(replace(p, delta=float(delta.re[0]))) from exc
+        num_plus, den_plus, num_minus, den_minus = _closed_form(p, delta)
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)
+        # An infinite |G|^2 makes every denominator of its rows infinite.
         unbounded = ~(np.isfinite(abs_plus) & np.isfinite(abs_minus))
-        failing = unbounded | (abs_plus < DENOMINATOR_GUARD) | (abs_minus < DENOMINATOR_GUARD)
+        unequal = p.gamma1 != p.gamma2
+        failing = (unequal | unbounded
+                   | (abs_plus < DENOMINATOR_GUARD) | (abs_minus < DENOMINATOR_GUARD))
         failure = None
         if failing.any():
             i = int(np.argmax(failing))
-            at = replace(p, delta=float(delta.re[i]))
-            failure = (i, _overflow(at) if unbounded[i]
-                       else _vanishing(abs_plus[i], abs_minus[i], at))
+            at = p.at(i, float(delta.re[i]))
+            if unequal[i]:
+                error = _unequal_gammas(at)
+            elif unbounded[i]:
+                error = _overflow(at)
+            else:
+                error = _vanishing(abs_plus[i], abs_minus[i], at)
+            failure = (i, error)
         return num_plus / den_plus, num_minus / den_minus, failure

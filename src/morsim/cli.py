@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import MorsimError, NumericError
-from .sweep import ENGINES, FORMATS, PRESET_NAMES, emit, parse_config, preset, run_sweep
+from .sweep import ENGINES, FORMATS, PRESET_NAMES, parse_config, preset, write_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,12 +58,12 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     if args.out is not None:
         cfg = replace(cfg, out_path=args.out)
 
-    rows = run_sweep(cfg)
     if cfg.out_path is None or cfg.out_path == "-":
-        sys.stdout.buffer.write(emit(rows, cfg.out_format))
+        # Buffered: stdout gets no byte unless the whole sweep passes.
+        write_sweep(cfg, sys.stdout.buffer)
     else:
-        emit(rows, cfg.out_format, cfg.out_path)
-        print(f"wrote {len(rows)} rows to {cfg.out_path}")
+        rows = write_sweep(cfg, cfg.out_path)
+        print(f"wrote {rows} rows to {cfg.out_path}")
     return 0
 
 
@@ -76,9 +76,8 @@ def _run_figure_command(args: argparse.Namespace) -> int:
         print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return 1
     path = out_dir / f"{args.name}.csv"
-    rows = run_sweep(cfg)
-    emit(rows, "csv", path)
-    print(f"wrote {len(rows)} rows to {path}")
+    rows = write_sweep(cfg, path)
+    print(f"wrote {rows} rows to {path}")
     return 0
 
 

@@ -7,7 +7,9 @@ last-place change can flip (CSV).  :class:`ComplexGrid` therefore keeps
 the real and imaginary parts as separate float64 arrays and spells each
 operation the way CPython 3.10-3.13 evaluates it on a scalar:
 
-* a real operand is promoted to ``complex(x, 0.0)`` first;
+* a real operand, a float or a float64 array, is promoted to
+  ``complex(x, 0.0)`` first (:func:`promote` does so explicitly, for a
+  Python ``complex`` times a real array, which NumPy would evaluate);
 * ``a * b`` is ``_Py_c_prod``: ``(ar*br - ai*bi, ar*bi + ai*br)``;
 * ``a / b`` is ``_Py_c_quot``, Smith's division: scale by the larger of
   ``|b.real|`` and ``|b.imag|`` and divide by the resulting denominator;
@@ -27,13 +29,17 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["ComplexGrid", "detuning_axis"]
+__all__ = ["ComplexGrid", "detuning_axis", "promote"]
 
 
 class ComplexGrid:
     """Complex values on a grid as separate float64 real and imaginary arrays."""
 
     __slots__ = ("re", "im")
+
+    # An ndarray operand defers to the reflected method here instead of
+    # treating the grid as an object scalar.
+    __array_ufunc__ = None
 
     def __init__(self, re: np.ndarray, im: np.ndarray):
         self.re = re
@@ -49,12 +55,23 @@ class ComplexGrid:
         z.imag = self.im
         return z
 
+    def __getitem__(self, index) -> "ComplexGrid":
+        return ComplexGrid(self.re[index], self.im[index])
+
     @staticmethod
     def _parts(x) -> tuple:
         if isinstance(x, ComplexGrid):
             return x.re, x.im
+        if isinstance(x, np.ndarray):
+            return x, 0.0
         x = complex(x)
         return x.real, x.imag
+
+    def __neg__(self) -> "ComplexGrid":
+        return ComplexGrid(-self.re, -self.im)
+
+    def conjugate(self) -> "ComplexGrid":
+        return ComplexGrid(self.re, -self.im)
 
     def __add__(self, other) -> "ComplexGrid":
         b_re, b_im = self._parts(other)
@@ -92,6 +109,18 @@ class ComplexGrid:
 
     def exp(self) -> "ComplexGrid":
         return ComplexGrid.from_numpy(np.exp(self.to_numpy()))
+
+
+def promote(x):
+    """``x`` as CPython promotes a real operand of complex arithmetic.
+
+    ``complex(x, 0.0)`` for a number, and a ComplexGrid with zero
+    imaginary part for a real array, so ``1j * promote(x)`` evaluates
+    the same operations on either.
+    """
+    if isinstance(x, np.ndarray):
+        return ComplexGrid(x, np.zeros_like(x))
+    return complex(x)
 
 
 def detuning_axis(deltas) -> ComplexGrid:

@@ -11,13 +11,20 @@ the default parameter set is dimensionless with ``gamma = 1``.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
+import numpy as np
+
+from .complexgrid import ComplexGrid, detuning_axis
 from .errors import ParameterError
 
 __all__ = [
     "SystemParams",
+    "ParamColumns",
+    "param_rows",
     "JonesVector",
     "SusceptibilityPair",
     "validate_params",
@@ -73,6 +80,56 @@ class SystemParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "G1", complex(self.G1))
         object.__setattr__(self, "G2", complex(self.G2))
+
+
+class ParamColumns:
+    """Parameter sets of many rows, each field a column over the rows.
+
+    Row ``k`` holds ``params[variant[k]]``: the real fields are float64
+    arrays and ``G1``, ``G2`` are ComplexGrids, so an expression written
+    for one :class:`SystemParams` evaluates on every row to the same bits
+    (``delta`` is not a column; detunings are passed on their own).  A
+    new instance has one row per parameter set; :meth:`take` selects
+    rows.  The parameter sets are taken as validated.
+    """
+
+    _ROW_FIELDS = ("variant", "gamma1", "gamma2", "Gamma1", "Gamma2",
+                   "Omega", "Delta", "G1", "G2", "alpha_l")
+
+    def __init__(self, params: Sequence[SystemParams]):
+        self.params = tuple(params)
+        self.variant = np.arange(len(self.params))
+        for name in self._ROW_FIELDS[1:]:
+            column = np.array([getattr(q, name) for q in self.params])
+            if name in ("G1", "G2"):
+                column = ComplexGrid.from_numpy(column)
+            setattr(self, name, column)
+
+    def take(self, rows: np.ndarray) -> "ParamColumns":
+        """The rows at indices ``rows``, in that order."""
+        taken = copy.copy(self)
+        for name in self._ROW_FIELDS:
+            setattr(taken, name, getattr(self, name)[rows])
+        return taken
+
+    def at(self, row: int, delta: float) -> SystemParams:
+        """The parameter set of ``row``, at probe detuning ``delta``."""
+        return replace(self.params[self.variant[row]], delta=delta)
+
+
+def param_rows(p, deltas) -> tuple[ParamColumns, ComplexGrid]:
+    """``p`` and ``deltas`` as row columns of equal length.
+
+    ``p`` is a :class:`SystemParams`, validated here and repeated on
+    every row (its ``delta`` is not used), or :class:`ParamColumns`
+    already aligned with ``deltas``.  The detunings are checked by
+    :func:`~morsim.complexgrid.detuning_axis`.
+    """
+    if isinstance(p, SystemParams):
+        validate_params(p)
+        delta = detuning_axis(deltas)
+        return ParamColumns((p,)).take(np.zeros(len(delta.re), dtype=np.intp)), delta
+    return p, detuning_axis(deltas)
 
 
 @dataclass(frozen=True)
@@ -149,9 +206,10 @@ def detuning_factors(p: SystemParams, delta):
 
     Returns ``(gamma1 + i(delta + Omega), gamma2 + i(delta - Omega),
     Gamma1 + Gamma2 + i(Delta + delta))``: the factors of rho_1g, rho_2g
-    and the two-photon coherence rho_eg.  ``delta`` is a float, or a
-    :class:`~morsim.complexgrid.ComplexGrid` for a whole grid, which
-    evaluates the same operations to the same bits.
+    and the two-photon coherence rho_eg.  ``p`` and ``delta`` are a
+    SystemParams and a float, or :class:`ParamColumns` and a
+    :class:`~morsim.complexgrid.ComplexGrid` of detunings for many rows,
+    which evaluate the same operations to the same bits.
     """
     return (p.gamma1 + 1j * (delta + p.Omega),
             p.gamma2 + 1j * (delta - p.Omega),

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexgrid import ComplexGrid, detuning_axis
-from .core import SusceptibilityPair, SystemParams, detuning_factors, validate_params
+from .complexgrid import ComplexGrid
+from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
+                   param_rows, validate_params)
 from .errors import ParameterError, SingularSystemError
 
 __all__ = [
@@ -99,12 +100,13 @@ class DensityMatrix:
         return complex(self.rho[upper, lower])
 
 
-def _coherence_rows(p: SystemParams, factors, g1: complex, g2: complex) -> dict:
+def _coherence_rows(p, factors, g1: complex, g2: complex) -> dict:
     """Equations of motion of the probe coherences rho_1g, rho_2g, rho_eg.
 
-    ``factors`` are the detuning factors of :func:`detuning_factors`, as
-    scalars or as complex128 arrays over a grid; the other coefficients
-    are scalars.
+    ``factors`` are the detuning factors of :func:`detuning_factors`.
+    For a SystemParams they and the other coefficients are scalars; for
+    ParamColumns the coefficients that depend on the parameters or the
+    detuning are ComplexGrids over the rows, the probe terms scalars.
     """
     a1, a2, q = factors
     G1, G2 = p.G1, p.G2
@@ -247,7 +249,7 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     return DensityMatrix(rho=rho)
 
 
-def _first_order_system(p: SystemParams, factors, probe_amplitude: float):
+def _first_order_system(p, factors, probe_amplitude: float):
     """``(L0, -L1 rho0)`` of the first-order system, read off the coherence rows.
 
     Returns the coefficient block over (rho_1g, rho_2g, rho_eg) as
@@ -335,28 +337,29 @@ def probe_response_perturbative(
 
 
 def probe_response_perturbative_grid(
-    p: SystemParams, deltas
+    p: SystemParams | ParamColumns, deltas
 ) -> tuple[ComplexGrid, ComplexGrid, tuple[int, SingularSystemError] | None]:
     """:func:`probe_response_perturbative` at every detuning in ``deltas``.
 
-    ``p.delta`` is validated with the rest of ``p`` but not used.  One
-    stacked ``(n, 3, 3)`` solve replaces the ``n`` scalar ones, each
-    matrix checked against its own residual bound.  Returns
-    ``(s+, s-, failure)``: two grids whose values equal those of
-    ``probe_response_perturbative(replace(p, delta=d))`` bit for bit,
-    and ``failure``, None or ``(i, error)`` with ``i`` the first detuning
-    where the scalar function raises and ``error`` what it raises there.
-    Values from ``i`` on are not defined.  Invalid parameters raise, as
-    they fail at every detuning.
+    ``p`` is a SystemParams, validated here (its ``delta`` is not used),
+    or ParamColumns holding one row per detuning.  One stacked
+    ``(n, 3, 3)`` solve replaces the ``n`` scalar ones, each matrix
+    checked against its own residual bound.  Returns ``(s+, s-,
+    failure)``: two grids whose values equal those of the scalar
+    function at each row's parameters and detuning bit for bit, and
+    ``failure``, None or ``(i, error)`` with ``i`` the first row where
+    the scalar function raises and ``error`` what it raises there.
+    Values from ``i`` on are not defined.
     """
-    validate_params(p)
-    delta = detuning_axis(deltas)
-    factors = [f.to_numpy() for f in detuning_factors(p, delta)]
-    block, rhs = _first_order_system(p, factors, 1.0)
+    p, delta = param_rows(p, deltas)
+    block, rhs = _first_order_system(p, detuning_factors(p, delta), 1.0)
     coeffs = np.empty((len(delta.re), 3, 3), dtype=complex)
     for i, row in enumerate(block):
         for j, entry in enumerate(row):
-            coeffs[:, i, j] = entry
+            if isinstance(entry, ComplexGrid):
+                coeffs.real[:, i, j], coeffs.imag[:, i, j] = entry.re, entry.im
+            else:
+                coeffs[:, i, j] = entry
     failure = None
     try:
         sol = np.linalg.solve(coeffs, rhs)
@@ -368,14 +371,16 @@ def probe_response_perturbative_grid(
             try:
                 sol[i] = np.linalg.solve(matrix, rhs)
             except np.linalg.LinAlgError:
-                failure = (i, _singular_error(p, float(delta.re[i])))
+                d = float(delta.re[i])
+                failure = (i, _singular_error(p.at(i, d), d))
                 break
     residual, bound, failing = _residuals(coeffs, sol, rhs, 1.0)
     if failing.any():
         i = int(np.argmax(failing))
         # From a singular matrix on, the nan solutions fail their residuals too.
         if failure is None or i < failure[0]:
-            failure = (i, _residual_error(residual[i], bound[i], p, float(delta.re[i])))
+            d = float(delta.re[i])
+            failure = (i, _residual_error(residual[i], bound[i], p.at(i, d), d))
     # The scalar's division by the unit probe amplitude can flip the sign
     # of a zero, so it is kept.
     with np.errstate(all="ignore"):

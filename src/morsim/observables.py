@@ -11,9 +11,9 @@ import cmath
 
 import numpy as np
 
-from .complexgrid import ComplexGrid
+from .complexgrid import ComplexGrid, promote
 from .core import JonesVector, SusceptibilityPair
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 
 __all__ = [
     "transmission_y",
@@ -24,11 +24,26 @@ __all__ = [
 ]
 
 
+def _overflow(s: SusceptibilityPair, alpha_l: float) -> NumericError:
+    return NumericError(f"observable overflows the float range at alpha_l={alpha_l!r}, "
+                        f"s+={s.s_plus!r}, s-={s.s_minus!r}")
+
+
 def _phase_factors(s: SusceptibilityPair, alpha_l: float) -> tuple[complex, complex]:
     if alpha_l < 0:
         raise ParameterError(f"negative alpha_l: {alpha_l}")
-    return (cmath.exp(0.5j * alpha_l * s.s_plus),
-            cmath.exp(0.5j * alpha_l * s.s_minus))
+    try:
+        return (cmath.exp(0.5j * alpha_l * s.s_plus),
+                cmath.exp(0.5j * alpha_l * s.s_minus))
+    except OverflowError as exc:
+        raise _overflow(s, alpha_l) from exc
+
+
+def _quarter_intensity(z: complex, s: SusceptibilityPair, alpha_l: float) -> float:
+    try:
+        return 0.25 * abs(z) ** 2
+    except OverflowError as exc:
+        raise _overflow(s, alpha_l) from exc
 
 
 def transmission_y(s: SusceptibilityPair, alpha_l: float) -> float:
@@ -39,7 +54,7 @@ def transmission_y(s: SusceptibilityPair, alpha_l: float) -> float:
     (s+ == s-) and is symmetric under exchanging the two components.
     """
     f_plus, f_minus = _phase_factors(s, alpha_l)
-    return 0.25 * abs(f_plus - f_minus) ** 2
+    return _quarter_intensity(f_plus - f_minus, s, alpha_l)
 
 
 def transmission_x(s: SusceptibilityPair, alpha_l: float) -> float:
@@ -49,7 +64,7 @@ def transmission_x(s: SusceptibilityPair, alpha_l: float) -> float:
     real pairs the sum is exactly 1.
     """
     f_plus, f_minus = _phase_factors(s, alpha_l)
-    return 0.25 * abs(f_plus + f_minus) ** 2
+    return _quarter_intensity(f_plus + f_minus, s, alpha_l)
 
 
 def rotation_angle(s: SusceptibilityPair, alpha_l: float) -> float:
@@ -73,20 +88,34 @@ def output_field(e_in: JonesVector, s: SusceptibilityPair, alpha_l: float) -> Jo
 
 
 def observables_grid(s_plus: ComplexGrid, s_minus: ComplexGrid,
-                     alpha_l: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     alpha_l) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(T_y, T_x, theta)`` of every pair on a grid, in one pass.
 
+    ``alpha_l`` is a float, or a float64 array with one value per pair.
     Each value equals that of :func:`transmission_y`,
     :func:`transmission_x` and :func:`rotation_angle` on the same pair
     bit for bit where it is finite (``np.float_power(x, 2.0)`` is libm
     ``pow``, as ``x ** 2`` is on a float; ``x ** 2`` on an array is not).
-    Where the scalars raise ``OverflowError`` the grid holds inf.
+    Where the scalars raise a :class:`NumericError` for an overflow, the
+    grid holds inf; no floating-point warning escapes.
     """
-    if alpha_l < 0:
-        raise ParameterError(f"negative alpha_l: {alpha_l}")
-    f_plus = (0.5j * alpha_l * s_plus).exp()
-    f_minus = (0.5j * alpha_l * s_minus).exp()
-    t_y = 0.25 * np.float_power(abs(f_plus - f_minus), 2.0)
-    t_x = 0.25 * np.float_power(abs(f_plus + f_minus), 2.0)
-    theta = 0.25 * alpha_l * (s_minus.re - s_plus.re)
+    negative = np.asarray(alpha_l) < 0
+    if negative.any():
+        raise ParameterError(f"negative alpha_l: {np.asarray(alpha_l)[negative].flat[0]}")
+    with np.errstate(all="ignore"):
+        factors = []
+        overflow = False
+        for s in (s_plus, s_minus):
+            exponent = 0.5j * promote(alpha_l) * s
+            f = exponent.exp()
+            # cmath.exp raises where a finite exponent gives a nonfinite factor.
+            overflow = overflow | (np.isfinite(exponent.re) & np.isfinite(exponent.im)
+                                   & ~(np.isfinite(f.re) & np.isfinite(f.im)))
+            factors.append(f)
+        f_plus, f_minus = factors
+        t_y = 0.25 * np.float_power(abs(f_plus - f_minus), 2.0)
+        t_x = 0.25 * np.float_power(abs(f_plus + f_minus), 2.0)
+        theta = 0.25 * alpha_l * (s_minus.re - s_plus.re)
+    t_y[overflow] = np.inf
+    t_x[overflow] = np.inf
     return t_y, t_x, theta

@@ -38,14 +38,14 @@ import os
 import stat
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
-from itertools import repeat
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .analytic import s_pair_grid
 from .complexgrid import ComplexGrid
-from .core import SystemParams, validate_params
+from .core import ParamColumns, SystemParams, validate_params
 from .errors import ConfigError, CrossValidationError, EmitError, MorsimError, NumericError
 from .lindblad import probe_response_perturbative_grid
 from .observables import observables_grid
@@ -58,6 +58,7 @@ __all__ = [
     "parse_config",
     "preset",
     "run_sweep",
+    "write_sweep",
     "emit",
     "CSV_HEADER",
     "ENGINES",
@@ -144,6 +145,13 @@ class OutputRow(NamedTuple):
 
 def validate_config(cfg: SweepConfig) -> SweepConfig:
     """Check grid, enums and every merged variant; return ``cfg``."""
+    _variant_params(cfg)
+    return cfg
+
+
+def _variant_params(cfg: SweepConfig) -> list[SystemParams]:
+    """The checks of :func:`validate_config`; returns each variant's
+    parameters merged onto the base, in declared order."""
     grid = cfg.delta_grid
     if not (math.isfinite(grid.min) and math.isfinite(grid.max)):
         raise ConfigError(f"nonfinite delta grid bounds: [{grid.min}, {grid.max}]")
@@ -161,16 +169,16 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError(f"format must be one of {'|'.join(FORMATS)} (got {cfg.out_format!r})")
     if not cfg.variants:
         raise ConfigError("config defines no variants")
-    seen = set()
+    seen, merged = set(), []
     for variant in cfg.variants:
         if variant.name in seen:
             raise ConfigError(f"duplicate variant name {variant.name!r}")
         seen.add(variant.name)
         try:
-            validate_params(variant.apply(cfg.base))
+            merged.append(validate_params(variant.apply(cfg.base)))
         except (MorsimError, TypeError) as exc:
             raise ConfigError(f"variant {variant.name!r}: {exc}") from exc
-    return cfg
+    return merged
 
 
 def _parse_value(key: str, text: str, line_no: int):
@@ -347,51 +355,103 @@ def _rel_err_grid(a: ComplexGrid, b: ComplexGrid) -> np.ndarray:
     return np.where(scale > 0, abs(a - b) / scale, 0.0)
 
 
-def _series(name: str, merged: SystemParams, deltas: np.ndarray, engine: str):
-    """Rows of one variant, evaluated as whole-grid columns.
+# (variant, delta) points evaluated together: the columns of one block,
+# not of the whole sweep, are alive at once.
+_BLOCK_ROWS = 1 << 16
 
-    Returns the rows and, in ``both`` mode, the relative disagreement of
-    the engines at each detuning (else None).  Raises the first failure
-    in row order, by detuning, then analytic before numeric: a check
-    the engine fails there, or an output value that is not finite.
+
+class _Columns(NamedTuple):
+    """Output rows as columns: names, the eight number columns, engines.
+
+    A number column is a float64 array, or a tuple when it holds values
+    of other types; ``variant`` and ``engine`` are lists.
     """
-    pairs = {}
-    try:
-        if engine in ("analytic", "both"):
-            pairs["analytic"] = s_pair_grid(merged, deltas)
-        if engine in ("numeric", "both"):
-            pairs["numeric"] = probe_response_perturbative_grid(merged, deltas)
-    except MorsimError as exc:
-        # Raised for the whole grid: it fails at the first detuning.
-        raise _at(name, float(deltas[0]), exc) from exc
-    columns, failures = {}, []
-    for rank, (label, (s_plus, s_minus, failure)) in enumerate(pairs.items()):
-        columns[label] = (s_plus.re, s_plus.im, s_minus.re, s_minus.im,
-                          *observables_grid(s_plus, s_minus, merged.alpha_l))
-        nonfinite = ~np.isfinite(columns[label])
-        if nonfinite.any():
-            i = int(np.argmax(nonfinite.any(axis=0)))
-            j = int(np.argmax(nonfinite[:, i]))
-            if failure is None or i < failure[0]:
-                failure = (i, NumericError(f"nonfinite {label} value "
-                                           f"{CSV_HEADER[2 + j]}={float(columns[label][j][i])!r}"))
-        if failure is not None:
-            failures.append((failure[0], rank, failure[1]))
-    if failures:
-        i, _, exc = min(failures, key=lambda f: f[:2])
-        raise _at(name, float(deltas[i]), exc) from exc
 
-    n = len(deltas)
-    delta_column = deltas.tolist()
-    series = [list(map(OutputRow, repeat(name, n), delta_column,
-                       *(c.tolist() for c in label_columns), repeat(label, n)))
-              for label, label_columns in columns.items()]
-    if engine != "both":
-        return series[0], None
-    (a_plus, a_minus, _), (n_plus, n_minus, _) = pairs.values()
-    rows = [None] * (2 * n)
-    rows[0::2], rows[1::2] = series
-    return rows, np.maximum(_rel_err_grid(a_plus, n_plus), _rel_err_grid(a_minus, n_minus))
+    variant: list
+    numbers: list
+    engine: list
+
+
+def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
+                    start: int, stop: int) -> tuple[_Columns, np.ndarray | None]:
+    """Output columns of the points ``start`` to ``stop`` in row order.
+
+    Returns them and, in ``both`` mode, the relative disagreement of the
+    engines at each point (else None).  Raises the first failure in row
+    order, by point, then analytic before numeric: a check the engine
+    fails there, or an output value that is not finite.
+    """
+    variant, index = np.divmod(np.arange(start, stop), len(deltas))
+    p, d = table.take(variant), deltas[index]
+    engines = {"analytic": s_pair_grid, "numeric": probe_response_perturbative_grid}
+    pairs = {label: engine(p, d) for label, engine in engines.items()
+             if cfg.engine in (label, "both")}
+    columns, failures = [], []
+    with np.errstate(all="ignore"):
+        for rank, (label, (s_plus, s_minus, failure)) in enumerate(pairs.items()):
+            values = np.stack((s_plus.re, s_plus.im, s_minus.re, s_minus.im,
+                               *observables_grid(s_plus, s_minus, p.alpha_l)))
+            nonfinite = ~np.isfinite(values)
+            if nonfinite.any():
+                i = int(np.argmax(nonfinite.any(axis=0)))
+                j = int(np.argmax(nonfinite[:, i]))
+                if failure is None or i < failure[0]:
+                    failure = (i, NumericError(f"nonfinite {label} value "
+                                               f"{CSV_HEADER[2 + j]}={float(values[j, i])!r}"))
+            if failure is not None:
+                failures.append((failure[0], rank, failure[1]))
+            columns.append(values)
+        if failures:
+            i, _, exc = min(failures, key=lambda f: f[:2])
+            raise _at(cfg.variants[variant[i]].name, float(d[i]), exc) from exc
+        err = None
+        if cfg.engine == "both":
+            (a_plus, a_minus, _), (n_plus, n_minus, _) = pairs.values()
+            err = np.maximum(_rel_err_grid(a_plus, n_plus), _rel_err_grid(a_minus, n_minus))
+
+    names = [v.name for v in cfg.variants]
+    labels = list(pairs)
+    # Each point gives one row per engine, in the order of ``labels``.
+    interleaved = np.stack(columns, axis=-1).reshape(7, -1)
+    per_point = len(labels)
+    return _Columns(
+        variant=list(map(names.__getitem__, np.repeat(variant, per_point).tolist())),
+        numbers=[np.repeat(d, per_point), *interleaved],
+        engine=labels * len(d),
+    ), err
+
+
+def _blocks(cfg: SweepConfig, params: list[SystemParams]) -> Iterator[_Columns]:
+    """The sweep's output columns, one block of at most _BLOCK_ROWS points at a time.
+
+    Points are ordered by variant (as declared), then ascending delta.
+    A block raises the first failure in its rows before it is yielded.
+    In ``both`` mode, after the last block, the whole sweep fails if the
+    two engines disagree beyond ``CROSS_VALIDATION_TOL`` anywhere (the
+    first worst point of the sweep is reported).  ``params`` are the
+    variants' parameters from :func:`_variant_params`.
+    """
+    deltas = cfg.delta_grid.values()
+    table = ParamColumns(params)
+    total = len(cfg.variants) * len(deltas)
+    worst = None
+    for start in range(0, total, _BLOCK_ROWS):
+        block, err = _evaluate_block(cfg, deltas, table, start, min(start + _BLOCK_ROWS, total))
+        if err is not None:
+            j = int(np.argmax(err))
+            # The first worst point; a nan disagreement counts as the worst.
+            if worst is None or not (np.isnan(worst[0]) or err[j] <= worst[0]):
+                worst = (float(err[j]), start + j)
+        yield block
+        # Only one block is alive at a time: this one goes before the next is evaluated.
+        del block, err
+    if worst is not None and not worst[0] <= CROSS_VALIDATION_TOL:
+        v, i = divmod(worst[1], len(deltas))
+        raise CrossValidationError(
+            f"analytic and numeric engines disagree: worst relative error "
+            f"{worst[0]:.3e} at variant {cfg.variants[v].name!r}, delta={float(deltas[i])} "
+            f"(tolerance {CROSS_VALIDATION_TOL:.0e})"
+        )
 
 
 def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
@@ -403,34 +463,17 @@ def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
     engines disagree beyond ``CROSS_VALIDATION_TOL`` anywhere (the
     worst-offending row is reported).
 
-    Each variant is evaluated over its whole delta grid at once, with
-    the values of the scalar functions point by point.  The first
-    failure in row order is raised, prefixed with its variant and
-    detuning: the error the scalar function raises there, or a
-    :class:`NumericError` for an output value that is not finite.
+    The sweep is evaluated in blocks of (variant, delta) points, every
+    parameter a column like the detuning, with the values of the scalar
+    functions point by point.  The first failure in row order is
+    raised, prefixed with its variant and detuning: the error the
+    scalar function raises there, or a :class:`NumericError` for an
+    output value that is not finite.
     """
-    validate_config(cfg)
-    deltas = cfg.delta_grid.values()
     rows: list[OutputRow] = []
-    errors: list[np.ndarray] = []
-    with np.errstate(all="ignore"):
-        for variant in cfg.variants:
-            series, err = _series(variant.name, variant.apply(cfg.base), deltas, cfg.engine)
-            rows.extend(series)
-            if err is not None:
-                errors.append(err)
-
-    if errors:
-        err = np.concatenate(errors)
-        # The first worst sample; a nan disagreement counts as the worst.
-        worst = int(np.argmax(err))
-        if not err[worst] <= CROSS_VALIDATION_TOL:
-            v, i = divmod(worst, len(deltas))
-            raise CrossValidationError(
-                f"analytic and numeric engines disagree: worst relative error "
-                f"{err[worst]:.3e} at variant {cfg.variants[v].name!r}, delta={float(deltas[i])} "
-                f"(tolerance {CROSS_VALIDATION_TOL:.0e})"
-            )
+    for block in _blocks(cfg, _variant_params(cfg)):
+        rows += map(OutputRow, block.variant, *(c.tolist() for c in block.numbers),
+                    block.engine)
     return rows
 
 
@@ -454,8 +497,8 @@ def _format_number(x: float) -> str:
     return format(_TWELVE_DIGITS.create_decimal(Decimal(x)), "f")
 
 
-# Rows are serialized in chunks of this many, so the per-column arrays of
-# one chunk, not of the whole output, are alive at once.
+# Rows are serialized in chunks of this many, so the text of one chunk,
+# not of a whole block, is alive at once.
 _CHUNK_ROWS = 4096
 
 # CSV row templates indexed by a fallback mask: bit j set means number
@@ -476,19 +519,29 @@ _JSON_ROW = "{\n    " + ",\n    ".join(
 ) + "\n  }"
 
 
-def _chunks(rows: list[OutputRow]):
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        yield rows[start:start + _CHUNK_ROWS]
+def _chunks(columns: _Columns) -> Iterator[_Columns]:
+    for start in range(0, len(columns.variant), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        yield _Columns(columns.variant[start:stop],
+                       [column[start:stop] for column in columns.numbers],
+                       columns.engine[start:stop])
 
 
-def _float_column(column: tuple) -> np.ndarray | None:
-    """``column`` as a float64 array if every value is a ``float``, else None."""
+def _float_column(column: tuple) -> np.ndarray | tuple:
+    """``column`` as a float64 array if every value is a ``float``, else as is."""
     if set(map(type, column)) == {float}:
         return np.array(column)
-    return None
+    return column
 
 
-def _csv_precisions(column: tuple) -> np.ndarray:
+def _row_columns(rows: list[OutputRow]) -> Iterator[_Columns]:
+    """``rows`` as columns, _CHUNK_ROWS rows at a time."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        variant, *numbers, engine = zip(*rows[start:start + _CHUNK_ROWS])
+        yield _Columns(list(variant), list(map(_float_column, numbers)), list(engine))
+
+
+def _csv_precisions(column) -> np.ndarray:
     """The "%.*f" precision that prints each value as _format_number does.
 
     The value rounded to 12 significant digits has decimal exponent
@@ -502,12 +555,11 @@ def _csv_precisions(column: tuple) -> np.ndarray:
     and ``floor(log10)`` may be off by one), and ``e >= 12`` (printed
     with padding zeros before the point).
     """
-    x = _float_column(column)
-    if x is None:
+    if not isinstance(column, np.ndarray):
         return np.full(len(column), -1)
     with np.errstate(all="ignore"):
-        magnitude = np.log10(np.abs(x))
-        scaled = x * 2.0 ** 17
+        magnitude = np.log10(np.abs(column))
+        scaled = column * 2.0 ** 17
         exact = (np.isfinite(magnitude) & (scaled != np.floor(scaled))
                  & (np.abs(magnitude - np.rint(magnitude)) >= 1e-10))
         return np.where(exact, 11 - np.floor(magnitude), -1).astype(int)
@@ -520,19 +572,23 @@ def _csv_field(value) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _csv_chunk(rows: list[OutputRow]) -> str:
-    """CSV lines of ``rows``, each printed by one template of _CSV_ROWS.
+def _as_list(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _csv_chunk(columns: _Columns) -> str:
+    """CSV lines of ``columns``, each printed by one template of _CSV_ROWS.
 
     Values the precision pass cannot print are formatted by
     _format_number in row order, so its error for the first nonfinite
     value is the one raised.
     """
-    variant, *numbers, engine = zip(*rows)
+    variant, numbers, engine = columns
     precision = np.stack([_csv_precisions(column) for column in numbers], axis=1)
     fallback = precision < 0
-    values = [list(column) for column in numbers]
+    values = list(map(_as_list, numbers))
     for i, j in zip(*np.nonzero(fallback)):
-        values[j][i] = _format_number(numbers[j][i])
+        values[j][i] = _format_number(values[j][i])
     precision[fallback] = 0
     if set(map(type, variant + engine)) == {str}:
         quote = {name: _csv_field(name) for name in {*variant, *engine}}.__getitem__
@@ -547,15 +603,11 @@ def _csv_chunk(rows: list[OutputRow]) -> str:
     return "".join(map(str.__mod__, templates, zip(*fields)))
 
 
-def _csv_bytes(rows: list[OutputRow]) -> bytes:
-    header = ",".join(CSV_HEADER) + "\n"
-    return header.encode() + b"".join(_csv_chunk(chunk).encode("utf-8")
-                                      for chunk in _chunks(rows))
-
-
-def _json_reference(rows: list[OutputRow]) -> str:
-    """``rows`` as json.dumps lays them out inside the top-level array."""
-    payload = [row.as_dict() for row in rows]
+def _json_reference(columns: _Columns) -> str:
+    """``columns`` as json.dumps lays their rows out inside the top-level array."""
+    variant, numbers, engine = columns
+    payload = [dict(zip(CSV_HEADER, row))
+               for row in zip(variant, *map(_as_list, numbers), engine)]
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:
@@ -566,52 +618,67 @@ def _json_reference(rows: list[OutputRow]) -> str:
     return text[len("[\n  "):-len("\n]")]
 
 
-def _json_chunk(rows: list[OutputRow]) -> str:
-    """The array items of ``rows``, each printed by the _JSON_ROW template.
+def _json_chunk(columns: _Columns) -> str:
+    """The array items of ``columns``, each printed by the _JSON_ROW template.
 
     A chunk holding a value that is not a ``float`` (numbers) or a
     ``str`` (names) goes to json.dumps instead.
     """
-    variant, *numbers, engine = zip(*rows)
-    arrays = [_float_column(column) for column in numbers]
-    if any(a is None for a in arrays) or set(map(type, variant + engine)) != {str}:
-        return _json_reference(rows)
-    finite = np.isfinite(np.stack(arrays, axis=1))
+    variant, numbers, engine = columns
+    if (not all(isinstance(column, np.ndarray) for column in numbers)
+            or set(map(type, variant + engine)) != {str}):
+        return _json_reference(columns)
+    finite = np.isfinite(np.stack(numbers, axis=1))
     if not finite.all():
         i, j = divmod(int(np.argmin(finite)), len(numbers))
-        raise _nonfinite(numbers[j][i])
+        raise _nonfinite(float(numbers[j][i]))
     encoded = {name: json.encoder.encode_basestring_ascii(name)
                for name in {*variant, *engine}}
-    args = zip(map(encoded.__getitem__, variant), *numbers, map(encoded.__getitem__, engine))
+    args = zip(map(encoded.__getitem__, variant), *(column.tolist() for column in numbers),
+               map(encoded.__getitem__, engine))
     return ",\n  ".join(map(_JSON_ROW.__mod__, args))
 
 
-def _json_bytes(rows: list[OutputRow]) -> bytes:
-    items = ",\n  ".join(_json_chunk(chunk) for chunk in _chunks(rows))
-    return f"[\n  {items}\n]\n".encode("utf-8")
+def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
+    """The output bytes of ``blocks``, one chunk of at most _CHUNK_ROWS rows at a time."""
+    # map and chain hold no chunk once it is encoded, so a block is let
+    # go before the next one is requested.
+    chunks = chain.from_iterable(map(_chunks, blocks))
+    if out_format == "csv":
+        yield (",".join(CSV_HEADER) + "\n").encode()
+        for text in map(_csv_chunk, chunks):
+            yield text.encode("utf-8")
+        return
+    separator = "[\n  "
+    for text in map(_json_chunk, chunks):
+        yield (separator + text).encode("utf-8")
+        separator = ",\n  "
+    yield b"\n]\n"
 
 
-def _write_path(destination, data: bytes) -> None:
-    """Write ``data`` to the file named by ``destination``.
+def _write_path(destination, chunks: Iterable[bytes]) -> None:
+    """Write the concatenated ``chunks`` to the file named by ``destination``.
 
     A regular file, or a path that does not exist yet, is replaced whole:
-    ``data`` goes to a temporary file beside it, which is then renamed
-    over it, so a failed write leaves no partial file and an existing
-    file keeps its old bytes.  The new file gets the mode (and, where
-    the process may set it, the owner) ``Path.write_bytes`` would leave:
-    an existing file's, else ``0o666`` less the umask.  A symbolic link
-    is written through.  Being a new inode, the file is no longer shared
-    with hard links to the old one.
+    the chunks go to a temporary file beside it as they are produced,
+    which is renamed over it after the last, so a failed write, or an
+    error raised while producing a chunk, leaves no partial file and an
+    existing file keeps its old bytes.  The new file gets the mode (and,
+    where the process may set it, the owner) ``Path.write_bytes`` would
+    leave: an existing file's, else ``0o666`` less the umask.  A symbolic
+    link is written through.  Being a new inode, the file is no longer
+    shared with hard links to the old one.
 
     Anything else that exists (a device such as ``/dev/null``, a FIFO,
     ``/dev/stdout`` on a pipe) is written in place, as ``write_bytes``
-    does.
+    does, and only once every chunk has been produced.
     """
     try:
         old = os.stat(destination)
     except FileNotFoundError:
         old = None
     if old is not None and not stat.S_ISREG(old.st_mode):
+        data = b"".join(chunks)
         with open(destination, "wb") as stream:
             stream.write(data)
         return
@@ -621,9 +688,10 @@ def _write_path(destination, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for data in chunks:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
         finally:
             os.close(fd)
         if old is not None:
@@ -635,6 +703,18 @@ def _write_path(destination, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _write(chunks: Iterable[bytes], destination) -> None:
+    """Write ``chunks`` to a path (see _write_path) or a binary file-like
+    object, which gets them joined, in one write."""
+    if hasattr(destination, "write"):
+        destination.write(b"".join(chunks))
+        return
+    try:
+        _write_path(destination, chunks)
+    except OSError as exc:
+        raise EmitError(f"cannot write {destination}: {exc}") from exc
 
 
 def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
@@ -649,19 +729,29 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
     """
     if not rows:
         raise EmitError("no rows to emit")
-    if out_format == "csv":
-        data = _csv_bytes(rows)
-    elif out_format == "json":
-        data = _json_bytes(rows)
-    else:
+    if out_format not in FORMATS:
         raise EmitError(f"unknown output format {out_format!r}")
-
+    data = b"".join(_encode(_row_columns(rows), out_format))
     if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(data)
-        else:
-            try:
-                _write_path(destination, data)
-            except OSError as exc:
-                raise EmitError(f"cannot write {destination}: {exc}") from exc
+        _write([data], destination)
     return data
+
+
+def write_sweep(cfg: SweepConfig, destination) -> int:
+    """Evaluate ``cfg`` and write its rows to ``destination``; return their number.
+
+    The bytes are those of ``emit(run_sweep(cfg), cfg.out_format)`` and
+    a failure is the one ``run_sweep`` raises, but no row is built: each
+    block of the sweep goes from its columns straight into the writer.
+    ``destination`` is a path or a binary file-like object.  A path to a
+    regular file, or a new one, is written block by block into a
+    temporary file that replaces it only after the last block has passed
+    cross-validation, so a failed sweep leaves no file and an existing
+    file keeps its old bytes; the destination is opened before the sweep
+    is evaluated.  A file-like object, or a device or FIFO, gets nothing
+    unless the sweep passes, and then every byte in one write.
+    """
+    blocks = _blocks(cfg, _variant_params(cfg))
+    _write(_encode(blocks, cfg.out_format), destination)
+    engines = 2 if cfg.engine == "both" else 1
+    return len(cfg.variants) * cfg.delta_grid.points * engines

@@ -17,6 +17,7 @@ import pytest
 from helpers import random_params, scalar_sweep
 from morsim import (
     DeltaGrid,
+    MorsimError,
     NumericError,
     SingularSystemError,
     SweepConfig,
@@ -130,6 +131,16 @@ def _assert_same_error(cfg):
     grid = _outcome(run_sweep, cfg)
     assert grid[0] != "rows", "expected the sweep to fail"
     assert grid == _outcome(scalar_sweep, cfg)
+
+
+@pytest.mark.parametrize("p", [SystemParams(gamma2=2.0), SystemParams(G1=1e200)],
+                         ids=["unequal_gammas", "overflowing_control"])
+def test_closed_form_grid_fails_a_whole_parameter_set_at_its_first_row(p):
+    with pytest.raises(MorsimError) as info:
+        s_pair(replace(p, delta=-1.0))
+    *_, failure = s_pair_grid(p, [-1.0, 0.0, 1.0])
+    assert failure[0] == 0
+    assert type(failure[1]) is type(info.value) and str(failure[1]) == str(info.value)
 
 
 def test_unequal_gammas_error_matches_scalar_loop():

@@ -1,11 +1,13 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import s_no_control
 from morsim import (
+    NumericError,
     ParameterError,
     SusceptibilityPair,
     SystemParams,
@@ -16,6 +18,8 @@ from morsim import (
     transmission_x,
     transmission_y,
 )
+from morsim.complexgrid import ComplexGrid
+from morsim.observables import observables_grid
 
 X_POLARIZED = cartesian_to_circular(1.0, 0.0)
 
@@ -156,3 +160,53 @@ def test_negative_medium_length_rejected():
             func(pair, -1.0)
     with pytest.raises(ParameterError, match="alpha_l"):
         output_field(X_POLARIZED, pair, -1.0)
+
+
+# 0.5 * alpha_l * Im s+ = -5e12: exp of the phase overflows.
+GAIN = SusceptibilityPair(-1e10j, 0.5 + 0.25j)
+# At alpha_l = 500, |exp(i alpha_l s+ / 2)| is about 1e200: finite, but
+# its square overflows.
+LARGE_GAIN = SusceptibilityPair(-1.8420680743952367j, 0.5 + 0.25j)
+FINITE = SusceptibilityPair(0.5 + 0.25j, -0.5 + 0.125j)
+
+
+def _grids(pairs):
+    return (ComplexGrid.from_numpy(np.array([q.s_plus for q in pairs])),
+            ComplexGrid.from_numpy(np.array([q.s_minus for q in pairs])))
+
+
+@pytest.mark.parametrize("pair, alpha_l", [(GAIN, 1e3), (LARGE_GAIN, 500.0)],
+                         ids=["phase_overflow", "square_overflow"])
+def test_overflow_is_numeric_error_naming_its_inputs(pair, alpha_l):
+    for func in (transmission_y, transmission_x):
+        with pytest.raises(NumericError) as info:
+            func(pair, alpha_l)
+        message = str(info.value)
+        assert f"alpha_l={alpha_l!r}" in message
+        assert f"s+={pair.s_plus!r}" in message and f"s-={pair.s_minus!r}" in message
+    if pair is GAIN:
+        with pytest.raises(NumericError, match="overflows"):
+            output_field(X_POLARIZED, pair, alpha_l)
+
+
+@pytest.mark.parametrize("pair, alpha_l", [(GAIN, 1e3), (LARGE_GAIN, 500.0)],
+                         ids=["phase_overflow", "square_overflow"])
+def test_grid_overflow_is_inf_without_warnings(pair, alpha_l):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_y, t_x, theta = observables_grid(*_grids([FINITE, pair]), alpha_l)
+    assert t_y[0] == transmission_y(FINITE, alpha_l) and t_x[0] == transmission_x(FINITE, alpha_l)
+    assert t_y[1] == math.inf and t_x[1] == math.inf
+    assert theta[1] == rotation_angle(pair, alpha_l)
+
+
+def test_grid_takes_one_alpha_l_per_pair():
+    pairs = [FINITE, SusceptibilityPair(1j, 2 + 0.5j)]
+    lengths = np.array([30.0, 7.5])
+    t_y, t_x, theta = observables_grid(*_grids(pairs), lengths)
+    for k, (q, alpha_l) in enumerate(zip(pairs, lengths.tolist())):
+        assert (t_y[k], t_x[k], theta[k]) == (transmission_y(q, alpha_l),
+                                              transmission_x(q, alpha_l),
+                                              rotation_angle(q, alpha_l))
+    with pytest.raises(ParameterError, match="negative alpha_l: -1.0"):
+        observables_grid(*_grids(pairs), np.array([30.0, -1.0]))

