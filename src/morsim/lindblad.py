@@ -22,13 +22,20 @@ Both engines read the table.  :func:`build_generator` assembles it into
 the 16x16 generator ``L``, whose stationary state :func:`steady_state`
 finds by a direct constrained linear solve (one redundant row replaced
 by the trace condition), exact to round-off and immune to the stiffness
-a time integrator would face at large control amplitudes.  The weak-probe
+a time integrator would face at large control amplitudes.  Where each
+coefficient goes in ``L`` depends only on the table's keys, so it is
+worked out once, at import; the table writes 83 entries, each through
+one term.  The finite-probe engine :func:`probe_response_finite` evaluates
+the table once per point, splits it into the generators of the two
+circular probe components (their probe terms write disjoint entries),
+and solves both in one stacked ``(2, 16, 16)`` steady-state solve; a
+matrix gets the same bits alone as in a stack.  The weak-probe
 response is linear response around ``rho0 = |g><g|``: with
 ``L = L0 + L1(g)`` the first-order state solves ``L0 rho1 = -L1 rho0``.
 At zero probe the rows of rho_1g, rho_2g and rho_eg close on those three
 coherences, so the first-order system is the table's 3x3 coherence
 block, driven by minus those rows' rho_gg column; only the three
-coherence rows are built for it.
+coherence rows are built for it, once for both probe components.
 """
 
 from __future__ import annotations
@@ -78,16 +85,7 @@ class DensityMatrix:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ParameterError(f"density matrix must be 4x4, got {rho.shape}")
-        # Each check is written to fail on nan.
-        herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-        if not herm_dev <= HERMITICITY_TOL:
-            raise ParameterError(f"non-Hermitian density matrix: deviation {herm_dev:.3e}")
-        trace_dev = abs(complex(np.trace(rho)) - 1.0)
-        if not trace_dev <= TRACE_TOL:
-            raise ParameterError(f"trace differs from 1 by {trace_dev:.3e}")
-        pops = np.real(np.diag(rho))
-        if not float(pops.min()) >= POPULATION_TOL:
-            raise ParameterError(f"negative population: {pops.min():.3e}")
+        _first_failure(_state_checks(rho[np.newaxis]))
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
@@ -98,6 +96,35 @@ class DensityMatrix:
 
     def coherence(self, upper: int, lower: int) -> complex:
         return complex(self.rho[upper, lower])
+
+
+def _first_failure(checks: list) -> None:
+    """Raise for the first matrix of a stack that fails one of ``checks``.
+
+    ``checks`` holds ``(passes, error)`` pairs in check order: ``passes``
+    has one boolean per matrix, and ``error(i)`` is the exception for
+    matrix ``i``.  The first check that matrix fails wins.
+    """
+    passes = np.array([ok for ok, _ in checks])
+    if not passes.all():
+        i = int(np.argmin(passes.all(axis=0)))
+        raise checks[int(np.argmin(passes[:, i]))][1](i)
+
+
+def _state_checks(rho: np.ndarray) -> list:
+    """The :class:`DensityMatrix` checks of a ``(k, 4, 4)`` stack, in order,
+    as :func:`_first_failure` takes them.  Each fails on nan."""
+    herm = abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
+    pops = rho.diagonal(axis1=-2, axis2=-1).real.min(axis=-1)
+    return [
+        (herm <= HERMITICITY_TOL,
+         lambda i: ParameterError(f"non-Hermitian density matrix: deviation {herm[i]:.3e}")),
+        (trace <= TRACE_TOL,
+         lambda i: ParameterError(f"trace differs from 1 by {trace[i]:.3e}")),
+        (pops >= POPULATION_TOL,
+         lambda i: ParameterError(f"negative population: {pops[i]:.3e}")),
+    ]
 
 
 def _coherence_rows(p, factors, g1: complex, g2: complex) -> dict:
@@ -179,6 +206,56 @@ def _equations_of_motion(p: SystemParams, g1: complex, g2: complex) -> dict:
     return rows
 
 
+def _probe_component(row: tuple, col: tuple) -> int:
+    """The probe half-amplitude a term of the table carries: 1 for g1
+    (on |g>-|1>), 2 for g2 (on |g>-|2>), 0 for none.
+
+    A drive term couples two elements that differ in one index, along
+    the driven transition; a decay term moves a population and changes
+    both indices, and a self term changes neither.
+    """
+    (a, b), (m, n) = row, col
+    if (a == m) == (b == n):
+        return 0
+    changed = {b, n} if a == m else {a, m}
+    return 1 if changed == {_M1, _G} else 2 if changed == {_M2, _G} else 0
+
+
+def _scatter_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the coefficients of :func:`_coefficients` go in the generator.
+
+    Returns the flat 16x16 position of each coefficient, the terms that
+    get a Hermitian completion (those in off-diagonal rows), and the
+    probe component of each coefficient.  All three depend only on the
+    table's keys, which no parameter changes: the table is evaluated
+    here for its keys alone.
+    """
+    table = _equations_of_motion(SystemParams(), 0.0, 0.0)
+    terms = [(row, col) for row, cols in table.items() for col in cols]
+    mirrored = [i for i, ((a, b), _) in enumerate(terms) if a != b]
+    # Hermitian completion: d/dt rho_ba = conj(d/dt rho_ab).
+    keys = terms + [((b, a), (n, m)) for (a, b), (m, n) in (terms[i] for i in mirrored)]
+    positions = np.array([16 * (4 * a + b) + 4 * m + n for (a, b), (m, n) in keys])
+    probe = np.array([_probe_component(row, col) for row, col in keys])
+    return positions, np.array(mirrored), probe
+
+
+_POSITIONS, _MIRRORED, _PROBE = _scatter_plan()
+# The s+ generator drives g1 alone and the s- generator g2 alone.  From
+# one evaluation at g1 = g2 each takes every coefficient but those of
+# the other probe component, whose entries stay zero: no entry is
+# written by two terms, so the two sets are disjoint.
+_PAIR_TERMS = np.concatenate((np.flatnonzero(_PROBE != 2), np.flatnonzero(_PROBE != 1)))
+_PAIR_POSITIONS = np.concatenate((_POSITIONS[_PROBE != 2], 256 + _POSITIONS[_PROBE != 1]))
+
+
+def _coefficients(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
+    """The table's coefficients at ``p`` in :func:`_scatter_plan` order."""
+    table = _equations_of_motion(p, g1, g2)
+    values = np.array([c for terms in table.values() for c in terms.values()], dtype=complex)
+    return np.concatenate((values, values[_MIRRORED].conj()))
+
+
 def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
     """The equations of motion as a read-only 16x16 complex matrix.
 
@@ -189,26 +266,72 @@ def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
     indices, which preserves Hermiticity by construction.
     """
     validate_params(p)
-    return _assemble_generator(p, g1, g2)
-
-
-def _assemble_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
-    """:func:`build_generator` for parameters already validated."""
-    index, values = [], []
-    for (a, b), terms in _equations_of_motion(p, complex(g1), complex(g2)).items():
-        for (m, n), coeff in terms.items():
-            index.append(16 * (4 * a + b) + 4 * m + n)
-            values.append(coeff)
-            if a != b:
-                # Hermitian completion: d/dt rho_ba = conj(d/dt rho_ab).
-                index.append(16 * (4 * b + a) + 4 * n + m)
-                values.append(coeff.conjugate())
-    # Every entry is written once; adding to zero turns a -0.0 part into +0.0.
     matrix = np.zeros(256, dtype=complex)
-    matrix[np.array(index)] += np.array(values, dtype=complex)
+    # Every entry is written once; adding to zero turns a -0.0 part into +0.0.
+    matrix[_POSITIONS] += _coefficients(p, complex(g1), complex(g2))
     matrix = matrix.reshape(16, 16)
     matrix.flags.writeable = False
     return matrix
+
+
+def _generator_pair(p: SystemParams, g: float) -> np.ndarray:
+    """The ``(2, 16, 16)`` stack of :func:`build_generator` at ``(g1, g2)``
+    = ``(g, 0)`` and ``(0, g)``, for parameters already validated, with
+    the bits of those two calls from one evaluation of the table."""
+    stack = np.zeros(512, dtype=complex)
+    stack[_PAIR_POSITIONS] += _coefficients(p, complex(g), complex(g))[_PAIR_TERMS]
+    return stack.reshape(2, 16, 16)
+
+
+# The trace condition that replaces the redundant ground-population row.
+_GG_ROW = 4 * _G + _G
+_TRACE_COLUMNS = np.array([4 * level + level for level in (_E, _M1, _M2, _G)])
+_UNIT_TRACE = np.zeros(16, dtype=complex)
+_UNIT_TRACE[_GG_ROW] = 1.0
+_UNIT_TRACE.flags.writeable = False
+
+
+def _steady_states(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stationary states of a ``(k, 16, 16)`` stack of generators.
+
+    Each generator's redundant ground-population row is replaced by the
+    unit-trace condition, and the ``k`` systems are solved in one call.
+    The raw solutions carry a round-off-scale non-Hermitian component,
+    which is projected out before the checks.  Returns the ``(k, 4, 4)``
+    states, the residual ``||L rho||`` of each and its bound
+    ``RESIDUAL_TOL * ||L||``; a matrix gets the same bits alone as
+    inside a stack.  Raises for the first matrix, in stack order, whose
+    solve is singular, whose residual is not within a finite bound, or
+    whose state fails a :class:`DensityMatrix` check, with the error
+    :func:`steady_state` raises for it.
+    """
+    constrained = L.copy()
+    constrained[:, _GG_ROW] = 0.0
+    constrained[:, _GG_ROW, _TRACE_COLUMNS] = 1.0
+    try:
+        vec = np.linalg.solve(constrained, _UNIT_TRACE)
+    except np.linalg.LinAlgError as exc:
+        # The stacked solve does not say which matrix is singular.  Those
+        # before the last, one by one, raise the first failure among
+        # them; if none fails, the last one is singular.
+        for one in L[:-1]:
+            _steady_states(one[np.newaxis])
+        raise SingularSystemError(f"steady-state solve failed: {exc}") from exc
+    rho = vec.reshape(-1, 4, 4)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+    with np.errstate(all="ignore"):
+        residual = _frobenius(L @ rho.reshape(-1, 16, 1))
+        bound = RESIDUAL_TOL * _frobenius(L)
+        # Fails on a nan residual, and on a bound that overflows to inf.
+        within = (residual <= bound) & (bound < np.inf)
+        _first_failure([
+            (within, lambda i: SingularSystemError(
+                f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} "
+                f"* ||L|| = {bound[i]:.3e}")),
+            *_state_checks(rho),
+        ])
+    return rho, residual, bound
 
 
 def steady_state(generator: np.ndarray) -> DensityMatrix:
@@ -218,35 +341,14 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     condition and solves the resulting 16x16 system directly.  The raw
     solution carries a round-off-scale non-Hermitian component, which is
     projected out before validation; the residual certificate is
-    computed on the returned state.
+    computed on the returned state, as the Frobenius norm of
+    ``L rho`` against ``RESIDUAL_TOL`` times that of ``L``.
     """
-    L = np.asarray(generator, dtype=complex)
+    L = np.ascontiguousarray(generator, dtype=complex)
     if L.shape != (16, 16):
         raise ParameterError(f"generator must be 16x16, got {L.shape}")
-    constrained = np.array(L)
-    gg = 4 * _G + _G
-    constrained[gg, :] = 0.0
-    for level in (_E, _M1, _M2, _G):
-        constrained[gg, 4 * level + level] = 1.0
-    rhs = np.zeros(16, dtype=complex)
-    rhs[gg] = 1.0
-    try:
-        vec = np.linalg.solve(constrained, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"steady-state solve failed: {exc}") from exc
-    rho = vec.reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-
-    with np.errstate(all="ignore"):
-        residual = float(np.linalg.norm(L @ rho.reshape(16)))
-        scale = float(np.linalg.norm(L))
-    # Fails on a nan residual, and on a bound that overflows to inf.
-    if not residual <= RESIDUAL_TOL * scale < np.inf:
-        raise SingularSystemError(
-            f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||L|| = "
-            f"{RESIDUAL_TOL * scale:.3e}"
-        )
-    return DensityMatrix(rho=rho)
+    rho, _, _ = _steady_states(L[np.newaxis])
+    return DensityMatrix(rho=rho[0])
 
 
 def _first_order_system(p, factors, probe_amplitude: float):
@@ -254,17 +356,19 @@ def _first_order_system(p, factors, probe_amplitude: float):
 
     Returns the coefficient block over (rho_1g, rho_2g, rho_eg) as
     nested lists and the ``(3, 2)`` drive, one column per circular probe
-    component driven alone.  The probe enters the coherence rows only
-    outside their own columns, so the block is the same in either
-    evaluation.
+    component driven alone.  The rows are built once, with both probe
+    components on: the probe enters them only outside their own columns,
+    so the block does not depend on it, and component ``j`` drives only
+    the rho_gg entry of coherence row ``j``.  The other drive entries
+    are +0.0.
     """
-    plus = _coherence_rows(p, factors, probe_amplitude, 0.0)
-    minus = _coherence_rows(p, factors, 0.0, probe_amplitude)
-    block = [[row.get(col, 0.0) for col in _COHERENCES] for row in plus.values()]
-    # 0 - x rather than -x keeps the zero parts of the drive at +0.0.
-    drive = [[0.0 - plus[c].get(_GG, 0.0), 0.0 - minus[c].get(_GG, 0.0)]
-             for c in _COHERENCES]
-    return block, np.array(drive, dtype=complex)
+    rows = _coherence_rows(p, factors, probe_amplitude, probe_amplitude)
+    block = [[row.get(col, 0.0) for col in _COHERENCES] for row in rows.values()]
+    drive = np.zeros((3, 2), dtype=complex)
+    for j, coherence in enumerate(_COHERENCES[:2]):
+        # 0 - x rather than -x keeps the zero part of the drive at +0.0.
+        drive[j, j] = 0.0 - rows[coherence][_GG]
+    return block, drive
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -406,8 +510,7 @@ def probe_response_finite(p: SystemParams, g_mag: float) -> SusceptibilityPair:
             f"probe too strong: g={g_mag} exceeds {MAX_FINITE_PROBE} "
             f"(weak-probe extraction would be unreliable)"
         )
-    rho_plus = steady_state(_assemble_generator(p, g1=g_mag, g2=0.0)).rho
-    rho_minus = steady_state(_assemble_generator(p, g1=0.0, g2=g_mag)).rho
-    s_plus = p.gamma1 * complex(rho_plus[_M1, _G]) / g_mag
-    s_minus = p.gamma2 * complex(rho_minus[_M2, _G]) / g_mag
+    rho, _, _ = _steady_states(_generator_pair(p, g_mag))
+    s_plus = p.gamma1 * complex(rho[0, _M1, _G]) / g_mag
+    s_minus = p.gamma2 * complex(rho[1, _M2, _G]) / g_mag
     return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)

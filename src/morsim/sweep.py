@@ -123,6 +123,13 @@ class SweepConfig:
     engine: str = "both"
     out_format: str = "csv"
     out_path: str | None = None
+    # ``(base, variants, overrides, params)``: each variant merged onto
+    # ``base`` and checked, set by validate_config.  dataclasses.replace
+    # carries it, and it is used only while ``base`` and ``variants`` are
+    # the same objects and the overrides are unchanged, so a config whose
+    # engine, format or output is replaced after parsing (as the CLI's
+    # options do) is not merged again.
+    _merged: tuple = field(default=(), repr=False, compare=False)
 
 
 class OutputRow(NamedTuple):
@@ -149,7 +156,7 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
     return cfg
 
 
-def _variant_params(cfg: SweepConfig) -> list[SystemParams]:
+def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
     """The checks of :func:`validate_config`; returns each variant's
     parameters merged onto the base, in declared order."""
     grid = cfg.delta_grid
@@ -169,6 +176,10 @@ def _variant_params(cfg: SweepConfig) -> list[SystemParams]:
         raise ConfigError(f"format must be one of {'|'.join(FORMATS)} (got {cfg.out_format!r})")
     if not cfg.variants:
         raise ConfigError("config defines no variants")
+    overrides = [variant.overrides for variant in cfg.variants]
+    memo = cfg._merged
+    if memo and memo[0] is cfg.base and memo[1] is cfg.variants and memo[2] == overrides:
+        return memo[3]
     seen, merged = set(), []
     for variant in cfg.variants:
         if variant.name in seen:
@@ -178,7 +189,10 @@ def _variant_params(cfg: SweepConfig) -> list[SystemParams]:
             merged.append(validate_params(variant.apply(cfg.base)))
         except (MorsimError, TypeError) as exc:
             raise ConfigError(f"variant {variant.name!r}: {exc}") from exc
-    return merged
+    # Copies of the overrides, so that an override changed in place is seen.
+    object.__setattr__(cfg, "_merged", (cfg.base, cfg.variants, list(map(dict, overrides)),
+                                        tuple(merged)))
+    return cfg._merged[3]
 
 
 def _parse_value(key: str, text: str, line_no: int):
@@ -421,7 +435,7 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
     ), err
 
 
-def _blocks(cfg: SweepConfig, params: list[SystemParams]) -> Iterator[_Columns]:
+def _blocks(cfg: SweepConfig, params: tuple[SystemParams, ...]) -> Iterator[_Columns]:
     """The sweep's output columns, one block of at most _BLOCK_ROWS points at a time.
 
     Points are ordered by variant (as declared), then ascending delta.

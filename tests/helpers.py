@@ -18,6 +18,7 @@ from morsim import (
     MorsimError,
     NumericError,
     ParameterError,
+    SingularSystemError,
     SusceptibilityPair,
     SystemParams,
     probe_response_perturbative,
@@ -28,6 +29,7 @@ from morsim import (
     transmission_y,
     validate_params,
 )
+from morsim import lindblad
 from morsim.analytic import DENOMINATOR_GUARD, _require_equal_gammas
 from morsim.core import detuning_factors
 from morsim.sweep import OutputRow, validate_config
@@ -85,6 +87,84 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
 def apply_generator(generator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Time derivative of a 4x4 state under a 16x16 generator."""
     return (generator @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
+
+
+def reference_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
+    """Reference for ``build_generator``: the equations-of-motion table
+    scattered term by term, positions worked out on every call."""
+    validate_params(p)
+    index, values = [], []
+    for (a, b), terms in lindblad._equations_of_motion(p, complex(g1), complex(g2)).items():
+        for (m, n), coeff in terms.items():
+            index.append(16 * (4 * a + b) + 4 * m + n)
+            values.append(coeff)
+            if a != b:
+                index.append(16 * (4 * b + a) + 4 * n + m)
+                values.append(coeff.conjugate())
+    matrix = np.zeros(256, dtype=complex)
+    matrix[np.array(index)] += np.array(values, dtype=complex)
+    return matrix.reshape(16, 16)
+
+
+def reference_density_checks(rho: np.ndarray) -> None:
+    """Reference for the ``DensityMatrix`` checks, one scalar at a time.
+
+    Tolerances are read from ``morsim.lindblad`` at call time.
+    """
+    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+    if not herm_dev <= lindblad.HERMITICITY_TOL:
+        raise ParameterError(f"non-Hermitian density matrix: deviation {herm_dev:.3e}")
+    trace_dev = abs(complex(np.trace(rho)) - 1.0)
+    if not trace_dev <= lindblad.TRACE_TOL:
+        raise ParameterError(f"trace differs from 1 by {trace_dev:.3e}")
+    pops = np.real(np.diag(rho))
+    if not float(pops.min()) >= lindblad.POPULATION_TOL:
+        raise ParameterError(f"negative population: {pops.min():.3e}")
+
+
+def reference_steady_state(generator: np.ndarray) -> np.ndarray:
+    """Reference for ``steady_state(generator).rho``: one 16x16 solve,
+    residual by ``np.linalg.norm``, then the scalar state checks.
+
+    The single-matrix route the stacked steady-state kernel replaced,
+    kept so that its states and errors can be compared with it.
+    Tolerances are read from ``morsim.lindblad`` at call time.
+    """
+    L = np.asarray(generator, dtype=complex)
+    constrained = np.array(L)
+    gg = 4 * 3 + 3
+    constrained[gg, :] = 0.0
+    for level in range(4):
+        constrained[gg, 4 * level + level] = 1.0
+    rhs = np.zeros(16, dtype=complex)
+    rhs[gg] = 1.0
+    try:
+        vec = np.linalg.solve(constrained, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"steady-state solve failed: {exc}") from exc
+    rho = vec.reshape(4, 4)
+    rho = 0.5 * (rho + rho.conj().T)
+    with np.errstate(all="ignore"):
+        residual = float(np.linalg.norm(L @ rho.reshape(16)))
+        scale = float(np.linalg.norm(L))
+    tol = lindblad.RESIDUAL_TOL
+    if not residual <= tol * scale < np.inf:
+        raise SingularSystemError(
+            f"steady-state residual {residual:.3e} exceeds {tol:.0e} * ||L|| = "
+            f"{tol * scale:.3e}"
+        )
+    reference_density_checks(rho)
+    return rho
+
+
+def reference_probe_response_finite(p: SystemParams, g_mag: float) -> SusceptibilityPair:
+    """Reference for ``probe_response_finite``: two generators, two
+    ``reference_steady_state`` calls, s+ solved and checked first."""
+    validate_params(p)
+    rho_plus = reference_steady_state(reference_generator(p, g_mag, 0.0))
+    rho_minus = reference_steady_state(reference_generator(p, 0.0, g_mag))
+    return SusceptibilityPair(s_plus=p.gamma1 * complex(rho_plus[1, 3]) / g_mag,
+                              s_minus=p.gamma2 * complex(rho_minus[2, 3]) / g_mag)
 
 
 def s_no_control(p: SystemParams) -> SusceptibilityPair:

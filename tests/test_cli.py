@@ -65,6 +65,31 @@ def test_bad_config_is_validation_error(tmp_path, capsys):
     assert "dopler" in capsys.readouterr().err
 
 
+def test_sweep_merges_and_checks_each_variant_once(tmp_path, monkeypatch):
+    calls = []
+    validate = morsim.sweep.validate_params
+    monkeypatch.setattr(morsim.sweep, "validate_params", lambda p: calls.append(p) or validate(p))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(GOOD_CONFIG + "variant detuned: Delta = -20\n", encoding="utf-8")
+    out = tmp_path / "rows.json"
+    code = main(["sweep", "--config", str(cfg), "--engine", "numeric",
+                 "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert [p.Delta for p in calls] == [5.0, -20.0]
+    assert len(json.loads(out.read_text(encoding="utf-8"))) == 2 * 11
+
+
+@pytest.mark.parametrize("line, option", [
+    ("engine = warp", ["--engine", "both"]), ("format = xml", ["--format", "csv"]),
+])
+def test_bad_config_value_fails_even_when_an_option_replaces_it(tmp_path, capsys, line, option):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(GOOD_CONFIG + line + "\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), *option, "--out", str(tmp_path / "o")]) == 1
+    assert line.split()[0] + " must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_degenerate_parameters_are_numeric_failure(tmp_path, capsys):
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(

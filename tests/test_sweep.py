@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -132,6 +133,22 @@ def test_duplicate_variant_name_rejected():
 def test_invalid_merged_variant_rejected():
     with pytest.raises(ConfigError, match=r"variant 'bad'.*gamma1"):
         parse_config("variant bad: gamma1 = -1\n")
+
+
+def test_replaced_base_or_variants_are_checked_again():
+    cfg = parse_config("delta_points = 3\nvariant a: G1 = 1\n")
+    with pytest.raises(ConfigError, match=r"variant 'a'.*gamma1"):
+        validate_config(replace(cfg, base=replace(cfg.base, gamma1=-1.0)))
+    with pytest.raises(ConfigError, match="duplicate variant"):
+        run_sweep(replace(cfg, variants=cfg.variants * 2))
+    expected = [row.re_s_plus for row in run_sweep(parse_config(
+        "delta_points = 3\nengine = numeric\nvariant a: G1 = 2\n"))]
+    changed = replace(cfg, variants=(Variant("a", {"G1": 2.0}),), engine="numeric")
+    assert [row.re_s_plus for row in run_sweep(changed)] == expected
+    # An override changed in place after the config was checked.
+    cfg = replace(cfg, engine="numeric")
+    cfg.variants[0].overrides["G1"] = 2.0
+    assert [row.re_s_plus for row in run_sweep(cfg)] == expected
 
 
 def test_bad_engine_rejected():
