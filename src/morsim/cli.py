@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import MorsimError, NumericError
-from .sweep import ENGINES, FORMATS, PRESET_NAMES, parse_config, preset, write_sweep
+from .sweep import ENGINES, FORMATS, PRESET_NAMES, _read_config, preset, write_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +50,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 1
-    cfg = parse_config(text)
+    # Variants are merged and checked once, by write_sweep.
+    cfg = _read_config(text)
     if args.engine is not None:
         cfg = replace(cfg, engine=args.engine)
     if args.out_format is not None:
@@ -59,7 +60,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         cfg = replace(cfg, out_path=args.out)
 
     if cfg.out_path is None or cfg.out_path == "-":
-        # Buffered: stdout gets no byte unless the whole sweep passes.
+        # Spooled: stdout gets no byte unless the whole sweep passes.
         write_sweep(cfg, sys.stdout.buffer)
     else:
         rows = write_sweep(cfg, cfg.out_path)

@@ -291,19 +291,15 @@ _UNIT_TRACE[_GG_ROW] = 1.0
 _UNIT_TRACE.flags.writeable = False
 
 
-def _steady_states(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stationary states of a ``(k, 16, 16)`` stack of generators.
+def _solve_states(L: np.ndarray) -> np.ndarray:
+    """Stationary states of a ``(k, 16, 16)`` stack of generators, unchecked.
 
     Each generator's redundant ground-population row is replaced by the
     unit-trace condition, and the ``k`` systems are solved in one call.
     The raw solutions carry a round-off-scale non-Hermitian component,
-    which is projected out before the checks.  Returns the ``(k, 4, 4)``
-    states, the residual ``||L rho||`` of each and its bound
-    ``RESIDUAL_TOL * ||L||``; a matrix gets the same bits alone as
-    inside a stack.  Raises for the first matrix, in stack order, whose
-    solve is singular, whose residual is not within a finite bound, or
-    whose state fails a :class:`DensityMatrix` check, with the error
-    :func:`steady_state` raises for it.
+    which is projected out.  Returns the ``(k, 4, 4)`` states; a matrix
+    gets the same bits alone as inside a stack.  Raises only for a
+    singular solve, with the error :func:`_steady_states` raises.
     """
     constrained = L.copy()
     constrained[:, _GG_ROW] = 0.0
@@ -318,19 +314,35 @@ def _steady_states(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             _steady_states(one[np.newaxis])
         raise SingularSystemError(f"steady-state solve failed: {exc}") from exc
     rho = vec.reshape(-1, 4, 4)
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
+
+def _residual_check(L: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The residual ``||L rho||`` of each state of a stack, its bound
+    ``RESIDUAL_TOL * ||L||``, and the check as :func:`_first_failure`
+    takes it.  Run it with NumPy's floating-point errors ignored."""
+    residual = _frobenius(L @ rho.reshape(-1, 16, 1))
+    bound = RESIDUAL_TOL * _frobenius(L)
+    # Fails on a nan residual, and on a bound that overflows to inf.
+    within = (residual <= bound) & (bound < np.inf)
+    return residual, bound, (within, lambda i: SingularSystemError(
+        f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} "
+        f"* ||L|| = {bound[i]:.3e}"))
+
+
+def _steady_states(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states of :func:`_solve_states`, checked, with the residual
+    and the bound of each.
+
+    Raises for the first matrix, in stack order, whose solve is
+    singular, whose residual is not within a finite bound, or whose
+    state fails a :class:`DensityMatrix` check, with the error
+    :func:`steady_state` raises for it.
+    """
+    rho = _solve_states(L)
     with np.errstate(all="ignore"):
-        residual = _frobenius(L @ rho.reshape(-1, 16, 1))
-        bound = RESIDUAL_TOL * _frobenius(L)
-        # Fails on a nan residual, and on a bound that overflows to inf.
-        within = (residual <= bound) & (bound < np.inf)
-        _first_failure([
-            (within, lambda i: SingularSystemError(
-                f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} "
-                f"* ||L|| = {bound[i]:.3e}")),
-            *_state_checks(rho),
-        ])
+        residual, bound, within = _residual_check(L, rho)
+        _first_failure([within, *_state_checks(rho)])
     return rho, residual, bound
 
 
@@ -342,12 +354,17 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     solution carries a round-off-scale non-Hermitian component, which is
     projected out before validation; the residual certificate is
     computed on the returned state, as the Frobenius norm of
-    ``L rho`` against ``RESIDUAL_TOL`` times that of ``L``.
+    ``L rho`` against ``RESIDUAL_TOL`` times that of ``L``.  The state
+    checks are those of :class:`DensityMatrix`, run once, by its
+    constructor, after the residual check.
     """
     L = np.ascontiguousarray(generator, dtype=complex)
     if L.shape != (16, 16):
         raise ParameterError(f"generator must be 16x16, got {L.shape}")
-    rho, _, _ = _steady_states(L[np.newaxis])
+    L = L[np.newaxis]
+    rho = _solve_states(L)
+    with np.errstate(all="ignore"):
+        _first_failure([_residual_check(L, rho)[2]])
     return DensityMatrix(rho=rho[0])
 
 

@@ -35,11 +35,13 @@ import io
 import json
 import math
 import os
+import shutil
 import stat
+import tempfile
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -123,13 +125,6 @@ class SweepConfig:
     engine: str = "both"
     out_format: str = "csv"
     out_path: str | None = None
-    # ``(base, variants, overrides, params)``: each variant merged onto
-    # ``base`` and checked, set by validate_config.  dataclasses.replace
-    # carries it, and it is used only while ``base`` and ``variants`` are
-    # the same objects and the overrides are unchanged, so a config whose
-    # engine, format or output is replaced after parsing (as the CLI's
-    # options do) is not merged again.
-    _merged: tuple = field(default=(), repr=False, compare=False)
 
 
 class OutputRow(NamedTuple):
@@ -156,9 +151,8 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
     return cfg
 
 
-def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
-    """The checks of :func:`validate_config`; returns each variant's
-    parameters merged onto the base, in declared order."""
+def _check_settings(cfg: SweepConfig) -> None:
+    """The checks of :func:`validate_config` on the grid, engine and format."""
     grid = cfg.delta_grid
     if not (math.isfinite(grid.min) and math.isfinite(grid.max)):
         raise ConfigError(f"nonfinite delta grid bounds: [{grid.min}, {grid.max}]")
@@ -174,12 +168,14 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
         raise ConfigError(f"engine must be one of {'|'.join(ENGINES)} (got {cfg.engine!r})")
     if cfg.out_format not in FORMATS:
         raise ConfigError(f"format must be one of {'|'.join(FORMATS)} (got {cfg.out_format!r})")
+
+
+def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
+    """The checks of :func:`validate_config`; returns each variant's
+    parameters merged onto the base, in declared order."""
+    _check_settings(cfg)
     if not cfg.variants:
         raise ConfigError("config defines no variants")
-    overrides = [variant.overrides for variant in cfg.variants]
-    memo = cfg._merged
-    if memo and memo[0] is cfg.base and memo[1] is cfg.variants and memo[2] == overrides:
-        return memo[3]
     seen, merged = set(), []
     for variant in cfg.variants:
         if variant.name in seen:
@@ -189,10 +185,7 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
             merged.append(validate_params(variant.apply(cfg.base)))
         except (MorsimError, TypeError) as exc:
             raise ConfigError(f"variant {variant.name!r}: {exc}") from exc
-    # Copies of the overrides, so that an override changed in place is seen.
-    object.__setattr__(cfg, "_merged", (cfg.base, cfg.variants, list(map(dict, overrides)),
-                                        tuple(merged)))
-    return cfg._merged[3]
+    return tuple(merged)
 
 
 def _parse_value(key: str, text: str, line_no: int):
@@ -232,6 +225,11 @@ def parse_config(text: str) -> SweepConfig:
         With the offending line number for syntax problems, or naming
         the offending key for semantic ones.
     """
+    return validate_config(_read_config(text))
+
+
+def _read_config(text: str) -> SweepConfig:
+    """:func:`parse_config` without merging and checking the variants."""
     base_values: dict = {}
     grid_values: dict = {}
     meta_values: dict = {}
@@ -302,7 +300,8 @@ def parse_config(text: str) -> SweepConfig:
         out_format=meta_values.get("format", default.out_format),
         out_path=meta_values.get("output"),
     )
-    return validate_config(cfg)
+    _check_settings(cfg)
+    return cfg
 
 
 def preset(name: str) -> SweepConfig:
@@ -370,8 +369,10 @@ def _rel_err_grid(a: ComplexGrid, b: ComplexGrid) -> np.ndarray:
 
 
 # (variant, delta) points evaluated together: the columns of one block,
-# not of the whole sweep, are alive at once.
-_BLOCK_ROWS = 1 << 16
+# not of the whole sweep, are alive at once.  8,192 holds every preset
+# (fig3, the largest, has 8,005 points) in one block, and a 100,000-point
+# sweep peaks at about half the memory that 65,536 took, no slower.
+_BLOCK_ROWS = 1 << 13
 
 
 class _Columns(NamedTuple):
@@ -685,16 +686,16 @@ def _write_path(destination, chunks: Iterable[bytes]) -> None:
 
     Anything else that exists (a device such as ``/dev/null``, a FIFO,
     ``/dev/stdout`` on a pipe) is written in place, as ``write_bytes``
-    does, and only once every chunk has been produced.
+    does, from a spool (see _spooled): it is opened only once every
+    chunk has been produced.
     """
     try:
         old = os.stat(destination)
     except FileNotFoundError:
         old = None
     if old is not None and not stat.S_ISREG(old.st_mode):
-        data = b"".join(chunks)
-        with open(destination, "wb") as stream:
-            stream.write(data)
+        with _spooled(chunks) as spool, open(destination, "wb") as stream:
+            shutil.copyfileobj(spool, stream)
         return
     target = os.path.realpath(destination)
     head, name = os.path.split(target)
@@ -719,11 +720,25 @@ def _write_path(destination, chunks: Iterable[bytes]) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _spooled(chunks: Iterable[bytes]) -> Iterator[BinaryIO]:
+    """An anonymous temporary file holding the concatenated ``chunks``, rewound.
+
+    A destination copied from it gets no byte unless every chunk has been
+    produced, and the output is never held in memory whole.
+    """
+    with tempfile.TemporaryFile() as spool:
+        spool.writelines(chunks)
+        spool.seek(0)
+        yield spool
+
+
 def _write(chunks: Iterable[bytes], destination) -> None:
     """Write ``chunks`` to a path (see _write_path) or a binary file-like
-    object, which gets them joined, in one write."""
+    object, which gets them from a spool (see _spooled)."""
     if hasattr(destination, "write"):
-        destination.write(b"".join(chunks))
+        with _spooled(chunks) as spool:
+            shutil.copyfileobj(spool, destination)
         return
     try:
         _write_path(destination, chunks)
@@ -763,7 +778,8 @@ def write_sweep(cfg: SweepConfig, destination) -> int:
     cross-validation, so a failed sweep leaves no file and an existing
     file keeps its old bytes; the destination is opened before the sweep
     is evaluated.  A file-like object, or a device or FIFO, gets nothing
-    unless the sweep passes, and then every byte in one write.
+    unless the sweep passes: the blocks are spooled into an anonymous
+    temporary file, which is then copied to it.
     """
     blocks = _blocks(cfg, _variant_params(cfg))
     _write(_encode(blocks, cfg.out_format), destination)

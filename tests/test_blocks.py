@@ -5,7 +5,8 @@ A sweep is evaluated in blocks of at most ``sweep._BLOCK_ROWS``
 These tests shrink the block bound to a few points, so that boundaries
 fall inside variants, and hold the output bytes, the first failure and
 the cross-validation report to those of one block.  A subprocess checks
-that peak memory does not grow with the number of variants.
+that peak memory does not grow with the number of variants, whether the
+sweep goes to a file or to a file-like object.
 """
 
 import hashlib
@@ -186,22 +187,36 @@ def test_late_failure_leaves_no_file_and_writes_no_stdout(tmp_path, monkeypatch,
     assert old.read_bytes() == b"old bytes\n"
 
 
-# Prints the peak RSS of a child that writes a 100,000-point sweep.  It
-# reads VmHWM, the child's own peak: on Linux ru_maxrss of a spawned
-# process also counts its parent's peak at the spawn, which survives exec.
+# Prints the lines a child writes in a 100,000-point sweep, and its peak
+# RSS.  The destination is a path, or with "-" a file-like object that
+# keeps only the count.  It reads VmHWM, the child's own peak: on Linux
+# ru_maxrss of a spawned process also counts its parent's peak at the
+# spawn, which survives exec.
 _PEAK_RSS = """
 import resource, sys
 from morsim import parse_config, write_sweep
-variants = int(sys.argv[1])
+
+
+class Lines:
+    count = 0
+
+    def write(self, data):
+        self.count += data.count(b"\\n")
+        return len(data)
+
+
+variants, destination = int(sys.argv[1]), sys.argv[2]
 cfg = parse_config("Omega = 5\\nG2 = 10\\ndelta_min = -80\\ndelta_max = 80\\n"
                    "delta_points = 100000\\nengine = both\\n"
                    + "".join(f"variant v{i}: G1 = {10 * i}\\n" for i in range(variants)))
-write_sweep(cfg, sys.argv[2])
+sink = Lines()
+write_sweep(cfg, sink if destination == "-" else destination)
 try:
     with open("/proc/self/status") as status:
-        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
 except OSError:
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(sink.count, peak)
 """
 
 
@@ -210,18 +225,33 @@ def _lines(path) -> int:
         return sum(chunk.count(b"\n") for chunk in iter(lambda: stream.read(1 << 20), b""))
 
 
-def test_peak_memory_does_not_grow_with_the_variant_count(tmp_path):
+def _peaks(tmp_path, file_like: bool) -> dict:
+    """The child's peak RSS by variant count, 1 and 4."""
     pytest.importorskip("resource")
     source_root = os.path.dirname(os.path.dirname(morsim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path]),
+           "TMPDIR": str(tmp_path)}
     peaks = {}
     for variants in (1, 4):
         out = tmp_path / f"sweep{variants}.csv"
-        result = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(variants), str(out)],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-                                check=False, timeout=300)
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(variants), "-" if file_like else str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False, timeout=300)
         assert result.returncode == 0, result.stderr.decode()
-        assert _lines(out) == 1 + 2 * 100_000 * variants
-        out.unlink()
-        peaks[variants] = int(result.stdout)
+        lines, peaks[variants] = map(int, result.stdout.split())
+        if not file_like:
+            lines = _lines(out)
+            out.unlink()
+        assert lines == 1 + 2 * 100_000 * variants
+    return peaks
+
+
+def test_peak_memory_does_not_grow_with_the_variant_count(tmp_path):
+    peaks = _peaks(tmp_path, file_like=False)
+    assert peaks[4] <= 1.1 * peaks[1], peaks
+
+
+def test_file_like_destination_memory_does_not_grow_with_the_variant_count(tmp_path):
+    # The sweep is spooled to a temporary file, not joined in memory.
+    peaks = _peaks(tmp_path, file_like=True)
     assert peaks[4] <= 1.1 * peaks[1], peaks

