@@ -12,11 +12,13 @@ numeric failures (including analytic-vs-numeric cross-validation).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import MorsimError, NumericError
+from .errors import EmitError, MorsimError, NumericError
 from .sweep import ENGINES, FORMATS, PRESET_NAMES, _read_config, preset, write_sweep
 
 
@@ -61,7 +63,13 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 
     if cfg.out_path is None or cfg.out_path == "-":
         # Spooled: stdout gets no byte unless the whole sweep passes.
-        write_sweep(cfg, sys.stdout.buffer)
+        try:
+            write_sweep(cfg, sys.stdout.buffer)
+        except EmitError:
+            # Drop what stdout could not take, so the flush at exit cannot fail again.
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
     else:
         rows = write_sweep(cfg, cfg.out_path)
         print(f"wrote {rows} rows to {cfg.out_path}")

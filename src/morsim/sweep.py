@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 import math
 import os
 import shutil
@@ -41,7 +40,8 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -178,6 +178,8 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
         raise ConfigError("config defines no variants")
     seen, merged = set(), []
     for variant in cfg.variants:
+        if not isinstance(variant.name, str):
+            raise ConfigError(f"variant name must be a str (got {variant.name!r})")
         if variant.name in seen:
             raise ConfigError(f"duplicate variant name {variant.name!r}")
         seen.add(variant.name)
@@ -284,7 +286,7 @@ def _read_config(text: str) -> SweepConfig:
         elif key in _GRID_KEYS:
             grid_values[key] = parsed
         else:
-            meta_values[key] = parsed.strip() if isinstance(parsed, str) else parsed
+            meta_values[key] = parsed
 
     default = SweepConfig()
     grid = DeltaGrid(
@@ -376,11 +378,7 @@ _BLOCK_ROWS = 1 << 13
 
 
 class _Columns(NamedTuple):
-    """Output rows as columns: names, the eight number columns, engines.
-
-    A number column is a float64 array, or a tuple when it holds values
-    of other types; ``variant`` and ``engine`` are lists.
-    """
+    """Output rows as columns: ``str`` lists of names and engines, float64 number arrays."""
 
     variant: list
     numbers: list
@@ -528,8 +526,7 @@ _MASK_BITS = 1 << np.arange(8)
 # JSON object template of one row, as json.dumps(..., indent=2) lays it out
 # inside the top-level array: strings pre-encoded, floats by float.__repr__.
 _JSON_ROW = "{\n    " + ",\n    ".join(
-    f"{json.encoder.encode_basestring_ascii(name)}: "
-    + ("%s" if name in ("variant", "engine") else "%r")
+    f"{encode_basestring_ascii(name)}: " + ("%s" if name in ("variant", "engine") else "%r")
     for name in CSV_HEADER
 ) + "\n  }"
 
@@ -542,36 +539,40 @@ def _chunks(columns: _Columns) -> Iterator[_Columns]:
                        columns.engine[start:stop])
 
 
-def _float_column(column: tuple) -> np.ndarray | tuple:
-    """``column`` as a float64 array if every value is a ``float``, else as is."""
-    if set(map(type, column)) == {float}:
-        return np.array(column)
-    return column
-
-
 def _row_columns(rows: list[OutputRow]) -> Iterator[_Columns]:
-    """``rows`` as columns, _CHUNK_ROWS rows at a time."""
+    """``rows`` as columns, _CHUNK_ROWS rows at a time.
+
+    Raises an EmitError naming the first value, in row order, that is
+    not a ``str`` name or a ``float`` number (subclasses included).
+    """
+    kinds = (str, *[float] * 8, str)
     for start in range(0, len(rows), _CHUNK_ROWS):
-        variant, *numbers, engine = zip(*rows[start:start + _CHUNK_ROWS])
-        yield _Columns(list(variant), list(map(_float_column, numbers)), list(engine))
+        columns = list(zip(*rows[start:start + _CHUNK_ROWS]))
+        bad = [next((i, j, v) for i, v in enumerate(column) if not issubclass(type(v), kind))
+               for j, (kind, column) in enumerate(zip(kinds, columns))
+               if not all(issubclass(t, kind) for t in set(map(type, column)))]
+        if bad:
+            i, j, value = min(bad, key=lambda b: b[:2])
+            raise EmitError(f"output row {start + i}: {CSV_HEADER[j]} must be a "
+                            f"{kinds[j].__name__}, got {value!r}")
+        variant, *numbers, engine = columns
+        yield _Columns(list(variant), list(np.array(numbers, dtype=np.float64)), list(engine))
 
 
-def _csv_precisions(column) -> np.ndarray:
+def _csv_precisions(column: np.ndarray) -> np.ndarray:
     """The "%.*f" precision that prints each value as _format_number does.
 
     The value rounded to 12 significant digits has decimal exponent
     ``e``; its digits end ``11 - e`` places after the point, and "%.*f"
     rounds the exact binary value half to even at that place, as the
     ``Decimal`` context does.  The precision is negative where that does
-    not hold or ``e`` is not certain: zero and nonfinite values, non-float
-    values, ``x * 2**17`` integral (the exact expansion may have 12
-    digits or fewer and print unpadded), values whose ``log10`` lies
-    within 1e-10 of an integer (rounding may carry into the next decade,
-    and ``floor(log10)`` may be off by one), and ``e >= 12`` (printed
-    with padding zeros before the point).
+    not hold or ``e`` is not certain: zero and nonfinite values,
+    ``x * 2**17`` integral (the exact expansion may have 12 digits or
+    fewer and print unpadded), values whose ``log10`` lies within 1e-10
+    of an integer (rounding may carry into the next decade, and
+    ``floor(log10)`` may be off by one), and ``e >= 12`` (printed with
+    padding zeros before the point).
     """
-    if not isinstance(column, np.ndarray):
-        return np.full(len(column), -1)
     with np.errstate(all="ignore"):
         magnitude = np.log10(np.abs(column))
         scaled = column * 2.0 ** 17
@@ -587,10 +588,6 @@ def _csv_field(value) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _as_list(column) -> list:
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
-
-
 def _csv_chunk(columns: _Columns) -> str:
     """CSV lines of ``columns``, each printed by one template of _CSV_ROWS.
 
@@ -601,15 +598,11 @@ def _csv_chunk(columns: _Columns) -> str:
     variant, numbers, engine = columns
     precision = np.stack([_csv_precisions(column) for column in numbers], axis=1)
     fallback = precision < 0
-    values = list(map(_as_list, numbers))
+    values = [column.tolist() for column in numbers]
     for i, j in zip(*np.nonzero(fallback)):
         values[j][i] = _format_number(values[j][i])
     precision[fallback] = 0
-    if set(map(type, variant + engine)) == {str}:
-        quote = {name: _csv_field(name) for name in {*variant, *engine}}.__getitem__
-    else:
-        # Equal values of other types (1, True, 1.0; 0.0, -0.0) print apart.
-        quote = _csv_field
+    quote = {name: _csv_field(name) for name in {*variant, *engine}}.__getitem__
     fields = [map(quote, variant)]
     for width_or_precision, column in zip(precision.T.tolist(), values):
         fields += (width_or_precision, column)
@@ -618,37 +611,14 @@ def _csv_chunk(columns: _Columns) -> str:
     return "".join(map(str.__mod__, templates, zip(*fields)))
 
 
-def _json_reference(columns: _Columns) -> str:
-    """``columns`` as json.dumps lays their rows out inside the top-level array."""
-    variant, numbers, engine = columns
-    payload = [dict(zip(CSV_HEADER, row))
-               for row in zip(variant, *map(_as_list, numbers), engine)]
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError:
-        # NaN and Infinity are not JSON; name the first one, as the CSV path does.
-        bad = next(value for row in payload for value in row.values()
-                   if isinstance(value, float) and not math.isfinite(value))
-        raise _nonfinite(bad) from None
-    return text[len("[\n  "):-len("\n]")]
-
-
 def _json_chunk(columns: _Columns) -> str:
-    """The array items of ``columns``, each printed by the _JSON_ROW template.
-
-    A chunk holding a value that is not a ``float`` (numbers) or a
-    ``str`` (names) goes to json.dumps instead.
-    """
+    """The array items of ``columns``, each printed by the _JSON_ROW template."""
     variant, numbers, engine = columns
-    if (not all(isinstance(column, np.ndarray) for column in numbers)
-            or set(map(type, variant + engine)) != {str}):
-        return _json_reference(columns)
     finite = np.isfinite(np.stack(numbers, axis=1))
     if not finite.all():
         i, j = divmod(int(np.argmin(finite)), len(numbers))
         raise _nonfinite(float(numbers[j][i]))
-    encoded = {name: json.encoder.encode_basestring_ascii(name)
-               for name in {*variant, *engine}}
+    encoded = {name: encode_basestring_ascii(name) for name in {*variant, *engine}}
     args = zip(map(encoded.__getitem__, variant), *(column.tolist() for column in numbers),
                map(encoded.__getitem__, engine))
     return ",\n  ".join(map(_JSON_ROW.__mod__, args))
@@ -671,11 +641,11 @@ def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
     yield b"\n]\n"
 
 
-def _write_path(destination, chunks: Iterable[bytes]) -> None:
-    """Write the concatenated ``chunks`` to the file named by ``destination``.
+def _replace_file(destination, old: os.stat_result | None, chunks: Iterable[bytes]) -> None:
+    """Replace the regular file ``destination`` (stat ``old``, None if it
+    does not exist yet) by the concatenated ``chunks``.
 
-    A regular file, or a path that does not exist yet, is replaced whole:
-    the chunks go to a temporary file beside it as they are produced,
+    The chunks go to a temporary file beside it as they are produced,
     which is renamed over it after the last, so a failed write, or an
     error raised while producing a chunk, leaves no partial file and an
     existing file keeps its old bytes.  The new file gets the mode (and,
@@ -683,20 +653,7 @@ def _write_path(destination, chunks: Iterable[bytes]) -> None:
     leave: an existing file's, else ``0o666`` less the umask.  A symbolic
     link is written through.  Being a new inode, the file is no longer
     shared with hard links to the old one.
-
-    Anything else that exists (a device such as ``/dev/null``, a FIFO,
-    ``/dev/stdout`` on a pipe) is written in place, as ``write_bytes``
-    does, from a spool (see _spooled): it is opened only once every
-    chunk has been produced.
     """
-    try:
-        old = os.stat(destination)
-    except FileNotFoundError:
-        old = None
-    if old is not None and not stat.S_ISREG(old.st_mode):
-        with _spooled(chunks) as spool, open(destination, "wb") as stream:
-            shutil.copyfileobj(spool, stream)
-        return
     target = os.path.realpath(destination)
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -720,35 +677,45 @@ def _write_path(destination, chunks: Iterable[bytes]) -> None:
         raise
 
 
-@contextlib.contextmanager
-def _spooled(chunks: Iterable[bytes]) -> Iterator[BinaryIO]:
-    """An anonymous temporary file holding the concatenated ``chunks``, rewound.
-
-    A destination copied from it gets no byte unless every chunk has been
-    produced, and the output is never held in memory whole.
-    """
-    with tempfile.TemporaryFile() as spool:
-        spool.writelines(chunks)
-        spool.seek(0)
-        yield spool
-
-
 def _write(chunks: Iterable[bytes], destination) -> None:
-    """Write ``chunks`` to a path (see _write_path) or a binary file-like
-    object, which gets them from a spool (see _spooled)."""
-    if hasattr(destination, "write"):
-        with _spooled(chunks) as spool:
-            shutil.copyfileobj(spool, destination)
-        return
+    """Write ``chunks`` to ``destination``, a path or a binary file-like object.
+
+    A path to a regular file, or one that does not exist yet, is replaced
+    whole (see _replace_file).  Anything else is written in place, as
+    ``Path.write_bytes`` does: a file-like object, or a device such as
+    ``/dev/null``, a FIFO or ``/dev/stdout`` on a pipe.  It gets the
+    chunks from an anonymous temporary file they are spooled into, so it
+    gets no byte unless every chunk has been produced (a path is opened
+    only then), and the output is never held in memory whole.  An
+    ``OSError`` is raised as an EmitError naming the destination.
+    """
+    file_like = hasattr(destination, "write")
     try:
-        _write_path(destination, chunks)
+        if not file_like:
+            old = None
+            with contextlib.suppress(FileNotFoundError):
+                old = os.stat(destination)
+            if old is None or stat.S_ISREG(old.st_mode):
+                _replace_file(destination, old, chunks)
+                return
+        with tempfile.TemporaryFile() as spool:
+            spool.writelines(chunks)
+            spool.seek(0)
+            with (contextlib.nullcontext(destination) if file_like
+                  else open(destination, "wb")) as stream:
+                shutil.copyfileobj(spool, stream)
+                # A buffered stream such as stdout fails here, not at exit.
+                getattr(stream, "flush", lambda: None)()
     except OSError as exc:
-        raise EmitError(f"cannot write {destination}: {exc}") from exc
+        name = getattr(destination, "name", "<stream>") if file_like else destination
+        raise EmitError(f"cannot write {name}: {exc}") from exc
 
 
 def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
     """Serialize rows and optionally write them out.
 
+    Names are ``str`` and numbers ``float`` (subclasses such as
+    ``numpy.float64`` included); any other value is an EmitError.
     ``destination`` may be None (return bytes only), a path, or a
     binary file-like object.  Output is deterministic byte-for-byte for
     identical rows.  A path to a regular file is replaced as a whole: if
@@ -760,7 +727,7 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
         raise EmitError("no rows to emit")
     if out_format not in FORMATS:
         raise EmitError(f"unknown output format {out_format!r}")
-    data = b"".join(_encode(_row_columns(rows), out_format))
+    data = b"".join(_encode(list(_row_columns(rows)), out_format))
     if destination is not None:
         _write([data], destination)
     return data

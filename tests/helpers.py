@@ -280,8 +280,20 @@ def reference_number(x) -> str:
     return format(_TWELVE_DIGITS.create_decimal(Decimal(x)), "f")
 
 
+def _check_types(rows) -> None:
+    """The EmitError for the first value, in row order, that is not a
+    ``str`` name or a ``float`` number, checked one field at a time."""
+    for i, row in enumerate(rows):
+        for name, value in zip(CSV_HEADER, row):
+            kind = str if name in ("variant", "engine") else float
+            if not isinstance(value, kind):
+                raise EmitError(f"output row {i}: {name} must be a {kind.__name__}, "
+                                f"got {value!r}")
+
+
 def reference_csv(rows) -> bytes:
     """Reference for ``emit(rows, "csv")``: csv.writer, one field at a time."""
+    _check_types(rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -294,6 +306,7 @@ def reference_csv(rows) -> bytes:
 
 def reference_json(rows) -> bytes:
     """Reference for ``emit(rows, "json")``: json.dumps of the row dicts."""
+    _check_types(rows)
     payload = [{name: getattr(row, name) for name in CSV_HEADER} for row in rows]
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)

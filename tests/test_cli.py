@@ -179,6 +179,27 @@ def test_nonfinite_sweep_is_numeric_failure(tmp_path, config, message):
     assert result.stdout == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_sweep_to_full_stdout_is_write_error(tmp_path, unbuffered):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(GOOD_CONFIG, encoding="utf-8")
+    source_root = os.path.dirname(os.path.dirname(morsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    # Buffered, the bytes that did not fit would be flushed again at exit.
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "morsim.cli", "sweep", "--config", str(cfg)],
+            stdout=full, stderr=subprocess.PIPE, env=env, check=False, timeout=60)
+    err = result.stderr.decode()
+    assert result.returncode == 1, err
+    assert err.startswith("error: cannot write <stdout>: [Errno 28] ")
+    assert err.count("\n") == 1, err
+
+
 def test_figure_writes_named_csv(tmp_path):
     out_dir = tmp_path / "figures"
     assert main(["figure", "fig3", "--out", str(out_dir)]) == 0

@@ -2,9 +2,10 @@
 
 The CSV and JSON writers print rows through templates; these tests hold
 them to the plain ``Decimal`` / ``csv.writer`` / ``json.dumps`` encoders
-they replaced, on drawn and on hostile values, and check that a path to
-a regular file is replaced whole or not at all, while a device or a FIFO
-is written in place.
+they replaced, on drawn and on hostile values, hold their type errors
+to a field-by-field check, and check that a path to a regular file is
+replaced whole or not at all, while a device or a FIFO is written in
+place.
 """
 
 import errno
@@ -17,6 +18,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,8 +38,13 @@ def _rows(values, variant="v", engine="analytic"):
 
 
 def _assert_same_bytes(rows):
-    assert emit(rows, "csv") == reference_csv(rows)
-    assert emit(rows, "json") == reference_json(rows)
+    # numpy scalars are str and float subclasses, written as their plain values.
+    numpy_rows = [OutputRow(np.str_(row.variant), *map(np.float64, row[1:-1]),
+                            np.str_(row.engine)) for row in rows]
+    for out_format, reference in (("csv", reference_csv), ("json", reference_json)):
+        expected = reference(rows)
+        assert emit(rows, out_format) == expected
+        assert emit(numpy_rows, out_format) == expected
 
 
 def _ulps(x: float, count: int):
@@ -114,28 +121,48 @@ def test_names_are_quoted_and_escaped_like_reference(name):
     _assert_same_bytes(_rows([0.1], variant=name) + _rows([0.2], variant="plain"))
 
 
-@pytest.mark.parametrize("variant, engine", [(1, True), (True, 1.0), (0.0, -0.0), (1, "1")])
-def test_non_str_names_match_reference(variant, engine):
-    # Equal names of different types (1 == True == 1.0, 0.0 == -0.0) keep
-    # the spelling csv.writer gives each.
-    _assert_same_bytes(_rows([0.1, 2.5], variant=variant, engine=engine))
-    _assert_same_bytes(_rows([0.1], variant=variant) + _rows([0.2], variant=engine))
-
-
-@pytest.mark.parametrize("value", [3, -7, 2 ** 60 + 1, 10 ** 17, True])
-def test_non_float_number_matches_reference(value):
-    rows = _rows([0.1, value, 0.3, value])
-    _assert_same_bytes(rows)
-
-
-def _assert_same_error(rows, out_format):
+def _assert_same_error(rows, out_format, destination=None):
     reference = reference_csv if out_format == "csv" else reference_json
     with pytest.raises(EmitError) as expected:
         reference(rows)
     with pytest.raises(EmitError) as actual:
-        emit(rows, out_format)
+        emit(rows, out_format, destination)
     assert str(actual.value) == str(expected.value)
     return str(actual.value)
+
+
+@pytest.mark.parametrize("variant, engine", [(1, True), (True, 1.0), (0.0, -0.0), (1, "1")])
+def test_non_str_names_match_reference(variant, engine, tmp_path):
+    # A name is a str: 1, True and 1.0 are equal, and none of them is a name.
+    for rows in (_rows([0.1, 2.5], variant=variant, engine=engine),
+                 _rows([0.1], variant=variant) + _rows([0.2], variant=engine)):
+        for out_format in ("csv", "json"):
+            target = tmp_path / f"out.{out_format}"
+            message = _assert_same_error(rows, out_format, target)
+            assert message == f"output row 0: variant must be a str, got {variant!r}"
+            assert not target.exists()
+
+
+@pytest.mark.parametrize("value", [3, -7, 2 ** 60 + 1, 10 ** 17, True])
+def test_non_float_number_matches_reference(value, tmp_path):
+    rows = _rows([0.1, value, 0.3, value])
+    for out_format in ("csv", "json"):
+        target = tmp_path / f"out.{out_format}"
+        message = _assert_same_error(rows, out_format, target)
+        assert message == f"output row 0: re_s_plus must be a float, got {value!r}"
+        assert not target.exists()
+
+
+def test_type_error_names_first_value_in_row_order():
+    # Row by row, then field by field: an engine before the next row's
+    # variant, across chunks, and before a nonfinite value in an earlier chunk.
+    rows = _rows([0.3] * (8 * (_CHUNK_ROWS + 2)))
+    rows[0] = rows[0]._replace(t_x=math.nan)
+    rows[_CHUNK_ROWS] = rows[_CHUNK_ROWS]._replace(engine=b"analytic")
+    rows[_CHUNK_ROWS + 1] = rows[_CHUNK_ROWS + 1]._replace(variant=None, delta=1)
+    for out_format in ("csv", "json"):
+        message = _assert_same_error(rows, out_format)
+        assert message == f"output row {_CHUNK_ROWS}: engine must be a str, got b'analytic'"
 
 
 @pytest.mark.parametrize("column", range(8))

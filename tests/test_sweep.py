@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -19,6 +21,7 @@ from morsim import (
     parse_config,
     preset,
     run_sweep,
+    write_sweep,
 )
 from morsim.sweep import MAX_DELTA_POINTS, validate_config
 
@@ -129,6 +132,17 @@ def test_duplicate_key_rejected():
 def test_duplicate_variant_name_rejected():
     with pytest.raises(ConfigError, match="duplicate variant"):
         parse_config("variant a: G1 = 1\nvariant a: G1 = 2\n")
+
+
+@pytest.mark.parametrize("name", [1, None, b"a"])
+def test_non_str_variant_name_rejected(tmp_path, name):
+    cfg = SweepConfig(delta_grid=DeltaGrid(-1.0, 1.0, 3), variants=(Variant(name),))
+    message = f"variant name must be a str (got {name!r})"
+    for run in (validate_config, run_sweep, lambda c: write_sweep(c, tmp_path / "out.csv")):
+        with pytest.raises(ConfigError) as error:
+            run(cfg)
+        assert str(error.value) == message
+    assert os.listdir(tmp_path) == []
 
 
 def test_invalid_merged_variant_rejected():
@@ -376,6 +390,23 @@ def test_emit_write_failure_names_destination(tmp_path):
     missing_dir = tmp_path / "nope" / "out.csv"
     with pytest.raises(EmitError, match="nope"):
         emit(rows, "csv", missing_dir)
+
+
+class _FullDevice:
+    """A file-like destination whose writes fail as on a full disk."""
+
+    name = "<full>"
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_file_like_write_failure_is_emit_error():
+    cfg = _tiny_config(variants=1, points=2)
+    with pytest.raises(EmitError, match=r"^cannot write <full>: .*No space left"):
+        emit(run_sweep(cfg), "csv", _FullDevice())
+    with pytest.raises(EmitError, match=r"^cannot write <full>: .*No space left"):
+        write_sweep(cfg, _FullDevice())
 
 
 def test_csv_numbers_use_plain_decimal_notation():
