@@ -1,22 +1,24 @@
 """Closed-form scaled susceptibilities of the driven four-level medium.
 
-For equal lower decay rates (gamma1 == gamma2 == gamma) the weak-probe
-response of each circular component has an exact rational form.  With
+The weak-probe response of each circular component has an exact
+rational form for any lower decay rates gamma1, gamma2.  With
 
-    d+  = gamma + i(delta + Omega)         sigma+ coherence factor
-    d-  = gamma + i(delta - Omega)         sigma- coherence factor
+    d+  = gamma1 + i(delta + Omega)        sigma+ coherence factor
+    d-  = gamma2 + i(delta - Omega)        sigma- coherence factor
     q   = Gamma1 + Gamma2 + i(Delta + delta)   two-photon coherence factor
 
 the pair is
 
-    s+ = i gamma [ |G2|^2 + d- q ] / ( |G2|^2 d+ + d- [ |G1|^2 + d+ q ] )
-    s- = i gamma [ |G1|^2 + d+ q ] / ( |G1|^2 d- + d+ [ |G2|^2 + d- q ] )
+    s+ = i gamma1 [ |G2|^2 + d- q ] / ( |G2|^2 d+ + d- [ |G1|^2 + d+ q ] )
+    s- = i gamma2 [ |G1|^2 + d+ q ] / ( |G1|^2 d- + d+ [ |G2|^2 + d- q ] )
 
-The grouping above is evaluated verbatim (no algebraic reshuffling) so
-the code can be audited term by term; the density-matrix engine in
-:mod:`morsim.lindblad` provides the independent numerical check.  The
-same expression serves one detuning (:func:`s_pair`) and a whole grid
-(:func:`s_pair_grid`), with identical results.
+It solves the first-order equations of rho_1g, rho_2g and rho_eg with
+one probe component driven.  The grouping above is evaluated verbatim
+(no algebraic reshuffling) so the code can be audited term by term; the
+density-matrix engine in :mod:`morsim.lindblad` provides the
+independent numerical check.  The same expression serves one detuning
+(:func:`s_pair`) and a whole grid (:func:`s_pair_grid`), with identical
+results.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .complexgrid import ComplexGrid, promote
 from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
                    param_rows, validate_params)
-from .errors import MorsimError, NumericError, ParameterError
+from .errors import MorsimError, NumericError
 
 __all__ = [
     "s_pair",
@@ -38,18 +40,6 @@ __all__ = [
 # Below this magnitude (gamma-scaled units) a response denominator is
 # treated as numerically degenerate rather than divided through.
 DENOMINATOR_GUARD = 1e-12
-
-
-def _unequal_gammas(p: SystemParams) -> ParameterError:
-    return ParameterError(
-        f"unequal gammas: closed forms hold only for gamma1 == gamma2 "
-        f"(got {p.gamma1} and {p.gamma2}); use the density-matrix engine"
-    )
-
-
-def _require_equal_gammas(p: SystemParams) -> None:
-    if p.gamma1 != p.gamma2:
-        raise _unequal_gammas(p)
 
 
 def _abs_squared(z):
@@ -73,14 +63,13 @@ def _closed_form(p, delta):
     same order.  On a float, raises ``OverflowError`` when ``|G|^2``
     exceeds the float range.
     """
-    gamma = promote(p.gamma1)
     g1_sq = _abs_squared(p.G1)
     g2_sq = _abs_squared(p.G2)
     d_plus, d_minus, q = detuning_factors(p, delta)
 
-    num_plus = 1j * gamma * (g2_sq + d_minus * q)
+    num_plus = 1j * promote(p.gamma1) * (g2_sq + d_minus * q)
     den_plus = g2_sq * d_plus + d_minus * (g1_sq + d_plus * q)
-    num_minus = 1j * gamma * (g1_sq + d_plus * q)
+    num_minus = 1j * promote(p.gamma2) * (g1_sq + d_plus * q)
     den_minus = g1_sq * d_minus + d_plus * (g2_sq + d_minus * q)
     return num_plus, den_plus, num_minus, den_minus
 
@@ -97,23 +86,22 @@ def _vanishing(abs_plus: float, abs_minus: float, p: SystemParams) -> NumericErr
 
 
 def s_pair(p: SystemParams) -> SusceptibilityPair:
-    """Closed-form (s+, s-) for equal lower decay rates.
+    """Closed-form (s+, s-) at ``p``, for any lower decay rates.
 
     Depends on the control amplitudes only through |G1|^2 and |G2|^2.
 
     Raises
     ------
     ParameterError
-        If ``p`` is invalid or ``gamma1 != gamma2``.
+        If ``p`` is invalid.
     NumericError
-        If either denominator magnitude falls below the guard; for
-        positive gamma this has not been observed, but a degenerate
-        denominator must surface as an error, not as a huge value.
-        Also if ``|G|^2`` or a denominator magnitude overflows, which
-        would otherwise surface as a nan.
+        If either denominator magnitude falls below the guard, which is
+        absolute: rates of order 1e-7 put the cubic denominators below
+        it.  A degenerate denominator must surface as an error, not as a
+        huge value.  Also if ``|G|^2`` or a denominator magnitude
+        overflows, which would otherwise surface as a nan.
     """
     validate_params(p)
-    _require_equal_gammas(p)
     try:
         num_plus, den_plus, num_minus, den_minus = _closed_form(p, p.delta)
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)
@@ -138,8 +126,8 @@ def s_pair_grid(
     each row's parameters and detuning bit for bit, and ``failure``,
     None or ``(i, error)`` with ``i`` the first row where :func:`s_pair`
     raises and ``error`` what it raises there.  Values from ``i`` on are
-    not defined.  What fails for a whole parameter set (unequal gammas,
-    an overflowing ``|G|^2``) fails at its first row.
+    not defined.  What fails for a whole parameter set (an overflowing
+    ``|G|^2``) fails at its first row.
     """
     p, delta = param_rows(p, deltas)
     with np.errstate(all="ignore"):
@@ -147,16 +135,12 @@ def s_pair_grid(
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)
         # An infinite |G|^2 makes every denominator of its rows infinite.
         unbounded = ~(np.isfinite(abs_plus) & np.isfinite(abs_minus))
-        unequal = p.gamma1 != p.gamma2
-        failing = (unequal | unbounded
-                   | (abs_plus < DENOMINATOR_GUARD) | (abs_minus < DENOMINATOR_GUARD))
+        failing = unbounded | (abs_plus < DENOMINATOR_GUARD) | (abs_minus < DENOMINATOR_GUARD)
         failure = None
         if failing.any():
             i = int(np.argmax(failing))
             at = p.at(i, float(delta.re[i]))
-            if unequal[i]:
-                error = _unequal_gammas(at)
-            elif unbounded[i]:
+            if unbounded[i]:
                 error = _overflow(at)
             else:
                 error = _vanishing(abs_plus[i], abs_minus[i], at)

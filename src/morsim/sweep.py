@@ -181,12 +181,12 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
         if not isinstance(variant.name, str):
             raise ConfigError(f"variant name must be a str (got {variant.name!r})")
         if variant.name in seen:
-            raise ConfigError(f"duplicate variant name {variant.name!r}")
+            raise ConfigError(f"duplicate variant name {str(variant.name)!r}")
         seen.add(variant.name)
         try:
             merged.append(validate_params(variant.apply(cfg.base)))
         except (MorsimError, TypeError) as exc:
-            raise ConfigError(f"variant {variant.name!r}: {exc}") from exc
+            raise ConfigError(f"variant {str(variant.name)!r}: {exc}") from exc
     return tuple(merged)
 
 
@@ -360,8 +360,12 @@ def preset(name: str) -> SweepConfig:
 
 
 def _at(name: str, delta: float, exc: MorsimError) -> MorsimError:
-    """``exc`` with the variant and the detuning where it occurred in front."""
-    return type(exc)(f"variant {name!r}, delta={delta}: {exc}")
+    """``exc`` with the variant and the detuning where it occurred in front.
+
+    A name is printed as ``str(name)``, as in its rows: a ``str``
+    subclass such as ``numpy.str_`` has a repr of its own.
+    """
+    return type(exc)(f"variant {str(name)!r}, delta={delta}: {exc}")
 
 
 def _rel_err_grid(a: ComplexGrid, b: ComplexGrid) -> np.ndarray:
@@ -462,7 +466,7 @@ def _blocks(cfg: SweepConfig, params: tuple[SystemParams, ...]) -> Iterator[_Col
         v, i = divmod(worst[1], len(deltas))
         raise CrossValidationError(
             f"analytic and numeric engines disagree: worst relative error "
-            f"{worst[0]:.3e} at variant {cfg.variants[v].name!r}, delta={float(deltas[i])} "
+            f"{worst[0]:.3e} at variant {str(cfg.variants[v].name)!r}, delta={float(deltas[i])} "
             f"(tolerance {CROSS_VALIDATION_TOL:.0e})"
         )
 

@@ -30,7 +30,7 @@ from morsim import (
     validate_params,
 )
 from morsim import lindblad
-from morsim.analytic import DENOMINATOR_GUARD, _require_equal_gammas
+from morsim.analytic import DENOMINATOR_GUARD
 from morsim.core import detuning_factors
 from morsim.sweep import OutputRow, validate_config
 
@@ -184,11 +184,10 @@ def s_plus_sigma_minus_control(p: SystemParams) -> complex:
     """s+ for a purely sigma- polarized control field (``G2 = 0``).
 
     Reference for ``s_pair(p).s_plus``: reduces to
-    ``i gamma q / (|G1|^2 + d+ q)``; for large |G1| its real and
-    imaginary parts develop the Autler-Townes doublet.
+    ``i gamma1 q / (|G1|^2 + d+ q)`` for any lower rates; for large |G1|
+    its real and imaginary parts develop the Autler-Townes doublet.
     """
     validate_params(p)
-    _require_equal_gammas(p)
     if p.G2 != 0:
         raise ParameterError(f"G2 nonzero: {p.G2} (sigma- control case requires G2 = 0)")
     gamma = p.gamma1
@@ -244,7 +243,7 @@ def scalar_sweep(cfg):
                                          p.alpha_l, "numeric"))
             except MorsimError as exc:
                 raise type(exc)(
-                    f"variant {variant.name!r}, delta={float(delta)}: {exc}"
+                    f"variant {str(variant.name)!r}, delta={float(delta)}: {exc}"
                 ) from exc
             if cfg.engine == "both":
                 err = max(rel_err(analytic_pair.s_plus, numeric_pair.s_plus),
@@ -254,7 +253,7 @@ def scalar_sweep(cfg):
     if worst is not None and worst[0] > sweep.CROSS_VALIDATION_TOL:
         raise CrossValidationError(
             f"analytic and numeric engines disagree: worst relative error "
-            f"{worst[0]:.3e} at variant {worst[1]!r}, delta={worst[2]} "
+            f"{worst[0]:.3e} at variant {str(worst[1])!r}, delta={worst[2]} "
             f"(tolerance {sweep.CROSS_VALIDATION_TOL:.0e})"
         )
     return rows

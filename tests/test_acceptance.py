@@ -54,9 +54,10 @@ def test_criterion_1_oracle_equivalence():
         for p in _preset_points(name):
             worst = max(worst, pair_rel_err(s_pair(p), probe_response_perturbative(p)))
     rng = np.random.default_rng(101)
-    for _ in range(1000):
-        p = random_params(rng, unit_big_gammas=True)
-        worst = max(worst, pair_rel_err(s_pair(p), probe_response_perturbative(p)))
+    for equal_gammas in (True, False):
+        for _ in range(1000):
+            p = random_params(rng, equal_gammas=equal_gammas, unit_big_gammas=True)
+            worst = max(worst, pair_rel_err(s_pair(p), probe_response_perturbative(p)))
     _report(
         "criterion 1: analytic and density-matrix responses agree to 1e-8",
         worst <= ORACLE_TOL,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import pair_rel_err, random_params, s_no_control, s_plus_sigma_minus_control
-from morsim import NumericError, ParameterError, SystemParams, s_pair
+from morsim import (NumericError, ParameterError, SystemParams, probe_response_perturbative,
+                    s_pair)
 
 
 def test_no_control_reduction_spot_values():
@@ -42,6 +43,13 @@ def test_swap_symmetry_is_exact():
         swapped = replace(p, G1=p.G2, G2=p.G1, Omega=-p.Omega)
         assert s_pair(p).s_plus == s_pair(swapped).s_minus
         assert s_pair(p).s_minus == s_pair(swapped).s_plus
+    # The full sublevel mirror also swaps the lower and upper rates.
+    for _ in range(300):
+        p = random_params(rng, equal_gammas=False)
+        mirrored = replace(p, gamma1=p.gamma2, gamma2=p.gamma1, Gamma1=p.Gamma2,
+                           Gamma2=p.Gamma1, G1=p.G2, G2=p.G1, Omega=-p.Omega)
+        assert s_pair(p).s_plus == s_pair(mirrored).s_minus
+        assert s_pair(p).s_minus == s_pair(mirrored).s_plus
 
 
 def test_no_control_line_center_absorption_peak():
@@ -86,11 +94,15 @@ def test_sigma_minus_form_rejects_sigma_plus_drive():
         s_plus_sigma_minus_control(SystemParams(G1=5.0, G2=1.0))
 
 
-def test_unequal_gammas_rejected():
-    with pytest.raises(ParameterError, match="unequal gammas"):
-        s_pair(SystemParams(gamma1=1.0, gamma2=2.0))
-    with pytest.raises(ParameterError, match="unequal gammas"):
-        s_plus_sigma_minus_control(SystemParams(gamma1=1.0, gamma2=2.0))
+def test_unequal_gammas_agree_with_density_matrix_engine():
+    # Each component carries its own rate: s+ is i gamma1 (...), s- is i gamma2 (...).
+    p = SystemParams(gamma1=1.0, gamma2=2.0)
+    assert pair_rel_err(s_pair(p), probe_response_perturbative(p)) < 1e-12
+    assert s_plus_sigma_minus_control(p) == pytest.approx(s_pair(p).s_plus, rel=1e-12)
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        p = random_params(rng, equal_gammas=False)
+        assert pair_rel_err(s_pair(p), probe_response_perturbative(p)) < 1e-12
 
 
 def test_degenerate_denominator_raises_instead_of_blowing_up():

@@ -14,7 +14,9 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import morsim
@@ -24,7 +26,6 @@ from morsim import (
     DeltaGrid,
     MorsimError,
     NumericError,
-    ParameterError,
     SweepConfig,
     SystemParams,
     Variant,
@@ -129,22 +130,32 @@ def test_cross_validation_reports_the_worst_point_of_the_sweep(monkeypatch, bloc
     outcomes = _outcomes(cfg)
     assert outcomes[0][0] is CrossValidationError
     assert outcomes[0] == outcomes[1] == outcomes[2]
+    # numpy.str_ names print as their rows do.
+    named = replace(cfg, variants=tuple(Variant(np.str_(v.name), v.overrides)
+                                        for v in cfg.variants))
+    assert _outcomes(named) == outcomes
 
 
 @pytest.mark.parametrize("block_rows", [3, 4, 5, 7])
-def test_unequal_gammas_fail_at_the_first_delta_of_their_variant(monkeypatch, block_rows):
-    monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+def test_a_whole_variant_fails_at_its_first_delta(monkeypatch, block_rows):
     cfg = SweepConfig(
         base=SystemParams(Omega=1.0, G1=5.0),
         delta_grid=DeltaGrid(-2.0, 2.0, 5),
         variants=(Variant("fine"), Variant("odd", {"gamma2": 2.0}), Variant("late")),
         engine="both",
     )
+    one_block = _written(cfg)
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+    # Unequal gammas are no failure: the rows do not depend on the blocks.
+    assert _written(cfg) == one_block == emit(scalar_sweep(cfg), "csv")
+    # An overflowing |G1|^2 fails its whole variant, which starts mid-block.
+    cfg = replace(cfg, variants=cfg.variants[:2] + (Variant("huge", {"G1": 1e200}),)
+                  + cfg.variants[2:])
     outcomes = _outcomes(cfg)
     assert outcomes[0] == outcomes[1] == outcomes[2]
     kind, message = outcomes[0]
-    assert kind is ParameterError
-    assert message.startswith("variant 'odd', delta=-2.0: unequal gammas")
+    assert kind is NumericError
+    assert message.startswith("variant 'huge', delta=-2.0: overflow in closed-form")
 
 
 LATE_FAILURE = """

@@ -54,6 +54,19 @@ def test_sweep_stdout_when_no_output_path(tmp_path, capsys):
     assert captured.startswith("variant,delta,")
 
 
+def test_unequal_gammas_are_cross_validated(tmp_path):
+    # The closed form holds for any lower rates, so --engine both runs.
+    cfg = tmp_path / "unequal.cfg"
+    cfg.write_text("gamma1 = 1\ngamma2 = 0.55\nengine = numeric\n" + GOOD_CONFIG,
+                   encoding="utf-8")
+    out = tmp_path / "rows.json"
+    assert main(["sweep", "--config", str(cfg), "--engine", "both",
+                 "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    assert len(rows) == 2 * 11
+    assert {row["engine"] for row in rows} == {"analytic", "numeric"}
+
+
 def test_missing_config_file_is_validation_error(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 1
 

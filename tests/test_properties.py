@@ -10,12 +10,11 @@ to respect by construction:
   nonnegative and ``t_x + t_y <= 1``.
 
 They are checked on ``probe_response_perturbative`` with unequal rates
-and on the rows ``run_sweep`` writes, for both engines where the closed
-form applies.  A third property ties the two density-matrix engines
-together: the finite-probe response converges on the weak-probe one as
-the square of the probe amplitude.  Near the closed form's denominator
-guard, a cross-validated sweep either agrees or names the point where
-it stops.
+and on the rows ``run_sweep`` writes, for both engines.  A third
+property ties the two density-matrix engines together: the finite-probe
+response converges on the weak-probe one as the square of the probe
+amplitude.  Near the closed form's denominator guard, a cross-validated
+sweep either agrees or names the point where it stops.
 """
 
 import math
@@ -82,8 +81,7 @@ def test_sweep_rows_are_mirrored_and_passive(seed, equal_gammas):
     p = random_params(np.random.default_rng(seed), equal_gammas=equal_gammas)
     variants = tuple(Variant(name, {key: getattr(q, key) for key in _PARAM_KEYS})
                      for name, q in (("p", p), ("mirror", _mirror(p))))
-    cfg = SweepConfig(delta_grid=DeltaGrid(-150.0, 150.0, 31), variants=variants,
-                      engine="both" if equal_gammas else "numeric")
+    cfg = SweepConfig(delta_grid=DeltaGrid(-150.0, 150.0, 31), variants=variants, engine="both")
     rows = run_sweep(cfg)
     for row in rows:
         assert row.im_s_plus >= 0 and row.im_s_minus >= 0

@@ -6,6 +6,7 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from morsim import (
@@ -13,6 +14,7 @@ from morsim import (
     CSV_HEADER,
     DeltaGrid,
     EmitError,
+    NumericError,
     OutputRow,
     SweepConfig,
     SystemParams,
@@ -132,6 +134,10 @@ def test_duplicate_key_rejected():
 def test_duplicate_variant_name_rejected():
     with pytest.raises(ConfigError, match="duplicate variant"):
         parse_config("variant a: G1 = 1\nvariant a: G1 = 2\n")
+    cfg = SweepConfig(variants=(Variant("a"), Variant(np.str_("a"))))
+    with pytest.raises(ConfigError) as error:
+        validate_config(cfg)
+    assert str(error.value) == "duplicate variant name 'a'"
 
 
 @pytest.mark.parametrize("name", [1, None, b"a"])
@@ -148,6 +154,10 @@ def test_non_str_variant_name_rejected(tmp_path, name):
 def test_invalid_merged_variant_rejected():
     with pytest.raises(ConfigError, match=r"variant 'bad'.*gamma1"):
         parse_config("variant bad: gamma1 = -1\n")
+    cfg = SweepConfig(variants=(Variant(np.str_("bad"), {"gamma1": -1.0}),))
+    with pytest.raises(ConfigError) as error:
+        validate_config(cfg)
+    assert str(error.value).startswith("variant 'bad': nonpositive gamma1")
 
 
 def test_replaced_base_or_variants_are_checked_again():
@@ -297,14 +307,17 @@ def test_isotropic_medium_has_dark_crossed_polarizer():
 
 
 def test_sweep_error_carries_variant_context():
-    cfg = SweepConfig(
-        base=SystemParams(gamma1=1.0, gamma2=2.0),
-        delta_grid=DeltaGrid(-1.0, 1.0, 3),
-        variants=(Variant("odd"),),
-        engine="analytic",
-    )
-    with pytest.raises(Exception, match=r"variant 'odd'.*delta"):
-        run_sweep(cfg)
+    # A numpy.str_ name prints as its rows do, not as np.str_('odd').
+    for name in ("odd", np.str_("odd")):
+        cfg = SweepConfig(
+            base=SystemParams(G1=1e200),
+            delta_grid=DeltaGrid(-1.0, 1.0, 3),
+            variants=(Variant(name),),
+            engine="analytic",
+        )
+        with pytest.raises(NumericError) as error:
+            run_sweep(cfg)
+        assert str(error.value).startswith("variant 'odd', delta=-1.0: overflow in closed-form")
 
 
 def test_emit_csv_header_and_shape():
