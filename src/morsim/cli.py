@@ -18,8 +18,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import EmitError, MorsimError, NumericError
-from .sweep import ENGINES, FORMATS, PRESET_NAMES, _read_config, preset, write_sweep
+from .errors import ConfigError, EmitError, MorsimError, NumericError
+from .sweep import (ENGINES, FORMATS, MAX_CONFIG_BYTES, PRESET_NAMES, _read_config, preset,
+                    write_sweep)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the engine selected in the config")
     sweep_cmd.add_argument("--format", choices=FORMATS, default=None, dest="out_format",
                            help="override the output format selected in the config")
-    sweep_cmd.add_argument("--out", default=None,
+    sweep_cmd.add_argument("--out", default=None, dest="out_path",
                            help="output path (default: config 'output', else stdout)")
 
     figure_cmd = sub.add_parser("figure", help="emit the data behind a built-in preset")
@@ -48,18 +49,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        with open(args.config, "rb") as stream:
+            data = stream.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config {args.config} is larger than {MAX_CONFIG_BYTES} bytes")
     # Variants are merged and checked once, by write_sweep.
-    cfg = _read_config(text)
-    if args.engine is not None:
-        cfg = replace(cfg, engine=args.engine)
-    if args.out_format is not None:
-        cfg = replace(cfg, out_format=args.out_format)
-    if args.out is not None:
-        cfg = replace(cfg, out_path=args.out)
+    options = {name: getattr(args, name) for name in ("engine", "out_format", "out_path")}
+    cfg = replace(_read_config(data.decode("utf-8")),
+                  **{name: value for name, value in options.items() if value is not None})
 
     if cfg.out_path is None or cfg.out_path == "-":
         # Spooled: stdout gets no byte unless the whole sweep passes.

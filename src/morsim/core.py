@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -75,11 +75,16 @@ class SystemParams:
 
     def __post_init__(self):
         # Normalize numeric types so equality and formatting behave.
-        for name in ("gamma1", "gamma2", "Gamma1", "Gamma2",
-                     "Omega", "Delta", "delta", "alpha_l"):
+        for name in _REAL_FIELDS:
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "G1", complex(self.G1))
-        object.__setattr__(self, "G2", complex(self.G2))
+        for name in _COMPLEX_FIELDS:
+            object.__setattr__(self, name, complex(getattr(self, name)))
+
+
+# SystemParams' fields by (string) annotation, and all but delta, in declared order.
+_REAL_FIELDS, _COMPLEX_FIELDS = (tuple(f.name for f in fields(SystemParams) if f.type == kind)
+                                 for kind in ("float", "complex"))
+_VARIANT_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "delta")
 
 
 class ParamColumns:
@@ -93,15 +98,14 @@ class ParamColumns:
     rows.  The parameter sets are taken as validated.
     """
 
-    _ROW_FIELDS = ("variant", "gamma1", "gamma2", "Gamma1", "Gamma2",
-                   "Omega", "Delta", "G1", "G2", "alpha_l")
+    _ROW_FIELDS = ("variant", *_VARIANT_FIELDS)
 
     def __init__(self, params: Sequence[SystemParams]):
         self.params = tuple(params)
         self.variant = np.arange(len(self.params))
         for name in self._ROW_FIELDS[1:]:
             column = np.array([getattr(q, name) for q in self.params])
-            if name in ("G1", "G2"):
+            if name in _COMPLEX_FIELDS:
                 column = ComplexGrid.from_numpy(column)
             setattr(self, name, column)
 
@@ -178,11 +182,10 @@ def validate_params(p: SystemParams) -> SystemParams:
     ParameterError
         Naming the first violated constraint.
     """
-    for name in ("gamma1", "gamma2", "Gamma1", "Gamma2",
-                 "Omega", "Delta", "delta", "alpha_l"):
+    for name in _REAL_FIELDS:
         if not math.isfinite(getattr(p, name)):
             raise ParameterError(f"nonfinite {name}: {getattr(p, name)!r}")
-    for name in ("G1", "G2"):
+    for name in _COMPLEX_FIELDS:
         if not _finite(getattr(p, name)):
             raise ParameterError(f"nonfinite {name}: {getattr(p, name)!r}")
     if p.gamma1 <= 0:

@@ -25,17 +25,19 @@ by the trace condition), exact to round-off and immune to the stiffness
 a time integrator would face at large control amplitudes.  Where each
 coefficient goes in ``L`` depends only on the table's keys, so it is
 worked out once, at import; the table writes 83 entries, each through
-one term.  The finite-probe engine :func:`probe_response_finite` evaluates
-the table once per point, splits it into the generators of the two
-circular probe components (their probe terms write disjoint entries),
-and solves both in one stacked ``(2, 16, 16)`` steady-state solve; a
-matrix gets the same bits alone as in a stack.  The weak-probe
-response is linear response around ``rho0 = |g><g|``: with
-``L = L0 + L1(g)`` the first-order state solves ``L0 rho1 = -L1 rho0``.
-At zero probe the rows of rho_1g, rho_2g and rho_eg close on those three
-coherences, so the first-order system is the table's 3x3 coherence
-block, driven by minus those rows' rho_gg column; only the three
-coherence rows are built for it, once for both probe components.
+one term.  The probe terms do not depend on the parameters, so at a
+real probe amplitude ``g`` the generator is ``L(0, 0) + g P``, with ``P``
+constant per circular probe component.  The finite-probe engine
+:func:`probe_response_finite` builds ``L(0, 0)`` once per point, adds
+``g P`` for each component, and solves both in one stacked
+``(2, 16, 16)`` steady-state solve; a matrix gets the same bits alone as
+in a stack.  The weak-probe response is linear response around
+``rho0 = |g><g|``: with ``L = L0 + L1(g)`` the first-order state solves
+``L0 rho1 = -L1 rho0``.  At zero probe the rows of rho_1g, rho_2g and
+rho_eg close on those three coherences, so the first-order system is the
+table's 3x3 coherence block, driven by minus those rows' rho_gg column;
+only the three coherence rows are built for it, once for both probe
+components.
 """
 
 from __future__ import annotations
@@ -206,29 +208,13 @@ def _equations_of_motion(p: SystemParams, g1: complex, g2: complex) -> dict:
     return rows
 
 
-def _probe_component(row: tuple, col: tuple) -> int:
-    """The probe half-amplitude a term of the table carries: 1 for g1
-    (on |g>-|1>), 2 for g2 (on |g>-|2>), 0 for none.
-
-    A drive term couples two elements that differ in one index, along
-    the driven transition; a decay term moves a population and changes
-    both indices, and a self term changes neither.
-    """
-    (a, b), (m, n) = row, col
-    if (a == m) == (b == n):
-        return 0
-    changed = {b, n} if a == m else {a, m}
-    return 1 if changed == {_M1, _G} else 2 if changed == {_M2, _G} else 0
-
-
-def _scatter_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scatter_plan() -> tuple[np.ndarray, np.ndarray]:
     """Where the coefficients of :func:`_coefficients` go in the generator.
 
-    Returns the flat 16x16 position of each coefficient, the terms that
-    get a Hermitian completion (those in off-diagonal rows), and the
-    probe component of each coefficient.  All three depend only on the
-    table's keys, which no parameter changes: the table is evaluated
-    here for its keys alone.
+    Returns the flat 16x16 position of each coefficient and the terms
+    that get a Hermitian completion (those in off-diagonal rows).  Both
+    depend only on the table's keys, which no parameter changes: the
+    table is evaluated here for its keys alone.
     """
     table = _equations_of_motion(SystemParams(), 0.0, 0.0)
     terms = [(row, col) for row, cols in table.items() for col in cols]
@@ -236,17 +222,10 @@ def _scatter_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Hermitian completion: d/dt rho_ba = conj(d/dt rho_ab).
     keys = terms + [((b, a), (n, m)) for (a, b), (m, n) in (terms[i] for i in mirrored)]
     positions = np.array([16 * (4 * a + b) + 4 * m + n for (a, b), (m, n) in keys])
-    probe = np.array([_probe_component(row, col) for row, col in keys])
-    return positions, np.array(mirrored), probe
+    return positions, np.array(mirrored)
 
 
-_POSITIONS, _MIRRORED, _PROBE = _scatter_plan()
-# The s+ generator drives g1 alone and the s- generator g2 alone.  From
-# one evaluation at g1 = g2 each takes every coefficient but those of
-# the other probe component, whose entries stay zero: no entry is
-# written by two terms, so the two sets are disjoint.
-_PAIR_TERMS = np.concatenate((np.flatnonzero(_PROBE != 2), np.flatnonzero(_PROBE != 1)))
-_PAIR_POSITIONS = np.concatenate((_POSITIONS[_PROBE != 2], 256 + _POSITIONS[_PROBE != 1]))
+_POSITIONS, _MIRRORED = _scatter_plan()
 
 
 def _coefficients(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
@@ -254,6 +233,14 @@ def _coefficients(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
     table = _equations_of_motion(p, g1, g2)
     values = np.array([c for terms in table.values() for c in terms.values()], dtype=complex)
     return np.concatenate((values, values[_MIRRORED].conj()))
+
+
+def _generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
+    """:func:`build_generator` for parameters already validated, writable."""
+    matrix = np.zeros(256, dtype=complex)
+    # Every entry is written once; adding to zero turns a -0.0 part into +0.0.
+    matrix[_POSITIONS] += _coefficients(p, complex(g1), complex(g2))
+    return matrix.reshape(16, 16)
 
 
 def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
@@ -266,21 +253,23 @@ def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
     indices, which preserves Hermiticity by construction.
     """
     validate_params(p)
-    matrix = np.zeros(256, dtype=complex)
-    # Every entry is written once; adding to zero turns a -0.0 part into +0.0.
-    matrix[_POSITIONS] += _coefficients(p, complex(g1), complex(g2))
-    matrix = matrix.reshape(16, 16)
+    matrix = _generator(p, g1, g2)
     matrix.flags.writeable = False
     return matrix
+
+
+# Per unit g1 and per unit g2: each probe term is +-i g or +-i g* and writes
+# an entry no other term writes, so L(g, 0) = L(0, 0) + g * _PROBE[0] for real g.
+_PROBE = np.stack([_generator(SystemParams(), *unit) - _generator(SystemParams(), 0.0, 0.0)
+                   for unit in ((1.0, 0.0), (0.0, 1.0))])
+_PROBE.flags.writeable = False
 
 
 def _generator_pair(p: SystemParams, g: float) -> np.ndarray:
     """The ``(2, 16, 16)`` stack of :func:`build_generator` at ``(g1, g2)``
     = ``(g, 0)`` and ``(0, g)``, for parameters already validated, with
     the bits of those two calls from one evaluation of the table."""
-    stack = np.zeros(512, dtype=complex)
-    stack[_PAIR_POSITIONS] += _coefficients(p, complex(g), complex(g))[_PAIR_TERMS]
-    return stack.reshape(2, 16, 16)
+    return _generator(p, 0.0, 0.0) + g * _PROBE
 
 
 # The trace condition that replaces the redundant ground-population row.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -41,13 +42,14 @@ from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
 from .analytic import s_pair_grid
 from .complexgrid import ComplexGrid
-from .core import ParamColumns, SystemParams, validate_params
+from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams,
+                   validate_params)
 from .errors import ConfigError, CrossValidationError, EmitError, MorsimError, NumericError
 from .lindblad import probe_response_perturbative_grid
 from .observables import observables_grid
@@ -65,6 +67,7 @@ __all__ = [
     "CSV_HEADER",
     "ENGINES",
     "MAX_DELTA_POINTS",
+    "MAX_CONFIG_BYTES",
     "FORMATS",
     "PRESET_NAMES",
 ]
@@ -72,9 +75,6 @@ __all__ = [
 ENGINES = ("analytic", "numeric", "both")
 FORMATS = ("csv", "json")
 PRESET_NAMES = ("fig2", "fig3", "fig4")
-
-CSV_HEADER = ("variant", "delta", "re_s_plus", "im_s_plus",
-              "re_s_minus", "im_s_minus", "t_y", "t_x", "theta_rad", "engine")
 
 # Maximum tolerated relative disagreement between the analytic and
 # numeric engines when running in cross-validation ("both") mode.
@@ -85,9 +85,9 @@ CROSS_VALIDATION_TOL = 1e-6
 # built, so an oversized config fails fast instead of exhausting memory.
 MAX_DELTA_POINTS = 100_000
 
-_PARAM_KEYS = ("gamma1", "gamma2", "Gamma1", "Gamma2",
-               "Omega", "Delta", "G1", "G2", "alpha_l")
-_COMPLEX_KEYS = ("G1", "G2")
+# Largest config file accepted (room for 10,000 variant lines); no more of it is read.
+MAX_CONFIG_BYTES = 1 << 20
+
 _GRID_KEYS = ("delta_min", "delta_max", "delta_points")
 _META_KEYS = ("engine", "format", "output")
 
@@ -142,7 +142,12 @@ class OutputRow(NamedTuple):
     engine: str
 
     def as_dict(self) -> dict:
-        return dict(zip(CSV_HEADER, self))
+        return self._asdict()
+
+
+# The output columns and the type of each, from OutputRow.
+CSV_HEADER = OutputRow._fields
+_KINDS = tuple(get_type_hints(OutputRow).values())
 
 
 def validate_config(cfg: SweepConfig) -> SweepConfig:
@@ -193,10 +198,10 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
 def _parse_value(key: str, text: str, line_no: int):
     text = text.strip()
     try:
-        if key in _COMPLEX_KEYS:
+        if key in _COMPLEX_FIELDS:
             return complex(text)
         if key != "delta_points":
-            if key in _GRID_KEYS or key in _PARAM_KEYS:
+            if key in _GRID_KEYS or key in _VARIANT_FIELDS:
                 return float(text)
             return text  # meta keys stay strings
         points = int(text)
@@ -265,7 +270,7 @@ def _read_config(text: str) -> SweepConfig:
                         )
                     key, value = item.split("=", 1)
                     key = key.strip()
-                    _check_key(key, _PARAM_KEYS, line_no)
+                    _check_key(key, _VARIANT_FIELDS, line_no)
                     if key in overrides:
                         raise ConfigError(f"duplicate override {key!r}", line=line_no)
                     overrides[key] = _parse_value(key, value, line_no)
@@ -276,12 +281,12 @@ def _read_config(text: str) -> SweepConfig:
             raise ConfigError(f"expected key = value, got {line!r}", line=line_no)
         key, value = line.split("=", 1)
         key = key.strip()
-        _check_key(key, _PARAM_KEYS + _GRID_KEYS + _META_KEYS, line_no)
+        _check_key(key, _VARIANT_FIELDS + _GRID_KEYS + _META_KEYS, line_no)
         if key in assigned:
             raise ConfigError(f"duplicate key {key!r}", line=line_no)
         assigned.add(key)
         parsed = _parse_value(key, value, line_no)
-        if key in _PARAM_KEYS:
+        if key in _VARIANT_FIELDS:
             base_values[key] = parsed
         elif key in _GRID_KEYS:
             grid_values[key] = parsed
@@ -530,8 +535,8 @@ _MASK_BITS = 1 << np.arange(8)
 # JSON object template of one row, as json.dumps(..., indent=2) lays it out
 # inside the top-level array: strings pre-encoded, floats by float.__repr__.
 _JSON_ROW = "{\n    " + ",\n    ".join(
-    f"{encode_basestring_ascii(name)}: " + ("%s" if name in ("variant", "engine") else "%r")
-    for name in CSV_HEADER
+    f"{encode_basestring_ascii(name)}: " + ("%s" if kind is str else "%r")
+    for name, kind in zip(CSV_HEADER, _KINDS)
 ) + "\n  }"
 
 
@@ -549,16 +554,15 @@ def _row_columns(rows: list[OutputRow]) -> Iterator[_Columns]:
     Raises an EmitError naming the first value, in row order, that is
     not a ``str`` name or a ``float`` number (subclasses included).
     """
-    kinds = (str, *[float] * 8, str)
     for start in range(0, len(rows), _CHUNK_ROWS):
         columns = list(zip(*rows[start:start + _CHUNK_ROWS]))
         bad = [next((i, j, v) for i, v in enumerate(column) if not issubclass(type(v), kind))
-               for j, (kind, column) in enumerate(zip(kinds, columns))
+               for j, (kind, column) in enumerate(zip(_KINDS, columns))
                if not all(issubclass(t, kind) for t in set(map(type, column)))]
         if bad:
             i, j, value = min(bad, key=lambda b: b[:2])
             raise EmitError(f"output row {start + i}: {CSV_HEADER[j]} must be a "
-                            f"{kinds[j].__name__}, got {value!r}")
+                            f"{_KINDS[j].__name__}, got {value!r}")
         variant, *numbers, engine = columns
         yield _Columns(list(variant), list(np.array(numbers, dtype=np.float64)), list(engine))
 
@@ -691,11 +695,15 @@ def _write(chunks: Iterable[bytes], destination) -> None:
     chunks from an anonymous temporary file they are spooled into, so it
     gets no byte unless every chunk has been produced (a path is opened
     only then), and the output is never held in memory whole.  An
-    ``OSError`` is raised as an EmitError naming the destination.
+    ``OSError`` is raised as an EmitError naming the destination; a
+    directory (``""`` is the working one) fails before any chunk is made.
     """
     file_like = hasattr(destination, "write")
     try:
         if not file_like:
+            if os.path.isdir(os.path.realpath(destination)):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        os.fspath(destination))
             old = None
             with contextlib.suppress(FileNotFoundError):
                 old = os.stat(destination)
@@ -747,10 +755,10 @@ def write_sweep(cfg: SweepConfig, destination) -> int:
     regular file, or a new one, is written block by block into a
     temporary file that replaces it only after the last block has passed
     cross-validation, so a failed sweep leaves no file and an existing
-    file keeps its old bytes; the destination is opened before the sweep
-    is evaluated.  A file-like object, or a device or FIFO, gets nothing
-    unless the sweep passes: the blocks are spooled into an anonymous
-    temporary file, which is then copied to it.
+    file keeps its old bytes; the destination is opened, or refused if it
+    is a directory, before the sweep is evaluated.  A file-like object, or
+    a device or FIFO, gets nothing unless the sweep passes: the blocks are
+    spooled into an anonymous temporary file, which is then copied to it.
     """
     blocks = _blocks(cfg, _variant_params(cfg))
     _write(_encode(blocks, cfg.out_format), destination)

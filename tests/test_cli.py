@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import morsim
 from morsim.cli import main
+from morsim.sweep import MAX_CONFIG_BYTES
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -71,6 +73,49 @@ def test_missing_config_file_is_validation_error(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 1
 
 
+def test_config_larger_than_the_bound_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    padding = MAX_CONFIG_BYTES - len(GOOD_CONFIG.encode())
+    cfg.write_text("#" * (padding - 1) + "\n" + GOOD_CONFIG, encoding="utf-8")
+    assert cfg.stat().st_size == MAX_CONFIG_BYTES
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
+    capsys.readouterr()
+    cfg.write_text("#" * padding + "\n" + GOOD_CONFIG, encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config {cfg} is larger than {MAX_CONFIG_BYTES} bytes\n"
+    assert captured.out == ""
+
+
+# Reads the config under an address-space limit of 256 MiB above the
+# interpreter's, so reading without a bound fails here instead of taking
+# the machine's memory.
+_BOUNDED_READ = """
+import resource, sys
+from morsim.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = size * 1024 + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["sweep", "--config", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/zero") and os.path.exists("/proc/self/status")),
+                    reason="no /dev/zero or /proc")
+def test_endless_config_is_validation_error_in_bounded_memory():
+    pytest.importorskip("resource")
+    source_root = os.path.dirname(os.path.dirname(morsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    result = subprocess.run([sys.executable, "-c", _BOUNDED_READ, "/dev/zero"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            check=False, timeout=60)
+    err = result.stderr.decode()
+    assert result.returncode == 1, err
+    assert err == f"error: config /dev/zero is larger than {MAX_CONFIG_BYTES} bytes\n"
+    assert result.stdout == b""
+
+
 def test_bad_config_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dopler = 1\n", encoding="utf-8")
@@ -113,6 +158,33 @@ def test_degenerate_parameters_are_numeric_failure(tmp_path, capsys):
     )
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "denominator" in capsys.readouterr().err
+
+
+def test_directory_destination_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # Evaluated, this sweep would fail with exit 2; the destination is refused first.
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(
+        "gamma1 = 1e-7\ngamma2 = 1e-7\nGamma1 = 5e-10\nGamma2 = 5e-10\n"
+        "delta_min = -1e-9\ndelta_max = 1e-9\ndelta_points = 2\n"
+        "engine = analytic\n",
+        encoding="utf-8",
+    )
+    refused = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: {refused}: '{tmp_path}'\n"
+    # An empty output path is the working directory.
+    with cfg.open("a", encoding="utf-8") as stream:
+        stream.write("output =\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write : {refused}: ''\n"
+    assert sorted(os.listdir(tmp_path)) == ["degenerate.cfg"]
+    assert not [name for name in os.listdir(tmp_path.parent) if name.endswith(".tmp")]
+    # A preset's path is refused the same way, before the preset is evaluated.
+    taken = tmp_path / "fig2.csv"
+    taken.mkdir()
+    assert main(["figure", "fig2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {taken}: {refused}: '{taken}'\n"
 
 
 def test_closed_form_overflow_is_numeric_failure(tmp_path, capsys):
