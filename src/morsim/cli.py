@@ -55,9 +55,16 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if len(data) > MAX_CONFIG_BYTES:
         raise ConfigError(f"config {args.config} is larger than {MAX_CONFIG_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the bad byte, as the parser's splitlines counts lines.
+        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ConfigError(f"config {args.config} is not UTF-8: {exc.reason} "
+                          f"at byte {exc.start}", line=line) from exc
     # Variants are merged and checked once, by write_sweep.
     options = {name: getattr(args, name) for name in ("engine", "out_format", "out_path")}
-    cfg = replace(_read_config(data.decode("utf-8")),
+    cfg = replace(_read_config(text),
                   **{name: value for name, value in options.items() if value is not None})
 
     if cfg.out_path is None or cfg.out_path == "-":

@@ -38,6 +38,13 @@ rho_eg close on those three coherences, so the first-order system is the
 table's 3x3 coherence block, driven by minus those rows' rho_gg column;
 only the three coherence rows are built for it, once for both probe
 components.
+
+Both routes check their solves by one rule (:func:`_solve`,
+:func:`_residuals`, :func:`_first_failure`): a stack is solved in one
+call, and re-solved matrix by matrix up to its first singular matrix
+only if that call fails; each residual must be at most ``RESIDUAL_TOL``
+times the Frobenius norm of its matrix; and the first failing matrix,
+in stack order, is reported with the first check it fails.
 """
 
 from __future__ import annotations
@@ -87,7 +94,9 @@ class DensityMatrix:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ParameterError(f"density matrix must be 4x4, got {rho.shape}")
-        _first_failure(_state_checks(rho[np.newaxis]))
+        failure = _first_failure(_state_checks(rho[np.newaxis]))
+        if failure:
+            raise failure[1]
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
@@ -100,17 +109,19 @@ class DensityMatrix:
         return complex(self.rho[upper, lower])
 
 
-def _first_failure(checks: list) -> None:
-    """Raise for the first matrix of a stack that fails one of ``checks``.
+def _first_failure(checks: list) -> tuple[int, Exception] | None:
+    """The first matrix of a stack that fails one of ``checks``, as
+    ``(i, error)``, or None if every matrix passes.
 
     ``checks`` holds ``(passes, error)`` pairs in check order: ``passes``
     has one boolean per matrix, and ``error(i)`` is the exception for
     matrix ``i``.  The first check that matrix fails wins.
     """
     passes = np.array([ok for ok, _ in checks])
-    if not passes.all():
-        i = int(np.argmin(passes.all(axis=0)))
-        raise checks[int(np.argmin(passes[:, i]))][1](i)
+    if passes.all():
+        return None
+    i = int(np.argmin(passes.all(axis=0)))
+    return i, checks[int(np.argmin(passes[:, i]))][1](i)
 
 
 def _state_checks(rho: np.ndarray) -> list:
@@ -280,58 +291,83 @@ _UNIT_TRACE[_GG_ROW] = 1.0
 _UNIT_TRACE.flags.writeable = False
 
 
-def _solve_states(L: np.ndarray) -> np.ndarray:
-    """Stationary states of a ``(k, 16, 16)`` stack of generators, unchecked.
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes; a matrix gets the same bits
+    alone as inside a stack, which ``np.linalg.norm`` does not promise."""
+    x = m.view(float)
+    return np.sqrt((x * x).sum(axis=(-2, -1)))
+
+
+def _solve(a: np.ndarray, b: np.ndarray, error) -> tuple[np.ndarray, list]:
+    """Solve each matrix of the stack ``a`` against ``b`` in one call.
+
+    Returns the solutions and the solvability check as
+    :func:`_first_failure` takes it, with ``error(i)`` for a singular
+    matrix ``i``: no check if the stacked solve succeeds.  Otherwise the
+    matrices are solved one by one up to the first singular one, and the
+    solutions from it on are nan.  A matrix gets the same bits alone as
+    inside a stack.
+    """
+    try:
+        return np.linalg.solve(a, b), []
+    except np.linalg.LinAlgError:
+        # The stacked solve does not say which matrix is singular.
+        x = np.full(a.shape[:-1] + b.shape[1:], np.nan, dtype=complex)
+        solved = np.zeros(len(a), dtype=bool)
+        for i, matrix in enumerate(a):
+            try:
+                x[i] = np.linalg.solve(matrix, b)
+            except np.linalg.LinAlgError:
+                break
+            solved[i] = True
+        return x, [(solved, error)]
+
+
+def _residuals(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The norm of each residual ``r`` of a solve of the stack ``a``, its
+    bound ``RESIDUAL_TOL * ||a||``, and whether it passes.
+
+    A residual passes only if it is at most a finite bound, so a nan
+    residual fails, and so does any residual once the bound overflows.
+    Run it, and the forming of ``r``, with NumPy's floating-point errors
+    ignored.
+    """
+    residual = _frobenius(r)
+    # A caller's ``r`` is a temporary that only this frame holds: freed
+    # here, it does not add to the peak memory of the bound's square.
+    del r
+    bound = RESIDUAL_TOL * _frobenius(a)
+    return residual, bound, (residual <= bound) & (bound < np.inf)
+
+
+def _steady_states(L: np.ndarray, check_states: bool = True
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stationary states of a ``(k, 16, 16)`` stack of generators, with
+    the residual and the bound of each.
 
     Each generator's redundant ground-population row is replaced by the
     unit-trace condition, and the ``k`` systems are solved in one call.
     The raw solutions carry a round-off-scale non-Hermitian component,
-    which is projected out.  Returns the ``(k, 4, 4)`` states; a matrix
-    gets the same bits alone as inside a stack.  Raises only for a
-    singular solve, with the error :func:`_steady_states` raises.
+    which is projected out.  Raises for the first matrix, in stack order,
+    whose solve is singular, whose residual is not within a finite bound,
+    or (with ``check_states``) whose state fails a :class:`DensityMatrix`
+    check, with the error :func:`steady_state` raises for it.
     """
     constrained = L.copy()
     constrained[:, _GG_ROW] = 0.0
     constrained[:, _GG_ROW, _TRACE_COLUMNS] = 1.0
-    try:
-        vec = np.linalg.solve(constrained, _UNIT_TRACE)
-    except np.linalg.LinAlgError as exc:
-        # The stacked solve does not say which matrix is singular.  Those
-        # before the last, one by one, raise the first failure among
-        # them; if none fails, the last one is singular.
-        for one in L[:-1]:
-            _steady_states(one[np.newaxis])
-        raise SingularSystemError(f"steady-state solve failed: {exc}") from exc
+    vec, checks = _solve(constrained, _UNIT_TRACE, lambda i: SingularSystemError(
+        "steady-state solve failed: Singular matrix"))
     rho = vec.reshape(-1, 4, 4)
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-
-
-def _residual_check(L: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The residual ``||L rho||`` of each state of a stack, its bound
-    ``RESIDUAL_TOL * ||L||``, and the check as :func:`_first_failure`
-    takes it.  Run it with NumPy's floating-point errors ignored."""
-    residual = _frobenius(L @ rho.reshape(-1, 16, 1))
-    bound = RESIDUAL_TOL * _frobenius(L)
-    # Fails on a nan residual, and on a bound that overflows to inf.
-    within = (residual <= bound) & (bound < np.inf)
-    return residual, bound, (within, lambda i: SingularSystemError(
-        f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} "
-        f"* ||L|| = {bound[i]:.3e}"))
-
-
-def _steady_states(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The states of :func:`_solve_states`, checked, with the residual
-    and the bound of each.
-
-    Raises for the first matrix, in stack order, whose solve is
-    singular, whose residual is not within a finite bound, or whose
-    state fails a :class:`DensityMatrix` check, with the error
-    :func:`steady_state` raises for it.
-    """
-    rho = _solve_states(L)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     with np.errstate(all="ignore"):
-        residual, bound, within = _residual_check(L, rho)
-        _first_failure([within, *_state_checks(rho)])
+        residual, bound, within = _residuals(L, L @ rho.reshape(-1, 16, 1))
+        checks.append((within, lambda i: SingularSystemError(
+            f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} "
+            f"* ||L|| = {bound[i]:.3e}")))
+        failure = _first_failure(checks + (_state_checks(rho) if check_states else []))
+    if failure:
+        raise failure[1]
     return rho, residual, bound
 
 
@@ -350,51 +386,28 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     L = np.ascontiguousarray(generator, dtype=complex)
     if L.shape != (16, 16):
         raise ParameterError(f"generator must be 16x16, got {L.shape}")
-    L = L[np.newaxis]
-    rho = _solve_states(L)
-    with np.errstate(all="ignore"):
-        _first_failure([_residual_check(L, rho)[2]])
+    rho, _, _ = _steady_states(L[np.newaxis], check_states=False)
     return DensityMatrix(rho=rho[0])
 
 
-def _first_order_system(p, factors, probe_amplitude: float):
+def _first_order_system(p, factors):
     """``(L0, -L1 rho0)`` of the first-order system, read off the coherence rows.
 
     Returns the coefficient block over (rho_1g, rho_2g, rho_eg) as
     nested lists and the ``(3, 2)`` drive, one column per circular probe
-    component driven alone.  The rows are built once, with both probe
-    components on: the probe enters them only outside their own columns,
-    so the block does not depend on it, and component ``j`` drives only
-    the rho_gg entry of coherence row ``j``.  The other drive entries
-    are +0.0.
+    component driven alone at unit amplitude.  The rows are built once,
+    with both probe components on: the probe enters them only outside
+    their own columns, so the block does not depend on it, and component
+    ``j`` drives only the rho_gg entry of coherence row ``j``.  The other
+    drive entries are +0.0.
     """
-    rows = _coherence_rows(p, factors, probe_amplitude, probe_amplitude)
+    rows = _coherence_rows(p, factors, 1.0, 1.0)
     block = [[row.get(col, 0.0) for col in _COHERENCES] for row in rows.values()]
     drive = np.zeros((3, 2), dtype=complex)
     for j, coherence in enumerate(_COHERENCES[:2]):
         # 0 - x rather than -x keeps the zero part of the drive at +0.0.
         drive[j, j] = 0.0 - rows[coherence][_GG]
     return block, drive
-
-
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the last two axes; a matrix gets the same bits
-    alone as inside a stack, which ``np.linalg.norm`` does not promise."""
-    x = m.view(float)
-    return np.sqrt((x * x).sum(axis=(-2, -1)))
-
-
-def _residuals(coeffs: np.ndarray, sol: np.ndarray, rhs: np.ndarray,
-               probe_amplitude: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual of each first-order solve, its bound, and whether it fails.
-
-    A residual passes only if it is at most a finite bound, so a nan
-    residual fails, and so does any residual once the bound overflows.
-    """
-    with np.errstate(all="ignore"):
-        residual = _frobenius(coeffs @ sol - rhs)
-        bound = RESIDUAL_TOL * _frobenius(coeffs) * probe_amplitude
-    return residual, bound, ~((residual <= bound) & (bound < np.inf))
 
 
 def _where(p: SystemParams, delta: float) -> str:
@@ -412,9 +425,7 @@ def _residual_error(residual: float, bound: float, p: SystemParams,
     return SingularSystemError(f"first-order solve {what} at {_where(p, delta)}")
 
 
-def probe_response_perturbative(
-    p: SystemParams, probe_amplitude: float = 1.0
-) -> SusceptibilityPair:
+def probe_response_perturbative(p: SystemParams) -> SusceptibilityPair:
     """Weak-probe (s+, s-) from the first-order coherence equations.
 
     To lowest order in the probe the populations stay at the zero-probe
@@ -425,24 +436,20 @@ def probe_response_perturbative(
     diagonal response per component: s+ is rho_1g per unit g1 (times
     gamma1), s- is rho_2g per unit g2 (times gamma2).  Supports
     gamma1 != gamma2.
-
-    ``probe_amplitude`` rescales the drives; by linearity
-    it must not change the result (exposed for exactly that check).
     """
     validate_params(p)
-    if not (probe_amplitude > 0):
-        raise ParameterError(f"nonpositive probe amplitude: {probe_amplitude}")
-    block, rhs = _first_order_system(p, detuning_factors(p, p.delta), probe_amplitude)
+    block, rhs = _first_order_system(p, detuning_factors(p, p.delta))
     coeffs = np.array(block, dtype=complex)
     try:
         sol = np.linalg.solve(coeffs, rhs)
     except np.linalg.LinAlgError as exc:
         raise _singular_error(p, p.delta) from exc
-    residual, bound, failing = _residuals(coeffs, sol, rhs, probe_amplitude)
-    if failing:
+    with np.errstate(all="ignore"):
+        residual, bound, within = _residuals(coeffs, coeffs @ sol - rhs)
+    if not within:
         raise _residual_error(residual, bound, p, p.delta)
-    s_plus = p.gamma1 * complex(sol[0, 0]) / probe_amplitude
-    s_minus = p.gamma2 * complex(sol[1, 1]) / probe_amplitude
+    s_plus = p.gamma1 * complex(sol[0, 0])
+    s_minus = p.gamma2 * complex(sol[1, 1])
     return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)
 
 
@@ -462,7 +469,7 @@ def probe_response_perturbative_grid(
     Values from ``i`` on are not defined.
     """
     p, delta = param_rows(p, deltas)
-    block, rhs = _first_order_system(p, detuning_factors(p, delta), 1.0)
+    block, rhs = _first_order_system(p, detuning_factors(p, delta))
     coeffs = np.empty((len(delta.re), 3, 3), dtype=complex)
     for i, row in enumerate(block):
         for j, entry in enumerate(row):
@@ -470,33 +477,18 @@ def probe_response_perturbative_grid(
                 coeffs.real[:, i, j], coeffs.imag[:, i, j] = entry.re, entry.im
             else:
                 coeffs[:, i, j] = entry
-    failure = None
-    try:
-        sol = np.linalg.solve(coeffs, rhs)
-    except np.linalg.LinAlgError:
-        # The stacked solve does not say which matrix is singular: solve
-        # them one by one up to the first that is, leaving nan after it.
-        sol = np.full((len(coeffs), 3, 2), np.nan, dtype=complex)
-        for i, matrix in enumerate(coeffs):
-            try:
-                sol[i] = np.linalg.solve(matrix, rhs)
-            except np.linalg.LinAlgError:
-                d = float(delta.re[i])
-                failure = (i, _singular_error(p.at(i, d), d))
-                break
-    residual, bound, failing = _residuals(coeffs, sol, rhs, 1.0)
-    if failing.any():
-        i = int(np.argmax(failing))
-        # From a singular matrix on, the nan solutions fail their residuals too.
-        if failure is None or i < failure[0]:
-            d = float(delta.re[i])
-            failure = (i, _residual_error(residual[i], bound[i], p.at(i, d), d))
-    # The scalar's division by the unit probe amplitude can flip the sign
-    # of a zero, so it is kept.
+
+    def at(i: int) -> tuple[SystemParams, float]:
+        d = float(delta.re[i])
+        return p.at(i, d), d
+
+    sol, checks = _solve(coeffs, rhs, lambda i: _singular_error(*at(i)))
     with np.errstate(all="ignore"):
-        s_plus = p.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0]) / 1.0
-        s_minus = p.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1]) / 1.0
-    return s_plus, s_minus, failure
+        residual, bound, within = _residuals(coeffs, coeffs @ sol - rhs)
+        s_plus = p.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0])
+        s_minus = p.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1])
+    checks.append((within, lambda i: _residual_error(residual[i], bound[i], *at(i))))
+    return s_plus, s_minus, _first_failure(checks)
 
 
 def probe_response_finite(p: SystemParams, g_mag: float) -> SusceptibilityPair:

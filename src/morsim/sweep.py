@@ -173,6 +173,8 @@ def _check_settings(cfg: SweepConfig) -> None:
         raise ConfigError(f"engine must be one of {'|'.join(ENGINES)} (got {cfg.engine!r})")
     if cfg.out_format not in FORMATS:
         raise ConfigError(f"format must be one of {'|'.join(FORMATS)} (got {cfg.out_format!r})")
+    if cfg.out_path == "":
+        raise ConfigError("output path is empty")
 
 
 def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
@@ -197,6 +199,8 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
 
 def _parse_value(key: str, text: str, line_no: int):
     text = text.strip()
+    if key == "output" and not text:
+        raise ConfigError("output path is empty", line=line_no)
     try:
         if key in _COMPLEX_FIELDS:
             return complex(text)

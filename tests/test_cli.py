@@ -116,6 +116,16 @@ def test_endless_config_is_validation_error_in_bounded_memory():
     assert result.stdout == b""
 
 
+def test_config_that_is_not_utf8_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"Omega = 5\n\xff = 1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert str(cfg) in err
+    assert err.count("\n") == 1
+
+
 def test_bad_config_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dopler = 1\n", encoding="utf-8")
@@ -172,12 +182,14 @@ def test_directory_destination_fails_before_the_sweep(tmp_path, capsys, monkeypa
     refused = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: cannot write {tmp_path}: {refused}: '{tmp_path}'\n"
-    # An empty output path is the working directory.
+    # An empty output path is refused as such, from the config with its line.
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: output path is empty\n"
     with cfg.open("a", encoding="utf-8") as stream:
         stream.write("output =\n")
-    monkeypatch.chdir(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"error: cannot write : {refused}: ''\n"
+    assert capsys.readouterr().err == "error: line 9: output path is empty\n"
     assert sorted(os.listdir(tmp_path)) == ["degenerate.cfg"]
     assert not [name for name in os.listdir(tmp_path.parent) if name.endswith(".tmp")]
     # A preset's path is refused the same way, before the preset is evaluated.

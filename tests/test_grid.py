@@ -35,6 +35,7 @@ from morsim import (
 from morsim import lindblad, sweep
 from morsim.analytic import s_pair_grid
 from morsim.complexgrid import ComplexGrid
+from morsim.core import ParamColumns
 from morsim.lindblad import probe_response_perturbative_grid
 from morsim.observables import observables_grid
 
@@ -225,6 +226,37 @@ def test_singular_stack_error_matches_scalar_loop(g, failure):
     )
     _assert_same_error(cfg)
     assert _outcome(run_sweep, cfg)[1].startswith(f"variant 'base', {failure}")
+
+
+# Rates at the bottom of the float range: the first-order system of the
+# first is singular at delta = 0 only, and the residual bound of the second
+# overflows (see test_singular_stack_error_matches_scalar_loop).
+_TINY_RATES = {"gamma1": 5e-324, "gamma2": 5e-324, "Gamma1": 0.0, "Gamma2": 1e-300,
+               "Omega": 5.0}
+_SINGULAR_AT_ZERO = SystemParams(**_TINY_RATES, G1=1e153, G2=1e153)
+_OVERFLOWING_BOUND = SystemParams(**_TINY_RATES, G1=1e154, G2=1e154)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([(SystemParams(), 0.0), (_SINGULAR_AT_ZERO, 0.0), (_OVERFLOWING_BOUND, -5.0),
+      (SystemParams(), 1.0)], "first-order coherence system singular"),
+    ([(SystemParams(), 0.0), (_OVERFLOWING_BOUND, -5.0), (_SINGULAR_AT_ZERO, 0.0),
+      (SystemParams(), 1.0)], "first-order solve residual bound overflows"),
+], ids=["singular_first", "residual_first"])
+def test_first_order_grid_failure_order_is_the_scalar_loops(rows, expected):
+    # Each stack holds a singular matrix, so it is re-solved matrix by matrix.
+    params, deltas = zip(*rows)
+    columns = ParamColumns(params)
+    scalar = None
+    for i, delta in enumerate(deltas):
+        try:
+            probe_response_perturbative(columns.at(i, delta))
+        except MorsimError as exc:
+            scalar = (i, type(exc), str(exc))
+            break
+    *_, (i, error) = probe_response_perturbative_grid(columns, deltas)
+    assert (i, type(error), str(error)) == scalar
+    assert i == 1 and str(error).startswith(expected)
 
 
 def _fake_engine(label, check=None, nonfinite=None):

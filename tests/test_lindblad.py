@@ -150,13 +150,6 @@ def test_perturbative_matches_closed_form_on_strong_control_grid():
         assert pair_rel_err(s_pair(p), probe_response_perturbative(p)) <= 1e-8
 
 
-def test_perturbative_is_probe_normalization_invariant():
-    p = replace(FIG3_BASE, delta=2.5, G2=3.0)
-    one = probe_response_perturbative(p, probe_amplitude=1.0)
-    two = probe_response_perturbative(p, probe_amplitude=2.0)
-    assert pair_rel_err(one, two) < 1e-13
-
-
 def test_finite_probe_agrees_with_perturbative_at_small_amplitude():
     p = replace(FIG3_BASE, delta=0.3)
     weak = probe_response_finite(p, 1e-4)
