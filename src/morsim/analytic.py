@@ -16,9 +16,9 @@ It solves the first-order equations of rho_1g, rho_2g and rho_eg with
 one probe component driven.  The grouping above is evaluated verbatim
 (no algebraic reshuffling) so the code can be audited term by term; the
 density-matrix engine in :mod:`morsim.lindblad` provides the
-independent numerical check.  The same expression serves one detuning
-(:func:`s_pair`) and a whole grid (:func:`s_pair_grid`), with identical
-results.
+independent numerical check.  The same expression serves one parameter
+set (:func:`s_pair`) and many rows of them (:func:`s_pair_grid`), with
+identical results.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .complexgrid import ComplexGrid, promote
 from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
-                   param_rows, validate_params)
+                   validate_params)
 from .errors import MorsimError, NumericError
 
 __all__ = [
@@ -54,18 +54,17 @@ def _abs_squared(z):
     return magnitude ** 2
 
 
-def _closed_form(p, delta):
-    """``(num+, den+, num-, den-)`` at detuning ``delta``, grouped as in
-    the module docstring.
+def _closed_form(p):
+    """``(num+, den+, num-, den-)`` at ``p``, grouped as in the module
+    docstring.
 
-    ``p`` and ``delta`` are a SystemParams and a float, or ParamColumns
-    and a :class:`ComplexGrid`; both evaluate the same operations in the
-    same order.  On a float, raises ``OverflowError`` when ``|G|^2``
-    exceeds the float range.
+    ``p`` is a SystemParams or ParamColumns; both evaluate the same
+    operations in the same order.  On a SystemParams, raises
+    ``OverflowError`` when ``|G|^2`` exceeds the float range.
     """
     g1_sq = _abs_squared(p.G1)
     g2_sq = _abs_squared(p.G2)
-    d_plus, d_minus, q = detuning_factors(p, delta)
+    d_plus, d_minus, q = detuning_factors(p)
 
     num_plus = 1j * promote(p.gamma1) * (g2_sq + d_minus * q)
     den_plus = g2_sq * d_plus + d_minus * (g1_sq + d_plus * q)
@@ -103,7 +102,7 @@ def s_pair(p: SystemParams) -> SusceptibilityPair:
     """
     validate_params(p)
     try:
-        num_plus, den_plus, num_minus, den_minus = _closed_form(p, p.delta)
+        num_plus, den_plus, num_minus, den_minus = _closed_form(p)
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)
     except OverflowError as exc:
         raise _overflow(p) from exc
@@ -116,22 +115,19 @@ def s_pair(p: SystemParams) -> SusceptibilityPair:
 
 
 def s_pair_grid(
-    p: SystemParams | ParamColumns, deltas
+    rows: ParamColumns,
 ) -> tuple[ComplexGrid, ComplexGrid, tuple[int, MorsimError] | None]:
-    """:func:`s_pair` at every probe detuning in ``deltas`` at once.
+    """:func:`s_pair` on every row of ``rows`` at once.
 
-    ``p`` is a SystemParams, validated here (its ``delta`` is not used),
-    or ParamColumns holding one row per detuning.  Returns ``(s+, s-,
-    failure)``: two grids whose values equal those of :func:`s_pair` at
-    each row's parameters and detuning bit for bit, and ``failure``,
-    None or ``(i, error)`` with ``i`` the first row where :func:`s_pair`
-    raises and ``error`` what it raises there.  Values from ``i`` on are
-    not defined.  What fails for a whole parameter set (an overflowing
-    ``|G|^2``) fails at its first row.
+    Returns ``(s+, s-, failure)``: two grids whose values equal those of
+    :func:`s_pair` at each row's parameters bit for bit, and
+    ``failure``, None or ``(i, error)`` with ``i`` the first row where
+    :func:`s_pair` raises and ``error`` what it raises there.  Values
+    from ``i`` on are not defined.  What fails for a whole parameter set
+    (an overflowing ``|G|^2``) fails at its first row.
     """
-    p, delta = param_rows(p, deltas)
     with np.errstate(all="ignore"):
-        num_plus, den_plus, num_minus, den_minus = _closed_form(p, delta)
+        num_plus, den_plus, num_minus, den_minus = _closed_form(rows)
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)
         # An infinite |G|^2 makes every denominator of its rows infinite.
         unbounded = ~(np.isfinite(abs_plus) & np.isfinite(abs_minus))
@@ -139,10 +135,9 @@ def s_pair_grid(
         failure = None
         if failing.any():
             i = int(np.argmax(failing))
-            at = p.at(i, float(delta.re[i]))
             if unbounded[i]:
-                error = _overflow(at)
+                error = _overflow(rows.at(i))
             else:
-                error = _vanishing(abs_plus[i], abs_minus[i], at)
+                error = _vanishing(abs_plus[i], abs_minus[i], rows.at(i))
             failure = (i, error)
         return num_plus / den_plus, num_minus / den_minus, failure

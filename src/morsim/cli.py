@@ -88,8 +88,7 @@ def _run_figure_command(args: argparse.Namespace) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
-        return 1
+        raise EmitError(f"cannot create output directory {out_dir}: {exc}") from exc
     path = out_dir / f"{args.name}.csv"
     rows = write_sweep(cfg, path)
     print(f"wrote {rows} rows to {path}")

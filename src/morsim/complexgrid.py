@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
-
-__all__ = ["ComplexGrid", "detuning_axis", "promote"]
+__all__ = ["ComplexGrid", "promote"]
 
 
 class ComplexGrid:
@@ -122,18 +120,3 @@ def promote(x):
         return ComplexGrid(x, np.zeros_like(x))
     return complex(x)
 
-
-def detuning_axis(deltas) -> ComplexGrid:
-    """Probe detunings as a ComplexGrid with zero imaginary part.
-
-    Raises
-    ------
-    ParameterError
-        If the grid is empty, not one-dimensional or holds a nonfinite value.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise ParameterError(f"delta grid must be a nonempty 1-d array, got shape {deltas.shape}")
-    if not np.isfinite(deltas).all():
-        raise ParameterError(f"nonfinite delta in grid: {deltas[~np.isfinite(deltas)][0]!r}")
-    return ComplexGrid(deltas, np.zeros_like(deltas))

@@ -18,13 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexgrid import ComplexGrid, detuning_axis
+from .complexgrid import ComplexGrid, promote
 from .errors import ParameterError
 
 __all__ = [
     "SystemParams",
     "ParamColumns",
-    "param_rows",
     "JonesVector",
     "SusceptibilityPair",
     "validate_params",
@@ -90,12 +89,13 @@ _VARIANT_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "delta
 class ParamColumns:
     """Parameter sets of many rows, each field a column over the rows.
 
-    Row ``k`` holds ``params[variant[k]]``: the real fields are float64
-    arrays and ``G1``, ``G2`` are ComplexGrids, so an expression written
-    for one :class:`SystemParams` evaluates on every row to the same bits
-    (``delta`` is not a column; detunings are passed on their own).  A
-    new instance has one row per parameter set; :meth:`take` selects
-    rows.  The parameter sets are taken as validated.
+    Row ``k`` holds ``params[variant[k]]`` at probe detuning
+    ``delta[k]``: the real fields are float64 arrays and ``G1``, ``G2``
+    are ComplexGrids, so an expression written for one
+    :class:`SystemParams` evaluates on every row to the same bits.  A
+    new instance has one row per parameter set, at its own ``delta``;
+    :meth:`take` selects rows and sets their detunings.  The parameter
+    sets are taken as validated.
     """
 
     _ROW_FIELDS = ("variant", *_VARIANT_FIELDS)
@@ -103,37 +103,24 @@ class ParamColumns:
     def __init__(self, params: Sequence[SystemParams]):
         self.params = tuple(params)
         self.variant = np.arange(len(self.params))
-        for name in self._ROW_FIELDS[1:]:
+        for name in _REAL_FIELDS + _COMPLEX_FIELDS:
             column = np.array([getattr(q, name) for q in self.params])
             if name in _COMPLEX_FIELDS:
                 column = ComplexGrid.from_numpy(column)
             setattr(self, name, column)
 
-    def take(self, rows: np.ndarray) -> "ParamColumns":
-        """The rows at indices ``rows``, in that order."""
+    def take(self, rows: np.ndarray, delta) -> "ParamColumns":
+        """The rows at indices ``rows``, in that order, at the float64
+        probe detunings ``delta``, one per row."""
         taken = copy.copy(self)
         for name in self._ROW_FIELDS:
             setattr(taken, name, getattr(self, name)[rows])
+        taken.delta = np.asarray(delta, dtype=float)
         return taken
 
-    def at(self, row: int, delta: float) -> SystemParams:
-        """The parameter set of ``row``, at probe detuning ``delta``."""
-        return replace(self.params[self.variant[row]], delta=delta)
-
-
-def param_rows(p, deltas) -> tuple[ParamColumns, ComplexGrid]:
-    """``p`` and ``deltas`` as row columns of equal length.
-
-    ``p`` is a :class:`SystemParams`, validated here and repeated on
-    every row (its ``delta`` is not used), or :class:`ParamColumns`
-    already aligned with ``deltas``.  The detunings are checked by
-    :func:`~morsim.complexgrid.detuning_axis`.
-    """
-    if isinstance(p, SystemParams):
-        validate_params(p)
-        delta = detuning_axis(deltas)
-        return ParamColumns((p,)).take(np.zeros(len(delta.re), dtype=np.intp)), delta
-    return p, detuning_axis(deltas)
+    def at(self, row: int) -> SystemParams:
+        """The parameter set of ``row``, at its probe detuning."""
+        return replace(self.params[self.variant[row]], delta=float(self.delta[row]))
 
 
 @dataclass(frozen=True)
@@ -204,16 +191,16 @@ def validate_params(p: SystemParams) -> SystemParams:
     return p
 
 
-def detuning_factors(p: SystemParams, delta):
-    """Complex detuning factors of the probe coherences at detuning ``delta``.
+def detuning_factors(p: SystemParams):
+    """Complex detuning factors of the probe coherences at ``p``.
 
     Returns ``(gamma1 + i(delta + Omega), gamma2 + i(delta - Omega),
     Gamma1 + Gamma2 + i(Delta + delta))``: the factors of rho_1g, rho_2g
-    and the two-photon coherence rho_eg.  ``p`` and ``delta`` are a
-    SystemParams and a float, or :class:`ParamColumns` and a
-    :class:`~morsim.complexgrid.ComplexGrid` of detunings for many rows,
-    which evaluate the same operations to the same bits.
+    and the two-photon coherence rho_eg.  ``p`` is a SystemParams, or
+    :class:`ParamColumns` for many rows, which evaluate the same
+    operations to the same bits.
     """
+    delta = promote(p.delta)
     return (p.gamma1 + 1j * (delta + p.Omega),
             p.gamma2 + 1j * (delta - p.Omega),
             p.Gamma1 + p.Gamma2 + 1j * (p.Delta + delta))

@@ -55,7 +55,7 @@ import numpy as np
 
 from .complexgrid import ComplexGrid
 from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
-                   param_rows, validate_params)
+                   validate_params)
 from .errors import ParameterError, SingularSystemError
 
 __all__ = [
@@ -140,15 +140,14 @@ def _state_checks(rho: np.ndarray) -> list:
     ]
 
 
-def _coherence_rows(p, factors, g1: complex, g2: complex) -> dict:
+def _coherence_rows(p, g1: complex, g2: complex) -> dict:
     """Equations of motion of the probe coherences rho_1g, rho_2g, rho_eg.
 
-    ``factors`` are the detuning factors of :func:`detuning_factors`.
-    For a SystemParams they and the other coefficients are scalars; for
-    ParamColumns the coefficients that depend on the parameters or the
-    detuning are ComplexGrids over the rows, the probe terms scalars.
+    For a SystemParams the coefficients are scalars; for ParamColumns
+    those that depend on the parameters, the detuning included, are
+    ComplexGrids over the rows, the probe terms scalars.
     """
-    a1, a2, q = factors
+    a1, a2, q = detuning_factors(p)
     G1, G2 = p.G1, p.G2
     return {
         (_M1, _G): {
@@ -215,7 +214,7 @@ def _equations_of_motion(p: SystemParams, g1: complex, g2: complex) -> dict:
             (_M2, _G): 1j * g2.conjugate(), (_G, _M2): -1j * g2,
         },
     }
-    rows.update(_coherence_rows(p, detuning_factors(p, p.delta), g1, g2))
+    rows.update(_coherence_rows(p, g1, g2))
     return rows
 
 
@@ -390,7 +389,7 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     return DensityMatrix(rho=rho[0])
 
 
-def _first_order_system(p, factors):
+def _first_order_system(p):
     """``(L0, -L1 rho0)`` of the first-order system, read off the coherence rows.
 
     Returns the coefficient block over (rho_1g, rho_2g, rho_eg) as
@@ -401,7 +400,7 @@ def _first_order_system(p, factors):
     ``j`` drives only the rho_gg entry of coherence row ``j``.  The other
     drive entries are +0.0.
     """
-    rows = _coherence_rows(p, factors, 1.0, 1.0)
+    rows = _coherence_rows(p, 1.0, 1.0)
     block = [[row.get(col, 0.0) for col in _COHERENCES] for row in rows.values()]
     drive = np.zeros((3, 2), dtype=complex)
     for j, coherence in enumerate(_COHERENCES[:2]):
@@ -410,19 +409,18 @@ def _first_order_system(p, factors):
     return block, drive
 
 
-def _where(p: SystemParams, delta: float) -> str:
-    return (f"delta={delta}, Delta={p.Delta}, Omega={p.Omega}, "
+def _where(p: SystemParams) -> str:
+    return (f"delta={p.delta}, Delta={p.Delta}, Omega={p.Omega}, "
             f"|G1|={abs(p.G1)}, |G2|={abs(p.G2)}")
 
 
-def _singular_error(p: SystemParams, delta: float) -> SingularSystemError:
-    return SingularSystemError(f"first-order coherence system singular at {_where(p, delta)}")
+def _singular_error(p: SystemParams) -> SingularSystemError:
+    return SingularSystemError(f"first-order coherence system singular at {_where(p)}")
 
 
-def _residual_error(residual: float, bound: float, p: SystemParams,
-                    delta: float) -> SingularSystemError:
+def _residual_error(residual: float, bound: float, p: SystemParams) -> SingularSystemError:
     what = f"residual {residual:.3e} too large" if bound < np.inf else "residual bound overflows"
-    return SingularSystemError(f"first-order solve {what} at {_where(p, delta)}")
+    return SingularSystemError(f"first-order solve {what} at {_where(p)}")
 
 
 def probe_response_perturbative(p: SystemParams) -> SusceptibilityPair:
@@ -438,56 +436,48 @@ def probe_response_perturbative(p: SystemParams) -> SusceptibilityPair:
     gamma1 != gamma2.
     """
     validate_params(p)
-    block, rhs = _first_order_system(p, detuning_factors(p, p.delta))
+    block, rhs = _first_order_system(p)
     coeffs = np.array(block, dtype=complex)
     try:
         sol = np.linalg.solve(coeffs, rhs)
     except np.linalg.LinAlgError as exc:
-        raise _singular_error(p, p.delta) from exc
+        raise _singular_error(p) from exc
     with np.errstate(all="ignore"):
         residual, bound, within = _residuals(coeffs, coeffs @ sol - rhs)
     if not within:
-        raise _residual_error(residual, bound, p, p.delta)
+        raise _residual_error(residual, bound, p)
     s_plus = p.gamma1 * complex(sol[0, 0])
     s_minus = p.gamma2 * complex(sol[1, 1])
     return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)
 
 
 def probe_response_perturbative_grid(
-    p: SystemParams | ParamColumns, deltas
+    rows: ParamColumns,
 ) -> tuple[ComplexGrid, ComplexGrid, tuple[int, SingularSystemError] | None]:
-    """:func:`probe_response_perturbative` at every detuning in ``deltas``.
+    """:func:`probe_response_perturbative` on every row of ``rows``.
 
-    ``p`` is a SystemParams, validated here (its ``delta`` is not used),
-    or ParamColumns holding one row per detuning.  One stacked
-    ``(n, 3, 3)`` solve replaces the ``n`` scalar ones, each matrix
-    checked against its own residual bound.  Returns ``(s+, s-,
+    One stacked ``(n, 3, 3)`` solve replaces the ``n`` scalar ones, each
+    matrix checked against its own residual bound.  Returns ``(s+, s-,
     failure)``: two grids whose values equal those of the scalar
-    function at each row's parameters and detuning bit for bit, and
-    ``failure``, None or ``(i, error)`` with ``i`` the first row where
-    the scalar function raises and ``error`` what it raises there.
-    Values from ``i`` on are not defined.
+    function at each row's parameters bit for bit, and ``failure``,
+    None or ``(i, error)`` with ``i`` the first row where the scalar
+    function raises and ``error`` what it raises there.  Values from
+    ``i`` on are not defined.
     """
-    p, delta = param_rows(p, deltas)
-    block, rhs = _first_order_system(p, detuning_factors(p, delta))
-    coeffs = np.empty((len(delta.re), 3, 3), dtype=complex)
+    block, rhs = _first_order_system(rows)
+    coeffs = np.empty((len(rows.delta), 3, 3), dtype=complex)
     for i, row in enumerate(block):
         for j, entry in enumerate(row):
             if isinstance(entry, ComplexGrid):
                 coeffs.real[:, i, j], coeffs.imag[:, i, j] = entry.re, entry.im
             else:
                 coeffs[:, i, j] = entry
-
-    def at(i: int) -> tuple[SystemParams, float]:
-        d = float(delta.re[i])
-        return p.at(i, d), d
-
-    sol, checks = _solve(coeffs, rhs, lambda i: _singular_error(*at(i)))
+    sol, checks = _solve(coeffs, rhs, lambda i: _singular_error(rows.at(i)))
     with np.errstate(all="ignore"):
         residual, bound, within = _residuals(coeffs, coeffs @ sol - rhs)
-        s_plus = p.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0])
-        s_minus = p.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1])
-    checks.append((within, lambda i: _residual_error(residual[i], bound[i], *at(i))))
+        s_plus = rows.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0])
+        s_minus = rows.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1])
+    checks.append((within, lambda i: _residual_error(residual[i], bound[i], rows.at(i))))
     return s_plus, s_minus, _first_failure(checks)
 
 

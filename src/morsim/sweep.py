@@ -241,6 +241,8 @@ def parse_config(text: str) -> SweepConfig:
 
 def _read_config(text: str) -> SweepConfig:
     """:func:`parse_config` without merging and checking the variants."""
+    # A UTF-8 byte-order mark is not part of the first line.
+    text = text.removeprefix("\ufeff")
     base_values: dict = {}
     grid_values: dict = {}
     meta_values: dict = {}
@@ -408,15 +410,15 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
     fails there, or an output value that is not finite.
     """
     variant, index = np.divmod(np.arange(start, stop), len(deltas))
-    p, d = table.take(variant), deltas[index]
+    rows = table.take(variant, deltas[index])
     engines = {"analytic": s_pair_grid, "numeric": probe_response_perturbative_grid}
-    pairs = {label: engine(p, d) for label, engine in engines.items()
+    pairs = {label: engine(rows) for label, engine in engines.items()
              if cfg.engine in (label, "both")}
     columns, failures = [], []
     with np.errstate(all="ignore"):
         for rank, (label, (s_plus, s_minus, failure)) in enumerate(pairs.items()):
             values = np.stack((s_plus.re, s_plus.im, s_minus.re, s_minus.im,
-                               *observables_grid(s_plus, s_minus, p.alpha_l)))
+                               *observables_grid(s_plus, s_minus, rows.alpha_l)))
             nonfinite = ~np.isfinite(values)
             if nonfinite.any():
                 i = int(np.argmax(nonfinite.any(axis=0)))
@@ -429,7 +431,7 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
             columns.append(values)
         if failures:
             i, _, exc = min(failures, key=lambda f: f[:2])
-            raise _at(cfg.variants[variant[i]].name, float(d[i]), exc) from exc
+            raise _at(cfg.variants[variant[i]].name, float(rows.delta[i]), exc) from exc
         err = None
         if cfg.engine == "both":
             (a_plus, a_minus, _), (n_plus, n_minus, _) = pairs.values()
@@ -442,8 +444,8 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
     per_point = len(labels)
     return _Columns(
         variant=list(map(names.__getitem__, np.repeat(variant, per_point).tolist())),
-        numbers=[np.repeat(d, per_point), *interleaved],
-        engine=labels * len(d),
+        numbers=[np.repeat(rows.delta, per_point), *interleaved],
+        engine=labels * len(rows.delta),
     ), err
 
 

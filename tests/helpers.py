@@ -31,7 +31,7 @@ from morsim import (
 )
 from morsim import lindblad
 from morsim.analytic import DENOMINATOR_GUARD
-from morsim.core import detuning_factors
+from morsim.core import ParamColumns, detuning_factors
 from morsim.sweep import OutputRow, validate_config
 
 
@@ -46,6 +46,12 @@ def pair_rel_err(p, q) -> float:
 
 def random_complex(rng: np.random.Generator, max_magnitude: float) -> complex:
     return rng.uniform(0.0, max_magnitude) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+
+def rows(p: SystemParams, deltas) -> ParamColumns:
+    """``p``, validated, as grid-engine rows: one at each detuning in ``deltas``."""
+    validate_params(p)
+    return ParamColumns((p,)).take(np.zeros(len(deltas), dtype=np.intp), deltas)
 
 
 def random_params(
@@ -191,7 +197,7 @@ def s_plus_sigma_minus_control(p: SystemParams) -> complex:
     if p.G2 != 0:
         raise ParameterError(f"G2 nonzero: {p.G2} (sigma- control case requires G2 = 0)")
     gamma = p.gamma1
-    d_plus, _, q = detuning_factors(p, p.delta)
+    d_plus, _, q = detuning_factors(p)
     den = abs(p.G1) ** 2 + d_plus * q
     if abs(den) < DENOMINATOR_GUARD:
         raise NumericError(

@@ -126,6 +126,29 @@ def test_config_that_is_not_utf8_is_validation_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("first_line", ["engine = numeric", "# my sweep"],
+                         ids=["key", "comment"])
+def test_config_with_a_byte_order_mark_writes_the_same_bytes(tmp_path, first_line):
+    text = f"{first_line}\ndelta_min = -1\ndelta_max = 1\ndelta_points = 3\n"
+    written = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(prefix + text.encode("utf-8"))
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_byte_order_mark_counts_in_the_offset_of_a_bad_byte(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfOmega = 5\n\xff = 1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert err.endswith("at byte 13\n")
+
+
 def test_bad_config_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dopler = 1\n", encoding="utf-8")

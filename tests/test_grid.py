@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_params, scalar_sweep
+from helpers import random_params, rows, scalar_sweep
 from morsim import (
     DeltaGrid,
     MorsimError,
@@ -85,7 +85,7 @@ def test_closed_form_grid_equals_scalar(regime):
     for equal_gammas in (True, False):
         for p, deltas in _draws(101, equal_gammas, regime):
             scalar = [s_pair(replace(p, delta=float(d))) for d in deltas]
-            _assert_same_pairs(s_pair_grid(p, deltas), scalar)
+            _assert_same_pairs(s_pair_grid(rows(p, deltas)), scalar)
 
 
 @pytest.mark.parametrize("equal_gammas", [True, False], ids=["equal", "unequal"])
@@ -93,7 +93,7 @@ def test_closed_form_grid_equals_scalar(regime):
 def test_first_order_grid_equals_scalar(regime, equal_gammas):
     for p, deltas in _draws(202, equal_gammas, regime):
         scalar = [probe_response_perturbative(replace(p, delta=float(d))) for d in deltas]
-        _assert_same_pairs(probe_response_perturbative_grid(p, deltas), scalar)
+        _assert_same_pairs(probe_response_perturbative_grid(rows(p, deltas)), scalar)
 
 
 @pytest.mark.parametrize("equal_gammas", [True, False], ids=["equal", "unequal"])
@@ -101,7 +101,7 @@ def test_first_order_grid_equals_scalar(regime, equal_gammas):
 def test_observables_grid_equal_scalar(regime, equal_gammas):
     for p, deltas in _draws(303, equal_gammas, regime):
         scalar = [probe_response_perturbative(replace(p, delta=float(d))) for d in deltas]
-        s_plus, s_minus, _ = probe_response_perturbative_grid(p, deltas)
+        s_plus, s_minus, _ = probe_response_perturbative_grid(rows(p, deltas))
         t_y, t_x, theta = observables_grid(s_plus, s_minus, p.alpha_l)
         assert np.array_equal(_bits(t_y), _bits([transmission_y(q, p.alpha_l) for q in scalar]))
         assert np.array_equal(_bits(t_x), _bits([transmission_x(q, p.alpha_l) for q in scalar]))
@@ -139,7 +139,7 @@ def _assert_same_error(cfg):
 def test_closed_form_grid_fails_a_whole_parameter_set_at_its_first_row(p):
     with pytest.raises(MorsimError) as info:
         s_pair(replace(p, delta=-1.0))
-    *_, failure = s_pair_grid(p, [-1.0, 0.0, 1.0])
+    *_, failure = s_pair_grid(rows(p, [-1.0, 0.0, 1.0]))
     assert failure[0] == 0
     assert type(failure[1]) is type(info.value) and str(failure[1]) == str(info.value)
 
@@ -147,7 +147,7 @@ def test_closed_form_grid_fails_a_whole_parameter_set_at_its_first_row(p):
 def test_unequal_gammas_sweep_matches_scalar_loop():
     p = SystemParams(gamma2=2.0)
     deltas = [-1.0, 0.0, 1.0]
-    _assert_same_pairs(s_pair_grid(p, deltas), [s_pair(replace(p, delta=d)) for d in deltas])
+    _assert_same_pairs(s_pair_grid(rows(p, deltas)), [s_pair(replace(p, delta=d)) for d in deltas])
     for engine in ("analytic", "both"):
         cfg = SweepConfig(base=p, delta_grid=DeltaGrid(-1.0, 1.0, 3),
                           variants=(Variant("fine", {"gamma2": 1.0}), Variant("odd")),
@@ -237,24 +237,23 @@ _SINGULAR_AT_ZERO = SystemParams(**_TINY_RATES, G1=1e153, G2=1e153)
 _OVERFLOWING_BOUND = SystemParams(**_TINY_RATES, G1=1e154, G2=1e154)
 
 
-@pytest.mark.parametrize("rows, expected", [
+@pytest.mark.parametrize("points, expected", [
     ([(SystemParams(), 0.0), (_SINGULAR_AT_ZERO, 0.0), (_OVERFLOWING_BOUND, -5.0),
       (SystemParams(), 1.0)], "first-order coherence system singular"),
     ([(SystemParams(), 0.0), (_OVERFLOWING_BOUND, -5.0), (_SINGULAR_AT_ZERO, 0.0),
       (SystemParams(), 1.0)], "first-order solve residual bound overflows"),
 ], ids=["singular_first", "residual_first"])
-def test_first_order_grid_failure_order_is_the_scalar_loops(rows, expected):
+def test_first_order_grid_failure_order_is_the_scalar_loops(points, expected):
     # Each stack holds a singular matrix, so it is re-solved matrix by matrix.
-    params, deltas = zip(*rows)
-    columns = ParamColumns(params)
+    columns = ParamColumns([replace(p, delta=delta) for p, delta in points])
     scalar = None
-    for i, delta in enumerate(deltas):
+    for i in range(len(points)):
         try:
-            probe_response_perturbative(columns.at(i, delta))
+            probe_response_perturbative(columns.at(i))
         except MorsimError as exc:
             scalar = (i, type(exc), str(exc))
             break
-    *_, (i, error) = probe_response_perturbative_grid(columns, deltas)
+    *_, (i, error) = probe_response_perturbative_grid(columns)
     assert (i, type(error), str(error)) == scalar
     assert i == 1 and str(error).startswith(expected)
 
@@ -262,8 +261,8 @@ def test_first_order_grid_failure_order_is_the_scalar_loops(rows, expected):
 def _fake_engine(label, check=None, nonfinite=None):
     """A grid engine whose check fails at index ``check`` and whose s+ is
     nan at index ``nonfinite``."""
-    def evaluate(p, deltas):
-        zeros = np.zeros(len(deltas))
+    def evaluate(columns):
+        zeros = np.zeros(len(columns.delta))
         re = zeros.copy()
         if nonfinite is not None:
             re[nonfinite] = np.nan

@@ -11,6 +11,7 @@ from helpers import (
     random_density,
     random_params,
     rel_err,
+    rows,
     s_no_control,
 )
 from morsim import (
@@ -263,7 +264,7 @@ def test_density_matrix_checks_fail_on_nan(monkeypatch, tol, message):
 def test_first_order_residual_must_be_within_a_finite_bound(p, message):
     with pytest.raises(SingularSystemError, match=message) as info:
         probe_response_perturbative(p)
-    *_, failure = probe_response_perturbative_grid(p, [p.delta])
+    *_, failure = probe_response_perturbative_grid(rows(p, [p.delta]))
     assert failure[0] == 0
     assert type(failure[1]) is SingularSystemError and str(failure[1]) == str(info.value)
 
