@@ -73,8 +73,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             write_sweep(cfg, sys.stdout.buffer)
         except EmitError:
             # Drop what stdout could not take, so the flush at exit cannot fail again.
-            with contextlib.suppress(OSError):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
             raise
     else:
         rows = write_sweep(cfg, cfg.out_path)

@@ -5,7 +5,7 @@ a probe-detuning grid, and an ordered list of named parameter overrides
 (variants), each of which produces one output series.  Configs are
 written as flat UTF-8 key-value text::
 
-    # base parameters (defaults shown by `morsim --help`)
+    # base parameters (any omitted key keeps its default)
     Omega = 5
     G1 = 20
     alpha_l = 30
@@ -89,7 +89,8 @@ MAX_DELTA_POINTS = 100_000
 MAX_CONFIG_BYTES = 1 << 20
 
 _GRID_KEYS = ("delta_min", "delta_max", "delta_points")
-_META_KEYS = ("engine", "format", "output")
+# The keys of a base line; a variant override takes _VARIANT_FIELDS only.
+_BASE_KEYS = (*_VARIANT_FIELDS, *_GRID_KEYS, "engine", "format", "output")
 
 _TWELVE_DIGITS = Context(prec=12)
 
@@ -217,7 +218,11 @@ def _parse_value(key: str, text: str, line_no: int):
     return points
 
 
-def _check_key(key: str, allowed: tuple[str, ...], line_no: int) -> None:
+def _assign(values: dict, assignment: str, allowed: tuple[str, ...], kind: str,
+            line_no: int) -> None:
+    """Check the key of ``key = value`` text and store its parsed value in ``values``."""
+    key, text = assignment.split("=", 1)
+    key = key.strip()
     if key == "delta":
         raise ConfigError(
             "delta is the sweep axis; set delta_min/delta_max/delta_points instead",
@@ -225,6 +230,9 @@ def _check_key(key: str, allowed: tuple[str, ...], line_no: int) -> None:
         )
     if key not in allowed:
         raise ConfigError(f"unknown key {key!r}", line=line_no)
+    if key in values:
+        raise ConfigError(f"duplicate {kind} {key!r}", line=line_no)
+    values[key] = _parse_value(key, text, line_no)
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -243,11 +251,8 @@ def _read_config(text: str) -> SweepConfig:
     """:func:`parse_config` without merging and checking the variants."""
     # A UTF-8 byte-order mark is not part of the first line.
     text = text.removeprefix("\ufeff")
-    base_values: dict = {}
-    grid_values: dict = {}
-    meta_values: dict = {}
+    values: dict = {}
     variants: list[Variant] = []
-    assigned: set[str] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -255,63 +260,42 @@ def _read_config(text: str) -> SweepConfig:
             continue
 
         head = line.split(None, 1)
-        if head[0] == "variant":
-            if len(head) < 2 or ":" not in head[1]:
-                raise ConfigError(
-                    "variant line must read: variant <name>: key=value[, key=value...]",
-                    line=line_no,
-                )
-            name, override_text = head[1].split(":", 1)
-            name = name.strip()
-            if not name:
-                raise ConfigError("variant name is empty", line=line_no)
-            overrides: dict = {}
-            override_text = override_text.strip()
-            if override_text:
-                for item in override_text.split(","):
-                    if "=" not in item:
-                        raise ConfigError(
-                            f"variant override {item.strip()!r} is not key=value",
-                            line=line_no,
-                        )
-                    key, value = item.split("=", 1)
-                    key = key.strip()
-                    _check_key(key, _VARIANT_FIELDS, line_no)
-                    if key in overrides:
-                        raise ConfigError(f"duplicate override {key!r}", line=line_no)
-                    overrides[key] = _parse_value(key, value, line_no)
-            variants.append(Variant(name=name, overrides=overrides))
+        if head[0] != "variant":
+            if "=" not in line:
+                raise ConfigError(f"expected key = value, got {line!r}", line=line_no)
+            _assign(values, line, _BASE_KEYS, "key", line_no)
             continue
-
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", line=line_no)
-        key, value = line.split("=", 1)
-        key = key.strip()
-        _check_key(key, _VARIANT_FIELDS + _GRID_KEYS + _META_KEYS, line_no)
-        if key in assigned:
-            raise ConfigError(f"duplicate key {key!r}", line=line_no)
-        assigned.add(key)
-        parsed = _parse_value(key, value, line_no)
-        if key in _VARIANT_FIELDS:
-            base_values[key] = parsed
-        elif key in _GRID_KEYS:
-            grid_values[key] = parsed
-        else:
-            meta_values[key] = parsed
+        if len(head) < 2 or ":" not in head[1]:
+            raise ConfigError(
+                "variant line must read: variant <name>: key=value[, key=value...]",
+                line=line_no,
+            )
+        name, override_text = head[1].split(":", 1)
+        name = name.strip()
+        if not name:
+            raise ConfigError("variant name is empty", line=line_no)
+        overrides: dict = {}
+        override_text = override_text.strip()
+        if override_text:
+            for item in override_text.split(","):
+                if "=" not in item:
+                    raise ConfigError(f"variant override {item.strip()!r} is not key=value",
+                                      line=line_no)
+                _assign(overrides, item, _VARIANT_FIELDS, "override", line_no)
+        variants.append(Variant(name=name, overrides=overrides))
 
     default = SweepConfig()
-    grid = DeltaGrid(
-        min=grid_values.get("delta_min", default.delta_grid.min),
-        max=grid_values.get("delta_max", default.delta_grid.max),
-        points=grid_values.get("delta_points", default.delta_grid.points),
-    )
     cfg = SweepConfig(
-        base=SystemParams(**base_values),
-        delta_grid=grid,
-        variants=tuple(variants) if variants else (Variant("base"),),
-        engine=meta_values.get("engine", default.engine),
-        out_format=meta_values.get("format", default.out_format),
-        out_path=meta_values.get("output"),
+        base=SystemParams(**{key: values[key] for key in _VARIANT_FIELDS if key in values}),
+        delta_grid=DeltaGrid(
+            min=values.get("delta_min", default.delta_grid.min),
+            max=values.get("delta_max", default.delta_grid.max),
+            points=values.get("delta_points", default.delta_grid.points),
+        ),
+        variants=tuple(variants) or (Variant("base"),),
+        engine=values.get("engine", default.engine),
+        out_format=values.get("format", default.out_format),
+        out_path=values.get("output"),
     )
     _check_settings(cfg)
     return cfg
@@ -337,7 +321,6 @@ def preset(name: str) -> SweepConfig:
             ),
             engine="both",
             out_format="csv",
-            out_path="fig2.csv",
         )
     if name == "fig3":
         return SweepConfig(
@@ -352,7 +335,6 @@ def preset(name: str) -> SweepConfig:
             ),
             engine="both",
             out_format="csv",
-            out_path="fig3.csv",
         )
     if name == "fig4":
         return SweepConfig(
@@ -365,7 +347,6 @@ def preset(name: str) -> SweepConfig:
             ),
             engine="both",
             out_format="csv",
-            out_path="fig4.csv",
         )
     raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
 

@@ -19,11 +19,22 @@ def test_every_exported_name_resolves(module_name):
     assert not missing, f"{module_name}.__all__ names undefined {missing}"
 
 
-def test_readme_python_blocks_run(tmp_path, monkeypatch):
-    # Each block runs as written, so a changed signature cannot leave the README stale.
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+def _readme_blocks(language):
+    blocks = re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"),
                         flags=re.MULTILINE | re.DOTALL)
     assert blocks
+    return blocks
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # Each block runs as written, so a changed signature cannot leave the README stale.
+    blocks = _readme_blocks("python")
     monkeypatch.chdir(tmp_path)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_config_blocks_parse():
+    # Each config block parses as written, comments and all.
+    for block in _readme_blocks("cfg"):
+        morsim.sweep.parse_config(block)

@@ -320,6 +320,22 @@ def test_sweep_to_full_stdout_is_write_error(tmp_path, unbuffered):
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_closed_stdout_pipe_leaves_no_descriptor_open(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(GOOD_CONFIG, encoding="utf-8")
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["sweep", "--config", str(cfg)]) == 1
+            monkeypatch.undo()
+        assert f"[Errno {errno.EPIPE}] " in capsys.readouterr().err
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_figure_writes_named_csv(tmp_path):
     out_dir = tmp_path / "figures"
     assert main(["figure", "fig3", "--out", str(out_dir)]) == 0

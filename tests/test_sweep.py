@@ -131,6 +131,55 @@ def test_duplicate_key_rejected():
         parse_config("Omega = 1\nOmega = 2\n")
 
 
+_AXIS = "delta is the sweep axis; set delta_min/delta_max/delta_points instead"
+_VARIANT_SYNTAX = "variant line must read: variant <name>: key=value[, key=value...]"
+
+
+@pytest.mark.parametrize("text, message", [
+    # Base lines.
+    ("G1 = 1\nwhat is this\n", "line 2: expected key = value, got 'what is this'"),
+    ("\ufeffOmega\n", "line 1: expected key = value, got 'Omega'"),
+    ("Omega = 1\n  dopler = 600\n", "line 2: unknown key 'dopler'"),
+    ("= 5\n", "line 1: unknown key ''"),
+    ("variant=1\n", "line 1: unknown key 'variant'"),
+    ("\n# note\ndelta = 3\n", f"line 3: {_AXIS}"),
+    ("Omega = 1\nOmega = fast\n", "line 2: duplicate key 'Omega'"),
+    ("output = a\noutput = b\n", "line 2: duplicate key 'output'"),
+    ("Omega = fast\n", "line 1: cannot parse value for 'Omega': 'fast'"),
+    ("G1 = 3+4\n", "line 1: cannot parse value for 'G1': '3+4'"),
+    ("delta_points = 1.5\n", "line 1: cannot parse value for 'delta_points': '1.5'"),
+    ("gamma1 = 1  # decay\n", "line 1: cannot parse value for 'gamma1': '1  # decay'"),
+    ("output =  \n", "line 1: output path is empty"),
+    (f"delta_points = {MAX_DELTA_POINTS + 1}\n",
+     f"line 1: delta_points must be <= {MAX_DELTA_POINTS} (got {MAX_DELTA_POINTS + 1})"),
+    # Variant lines.
+    ("variant\n", f"line 1: {_VARIANT_SYNTAX}"),
+    ("Omega = 1\nvariant a G1 = 2\n", f"line 2: {_VARIANT_SYNTAX}"),
+    ("variant  : G1 = 2\n", "line 1: variant name is empty"),
+    ("variant a: G1\n", "line 1: variant override 'G1' is not key=value"),
+    ("variant a: G1 = 2,\n", "line 1: variant override '' is not key=value"),
+    ("variant a: G1 = 2,  x y ,\n", "line 1: variant override 'x y' is not key=value"),
+    ("variant a: dopler = 600\n", "line 1: unknown key 'dopler'"),
+    ("variant a: delta_min = -5\n", "line 1: unknown key 'delta_min'"),
+    ("variant a: engine = numeric\n", "line 1: unknown key 'engine'"),
+    ("variant a: G1 = 2, delta = 3\n", f"line 1: {_AXIS}"),
+    ("variant a: G1 = 2, G1 = fast\n", "line 1: duplicate override 'G1'"),
+    ("variant a: Omega = fast\n", "line 1: cannot parse value for 'Omega': 'fast'"),
+    ("variant a: G2 = 1+\n", "line 1: cannot parse value for 'G2': '1+'"),
+    # A base key and an override of the same name are no duplicates.
+    ("G1 = 1\nvariant a: G1 = 2, G2 = j\nvariant a: G1 = 3\n",
+     "duplicate variant name 'a'"),
+    # Settings checked after the last line carry no line number.
+    ("engine = warp\n", "engine must be one of analytic|numeric|both (got 'warp')"),
+    ("delta_min = 5\ndelta_max = 5\n", "delta_min must be < delta_max (got 5.0 >= 5.0)"),
+    ("variant a: gamma1 = -1\n", "variant 'a': nonpositive gamma1: -1.0"),
+])
+def test_config_reader_messages(text, message):
+    with pytest.raises(ConfigError) as error:
+        parse_config(text)
+    assert str(error.value) == message
+
+
 def test_duplicate_variant_name_rejected():
     with pytest.raises(ConfigError, match="duplicate variant"):
         parse_config("variant a: G1 = 1\nvariant a: G1 = 2\n")
