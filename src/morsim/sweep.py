@@ -40,7 +40,7 @@ import stat
 import tempfile
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
-from itertools import chain
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
@@ -91,6 +91,8 @@ MAX_CONFIG_BYTES = 1 << 20
 _GRID_KEYS = ("delta_min", "delta_max", "delta_points")
 # The keys of a base line; a variant override takes _VARIANT_FIELDS only.
 _BASE_KEYS = (*_VARIANT_FIELDS, *_GRID_KEYS, "engine", "format", "output")
+
+_DELTA_IS_THE_AXIS = "delta is the sweep axis; set delta_min/delta_max/delta_points instead"
 
 _TWELVE_DIGITS = Context(prec=12)
 
@@ -195,6 +197,10 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
             merged.append(validate_params(variant.apply(cfg.base)))
         except (MorsimError, TypeError) as exc:
             raise ConfigError(f"variant {str(variant.name)!r}: {exc}") from exc
+        # The sweep sets each row's delta, so it would drop one set here.
+        # Checked after the merge, which has shown the overrides to be a mapping.
+        if "delta" in variant.overrides:
+            raise ConfigError(f"variant {str(variant.name)!r}: {_DELTA_IS_THE_AXIS}")
     return tuple(merged)
 
 
@@ -202,13 +208,16 @@ def _parse_value(key: str, text: str, line_no: int):
     text = text.strip()
     if key == "output" and not text:
         raise ConfigError("output path is empty", line=line_no)
+    if key not in _GRID_KEYS and key not in _VARIANT_FIELDS:
+        return text  # meta keys stay strings
     try:
+        # Python reads more than a config's numbers: "_" separators, non-ASCII digits.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         if key in _COMPLEX_FIELDS:
             return complex(text)
         if key != "delta_points":
-            if key in _GRID_KEYS or key in _VARIANT_FIELDS:
-                return float(text)
-            return text  # meta keys stay strings
+            return float(text)
         points = int(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value for {key!r}: {text!r}", line=line_no) from exc
@@ -224,10 +233,7 @@ def _assign(values: dict, assignment: str, allowed: tuple[str, ...], kind: str,
     key, text = assignment.split("=", 1)
     key = key.strip()
     if key == "delta":
-        raise ConfigError(
-            "delta is the sweep axis; set delta_min/delta_max/delta_points instead",
-            line=line_no,
-        )
+        raise ConfigError(_DELTA_IS_THE_AXIS, line=line_no)
     if key not in allowed:
         raise ConfigError(f"unknown key {key!r}", line=line_no)
     if key in values:
@@ -510,29 +516,53 @@ def _format_number(x: float) -> str:
 # not of a whole block, is alive at once.
 _CHUNK_ROWS = 4096
 
-# CSV row templates indexed by a fallback mask: bit j set means number
-# column j is a string from _format_number, printed by "%*s" at width 0;
+# CSV row templates indexed by a fallback mask.  The delta column comes
+# as text and prints by "%s".  Bit j set means the j-th number column
+# after it is a string from _format_number, printed by "%*s" at width 0;
 # the others print by "%.*f" at the precision that gives the same digits.
 _CSV_ROWS = tuple(
-    "%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(8)) + "%s\n"
-    for mask in range(256)
+    "%s,%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(7)) + "%s\n"
+    for mask in range(128)
 )
-_MASK_BITS = 1 << np.arange(8)
+_MASK_BITS = 1 << np.arange(7)
 
 # JSON object template of one row, as json.dumps(..., indent=2) lays it out
-# inside the top-level array: strings pre-encoded, floats by float.__repr__.
+# inside the top-level array: strings pre-encoded, the delta text as it
+# comes, the other floats by float.__repr__.
 _JSON_ROW = "{\n    " + ",\n    ".join(
-    f"{encode_basestring_ascii(name)}: " + ("%s" if kind is str else "%r")
+    f"{encode_basestring_ascii(name)}: " + ("%s" if kind is str or name == "delta" else "%r")
     for name, kind in zip(CSV_HEADER, _KINDS)
 ) + "\n  }"
 
 
-def _chunks(columns: _Columns) -> Iterator[_Columns]:
-    for start in range(0, len(columns.variant), _CHUNK_ROWS):
+def _chunks(columns: _Columns, out_format: str) -> Iterator[tuple[_Columns, list]]:
+    """``columns`` in chunks of _CHUNK_ROWS rows, each with the text of its deltas.
+
+    Raises the EmitError for the first nonfinite value in row order
+    before any chunk is made, in both formats.  Each distinct delta is
+    formatted once: by the CSV number rule, or by ``float.__repr__`` for
+    JSON.  Deltas are told apart by bit pattern, since JSON prints
+    ``0.0`` and ``-0.0`` apart.  A chunk's ``numbers`` are the columns
+    after delta.
+    """
+    variant, numbers, engine = columns
+    finite = np.isfinite(np.stack(numbers, axis=1))
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), len(numbers))
+        raise _nonfinite(float(numbers[j][i]))
+    # The column is 1-d, so its inverse is 1-d on every numpy 2.x.
+    bits, inverse = np.unique(numbers[0].view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    if out_format == "csv":
+        text = ["%.*f" % (p, x) if p >= 0 else _format_number(x)
+                for p, x in zip(_csv_precisions(values).tolist(), values.tolist())]
+    else:
+        text = list(map(float.__repr__, values.tolist()))
+    delta = list(map(text.__getitem__, inverse.tolist()))
+    for start in range(0, len(variant), _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
-        yield _Columns(columns.variant[start:stop],
-                       [column[start:stop] for column in columns.numbers],
-                       columns.engine[start:stop])
+        yield (_Columns(variant[start:stop], [column[start:stop] for column in numbers[1:]],
+                        engine[start:stop]), delta[start:stop])
 
 
 def _row_columns(rows: list[OutputRow]) -> Iterator[_Columns]:
@@ -583,12 +613,12 @@ def _csv_field(value) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _csv_chunk(columns: _Columns) -> str:
-    """CSV lines of ``columns``, each printed by one template of _CSV_ROWS.
+def _csv_chunk(columns: _Columns, delta: list) -> str:
+    """CSV lines of a chunk from _chunks, each printed by one template of _CSV_ROWS.
 
-    Values the precision pass cannot print are formatted by
-    _format_number in row order, so its error for the first nonfinite
-    value is the one raised.
+    ``delta`` is the text of each row's delta; values of the other
+    number columns that the precision pass cannot print are formatted
+    by _format_number.
     """
     variant, numbers, engine = columns
     precision = np.stack([_csv_precisions(column) for column in numbers], axis=1)
@@ -598,7 +628,7 @@ def _csv_chunk(columns: _Columns) -> str:
         values[j][i] = _format_number(values[j][i])
     precision[fallback] = 0
     quote = {name: _csv_field(name) for name in {*variant, *engine}}.__getitem__
-    fields = [map(quote, variant)]
+    fields = [map(quote, variant), delta]
     for width_or_precision, column in zip(precision.T.tolist(), values):
         fields += (width_or_precision, column)
     fields.append(map(quote, engine))
@@ -606,31 +636,34 @@ def _csv_chunk(columns: _Columns) -> str:
     return "".join(map(str.__mod__, templates, zip(*fields)))
 
 
-def _json_chunk(columns: _Columns) -> str:
-    """The array items of ``columns``, each printed by the _JSON_ROW template."""
+def _json_chunk(columns: _Columns, delta: list) -> str:
+    """The array items of a chunk from _chunks, each printed by the _JSON_ROW template.
+
+    ``delta`` is the text of each row's delta.
+    """
     variant, numbers, engine = columns
-    finite = np.isfinite(np.stack(numbers, axis=1))
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), len(numbers))
-        raise _nonfinite(float(numbers[j][i]))
     encoded = {name: encode_basestring_ascii(name) for name in {*variant, *engine}}
-    args = zip(map(encoded.__getitem__, variant), *(column.tolist() for column in numbers),
+    args = zip(map(encoded.__getitem__, variant), delta, *(column.tolist() for column in numbers),
                map(encoded.__getitem__, engine))
     return ",\n  ".join(map(_JSON_ROW.__mod__, args))
 
 
 def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
-    """The output bytes of ``blocks``, one chunk of at most _CHUNK_ROWS rows at a time."""
+    """The output bytes of ``blocks``, one chunk of at most _CHUNK_ROWS rows at a time.
+
+    A block is checked for nonfinite values, and its distinct deltas are
+    formatted, before its first chunk is encoded (see _chunks).
+    """
     # map and chain hold no chunk once it is encoded, so a block is let
     # go before the next one is requested.
-    chunks = chain.from_iterable(map(_chunks, blocks))
+    chunks = chain.from_iterable(map(_chunks, blocks, repeat(out_format)))
     if out_format == "csv":
         yield (",".join(CSV_HEADER) + "\n").encode()
-        for text in map(_csv_chunk, chunks):
+        for text in starmap(_csv_chunk, chunks):
             yield text.encode("utf-8")
         return
     separator = "[\n  "
-    for text in map(_json_chunk, chunks):
+    for text in starmap(_json_chunk, chunks):
         yield (separator + text).encode("utf-8")
         separator = ",\n  "
     yield b"\n]\n"

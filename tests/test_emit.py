@@ -114,6 +114,19 @@ def test_rows_across_chunks_match_reference():
     _assert_same_bytes(_rows(values))
 
 
+def test_repeated_deltas_match_reference():
+    # Each distinct delta is formatted once per block, told apart by its
+    # bits: JSON prints 0.0 and -0.0 where each occurs, CSV prints 0 for both.
+    cycle = [0.0, -0.0, -79.5, 0.1, -0.0, 0.0, 5e-324, -79.5, 0.1]
+    rows = [OutputRow("v", cycle[i % len(cycle)], *[0.5] * 7, "analytic")
+            for i in range(2 * _CHUNK_ROWS + 3)]
+    _assert_same_bytes(rows)
+    json_deltas = [line for line in emit(rows, "json").decode().split("\n") if '"delta"' in line]
+    assert json_deltas == [f'    "delta": {row.delta!r},' for row in rows]
+    csv_deltas = [line.split(",")[1] for line in emit(rows, "csv").decode().split("\n")[1:-1]]
+    assert csv_deltas[:2] == ["0", "0"]
+
+
 @pytest.mark.parametrize("name", ['a,"b"', " leading space", "line\nbreak", "carriage\rreturn",
                                   "é", "tab\there", "", '"'])
 def test_names_are_quoted_and_escaped_like_reference(name):

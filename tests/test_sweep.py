@@ -149,6 +149,11 @@ _VARIANT_SYNTAX = "variant line must read: variant <name>: key=value[, key=value
     ("G1 = 3+4\n", "line 1: cannot parse value for 'G1': '3+4'"),
     ("delta_points = 1.5\n", "line 1: cannot parse value for 'delta_points': '1.5'"),
     ("gamma1 = 1  # decay\n", "line 1: cannot parse value for 'gamma1': '1  # decay'"),
+    # Python's number syntax is wider than a config's.
+    ("gamma1 = 1_0.5\n", "line 1: cannot parse value for 'gamma1': '1_0.5'"),
+    ("G1 = 3_0+4j\n", "line 1: cannot parse value for 'G1': '3_0+4j'"),
+    ("Omega = \uff15\n", "line 1: cannot parse value for 'Omega': '\uff15'"),
+    ("delta_points = \u0663\n", "line 1: cannot parse value for 'delta_points': '\u0663'"),
     ("output =  \n", "line 1: output path is empty"),
     (f"delta_points = {MAX_DELTA_POINTS + 1}\n",
      f"line 1: delta_points must be <= {MAX_DELTA_POINTS} (got {MAX_DELTA_POINTS + 1})"),
@@ -198,6 +203,23 @@ def test_non_str_variant_name_rejected(tmp_path, name):
             run(cfg)
         assert str(error.value) == message
     assert os.listdir(tmp_path) == []
+
+
+def test_delta_override_rejected(tmp_path):
+    cfg = SweepConfig(delta_grid=DeltaGrid(-1.0, 1.0, 3), variants=(Variant("a", {"delta": 7.0}),))
+    for run in (validate_config, run_sweep, lambda c: write_sweep(c, tmp_path / "out.csv")):
+        with pytest.raises(ConfigError) as error:
+            run(cfg)
+        assert str(error.value) == f"variant 'a': {_AXIS}"
+    assert os.listdir(tmp_path) == []
+
+
+def test_text_values_keep_any_characters():
+    cfg = parse_config("output = r\u00e9sultat_1.csv\n")
+    assert cfg.out_path == "r\u00e9sultat_1.csv"
+    with pytest.raises(ConfigError) as error:
+        parse_config("engine = b\u00f6th_\n")
+    assert str(error.value) == "engine must be one of analytic|numeric|both (got 'b\u00f6th_')"
 
 
 def test_invalid_merged_variant_rejected():
