@@ -184,6 +184,10 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
     """The checks of :func:`validate_config`; returns each variant's
     parameters merged onto the base, in declared order."""
     _check_settings(cfg)
+    # The sweep sets each row's delta, so it would drop one set on the base or a variant.
+    # A base with no delta is no SystemParams; the merge below refuses it.
+    if getattr(cfg.base, "delta", 0.0) != 0.0:
+        raise ConfigError(f"base: {_DELTA_IS_THE_AXIS}")
     if not cfg.variants:
         raise ConfigError("config defines no variants")
     seen, merged = set(), []
@@ -197,7 +201,6 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
             merged.append(validate_params(variant.apply(cfg.base)))
         except (MorsimError, TypeError) as exc:
             raise ConfigError(f"variant {str(variant.name)!r}: {exc}") from exc
-        # The sweep sets each row's delta, so it would drop one set here.
         # Checked after the merge, which has shown the overrides to be a mapping.
         if "delta" in variant.overrides:
             raise ConfigError(f"variant {str(variant.name)!r}: {_DELTA_IS_THE_AXIS}")
@@ -380,7 +383,9 @@ _BLOCK_ROWS = 1 << 13
 
 
 class _Columns(NamedTuple):
-    """Output rows as columns: ``str`` lists of names and engines, float64 number arrays."""
+    """Output rows as columns: ``str`` lists of names and engines, finite float64 number arrays.
+
+    _evaluate_block and _row_columns refuse any other value; the writer only formats."""
 
     variant: list
     numbers: list
@@ -492,12 +497,8 @@ def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
     return rows
 
 
-def _nonfinite(x: float) -> EmitError:
-    return EmitError(f"nonfinite value in output row: {x!r}")
-
-
 def _format_number(x: float) -> str:
-    """Positional decimal with 12 significant digits.
+    """Positional decimal with 12 significant digits of a finite ``x``.
 
     Values are rounded to 12 significant digits and printed without
     exponent notation, so repeated runs are byte-identical and parsing
@@ -505,8 +506,6 @@ def _format_number(x: float) -> str:
     exact binary expansion has fewer digits prints exactly (``20``,
     ``0.5``).
     """
-    if not math.isfinite(x):
-        raise _nonfinite(x)
     if x == 0.0:
         return "0"
     return format(_TWELVE_DIGITS.create_decimal(Decimal(x)), "f")
@@ -538,18 +537,12 @@ _JSON_ROW = "{\n    " + ",\n    ".join(
 def _chunks(columns: _Columns, out_format: str) -> Iterator[tuple[_Columns, list]]:
     """``columns`` in chunks of _CHUNK_ROWS rows, each with the text of its deltas.
 
-    Raises the EmitError for the first nonfinite value in row order
-    before any chunk is made, in both formats.  Each distinct delta is
-    formatted once: by the CSV number rule, or by ``float.__repr__`` for
-    JSON.  Deltas are told apart by bit pattern, since JSON prints
-    ``0.0`` and ``-0.0`` apart.  A chunk's ``numbers`` are the columns
-    after delta.
+    Each distinct delta is formatted once: by the CSV number rule, or by
+    ``float.__repr__`` for JSON.  Deltas are told apart by bit pattern,
+    since JSON prints ``0.0`` and ``-0.0`` apart.  A chunk's ``numbers``
+    are the columns after delta.
     """
     variant, numbers, engine = columns
-    finite = np.isfinite(np.stack(numbers, axis=1))
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), len(numbers))
-        raise _nonfinite(float(numbers[j][i]))
     # The column is 1-d, so its inverse is 1-d on every numpy 2.x.
     bits, inverse = np.unique(numbers[0].view(np.uint64), return_inverse=True)
     values = bits.view(np.float64)
@@ -565,12 +558,13 @@ def _chunks(columns: _Columns, out_format: str) -> Iterator[tuple[_Columns, list
                         engine[start:stop]), delta[start:stop])
 
 
-def _row_columns(rows: list[OutputRow]) -> Iterator[_Columns]:
+def _row_columns(rows: list[OutputRow]) -> list[_Columns]:
     """``rows`` as columns, _CHUNK_ROWS rows at a time.
 
-    Raises an EmitError naming the first value, in row order, that is
-    not a ``str`` name or a ``float`` number (subclasses included).
+    Raises an EmitError naming the first value, in row order, that is not a ``str``
+    name or a ``float`` number (subclasses included), else the first nonfinite number.
     """
+    chunks = []
     for start in range(0, len(rows), _CHUNK_ROWS):
         columns = list(zip(*rows[start:start + _CHUNK_ROWS]))
         bad = [next((i, j, v) for i, v in enumerate(column) if not issubclass(type(v), kind))
@@ -581,7 +575,13 @@ def _row_columns(rows: list[OutputRow]) -> Iterator[_Columns]:
             raise EmitError(f"output row {start + i}: {CSV_HEADER[j]} must be a "
                             f"{_KINDS[j].__name__}, got {value!r}")
         variant, *numbers, engine = columns
-        yield _Columns(list(variant), list(np.array(numbers, dtype=np.float64)), list(engine))
+        chunks.append(_Columns(list(variant), list(np.array(numbers, float)), list(engine)))
+    # Rows by numbers: a boolean index takes the nonfinite values in row order.
+    numbers = np.concatenate([chunk.numbers for chunk in chunks], axis=1).T
+    nonfinite = numbers[~np.isfinite(numbers)]
+    if nonfinite.size:
+        raise EmitError(f"nonfinite value in output row: {float(nonfinite[0])!r}")
+    return chunks
 
 
 def _csv_precisions(column: np.ndarray) -> np.ndarray:
@@ -591,12 +591,11 @@ def _csv_precisions(column: np.ndarray) -> np.ndarray:
     ``e``; its digits end ``11 - e`` places after the point, and "%.*f"
     rounds the exact binary value half to even at that place, as the
     ``Decimal`` context does.  The precision is negative where that does
-    not hold or ``e`` is not certain: zero and nonfinite values,
-    ``x * 2**17`` integral (the exact expansion may have 12 digits or
-    fewer and print unpadded), values whose ``log10`` lies within 1e-10
-    of an integer (rounding may carry into the next decade, and
-    ``floor(log10)`` may be off by one), and ``e >= 12`` (printed with
-    padding zeros before the point).
+    not hold or ``e`` is not certain: zero, ``x * 2**17`` integral (the
+    exact expansion may have 12 digits or fewer and print unpadded),
+    values whose ``log10`` lies within 1e-10 of an integer (rounding may
+    carry into the next decade, and ``floor(log10)`` may be off by one),
+    and ``e >= 12`` (printed with padding zeros before the point).
     """
     with np.errstate(all="ignore"):
         magnitude = np.log10(np.abs(column))
@@ -651,8 +650,8 @@ def _json_chunk(columns: _Columns, delta: list) -> str:
 def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
     """The output bytes of ``blocks``, one chunk of at most _CHUNK_ROWS rows at a time.
 
-    A block is checked for nonfinite values, and its distinct deltas are
-    formatted, before its first chunk is encoded (see _chunks).
+    ``blocks`` are not checked (see _Columns).  A block's distinct deltas
+    are formatted before its first chunk is encoded (see _chunks).
     """
     # map and chain hold no chunk once it is encoded, so a block is let
     # go before the next one is requested.
@@ -746,8 +745,8 @@ def _write(chunks: Iterable[bytes], destination) -> None:
 def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
     """Serialize rows and optionally write them out.
 
-    Names are ``str`` and numbers ``float`` (subclasses such as
-    ``numpy.float64`` included); any other value is an EmitError.
+    Names are ``str`` and numbers finite ``float`` values (subclasses such
+    as ``numpy.float64`` included); any other value is an EmitError.
     ``destination`` may be None (return bytes only), a path, or a
     binary file-like object.  Output is deterministic byte-for-byte for
     identical rows.  A path to a regular file is replaced as a whole: if
@@ -759,7 +758,7 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
         raise EmitError("no rows to emit")
     if out_format not in FORMATS:
         raise EmitError(f"unknown output format {out_format!r}")
-    data = b"".join(_encode(list(_row_columns(rows)), out_format))
+    data = b"".join(_encode(_row_columns(rows), out_format))
     if destination is not None:
         _write([data], destination)
     return data

@@ -9,6 +9,8 @@ Where an output value is not finite the loop writes it or lets
 point instead; that rule is tested on its own.
 """
 
+import io
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +33,7 @@ from morsim import (
     s_pair,
     transmission_x,
     transmission_y,
+    write_sweep,
 )
 from morsim import lindblad, sweep
 from morsim.analytic import s_pair_grid
@@ -258,16 +261,19 @@ def test_first_order_grid_failure_order_is_the_scalar_loops(points, expected):
     assert i == 1 and str(error).startswith(expected)
 
 
-def _fake_engine(label, check=None, nonfinite=None):
-    """A grid engine whose check fails at index ``check`` and whose s+ is
-    nan at index ``nonfinite``."""
+_S_COLUMNS = ("re_s_plus", "im_s_plus", "re_s_minus", "im_s_minus")
+
+
+def _fake_engine(label, check=None, nonfinite=None, column="re_s_plus"):
+    """A grid engine whose check fails at index ``check`` and whose
+    ``column`` of s+ and s- is nan at index ``nonfinite``."""
     def evaluate(columns):
-        zeros = np.zeros(len(columns.delta))
-        re = zeros.copy()
+        parts = {name: np.zeros(len(columns.delta)) for name in _S_COLUMNS}
         if nonfinite is not None:
-            re[nonfinite] = np.nan
+            parts[column][nonfinite] = np.nan
         failure = None if check is None else (check, SingularSystemError(f"{label} check"))
-        return ComplexGrid(re, zeros), ComplexGrid(zeros, zeros), failure
+        re_plus, im_plus, re_minus, im_minus = parts.values()
+        return ComplexGrid(re_plus, im_plus), ComplexGrid(re_minus, im_minus), failure
     return evaluate
 
 
@@ -290,3 +296,28 @@ def test_first_failure_in_row_order_is_raised(monkeypatch, analytic, numeric, ex
     kind = SingularSystemError if expected.endswith("check") else NumericError
     assert type(info.value) is kind
     assert str(info.value) == f"variant 'base', {expected}"
+
+
+@pytest.mark.parametrize("column", _S_COLUMNS)
+@pytest.mark.parametrize("label", ["analytic", "numeric"])
+def test_nonfinite_value_fails_before_any_byte_is_written(monkeypatch, tmp_path, label, column):
+    # Rows are checked where they are made, so the writer never sees the
+    # nan.  Its observables, later in the row, are nan too: the first
+    # column in row order is the one named.
+    for name, attribute in (("analytic", "s_pair_grid"),
+                            ("numeric", "probe_response_perturbative_grid")):
+        bad = {"nonfinite": 7, "column": column} if name == label else {}
+        monkeypatch.setattr(sweep, attribute, _fake_engine(name, **bad))
+    message = f"variant 'b', delta=2.0: nonfinite {label} value {column}=nan"
+    for out_format in ("csv", "json"):
+        cfg = SweepConfig(delta_grid=DeltaGrid(0.0, 4.0, 5), variants=(Variant("a"), Variant("b")),
+                          engine="both", out_format=out_format)
+        buffer = io.BytesIO()
+        target = tmp_path / f"out.{out_format}"
+        for run in (run_sweep, lambda c: write_sweep(c, buffer), lambda c: write_sweep(c, target)):
+            with pytest.raises(NumericError) as info:
+                run(cfg)
+            assert type(info.value) is NumericError
+            assert str(info.value) == message
+        assert buffer.getvalue() == b""
+    assert os.listdir(tmp_path) == []

@@ -238,6 +238,14 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([-0.5, 0.0, 0.5, 1.0]).astype(complex))
 
 
+def test_density_matrix_coherence_is_one_entry():
+    state = steady_state(build_generator(FIG3_BASE, g1=0.01, g2=0.02j))
+    coherence = state.coherence(1, 3)
+    assert type(coherence) is complex and coherence != 0
+    assert coherence == complex(state.rho[1, 3])
+    assert state.coherence(3, 1) == complex(state.rho[3, 1])
+
+
 def test_density_matrix_rejects_nan():
     with pytest.raises(ParameterError, match="Hermitian.*nan"):
         DensityMatrix(np.full((4, 4), np.nan))

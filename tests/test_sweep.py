@@ -177,6 +177,8 @@ _VARIANT_SYNTAX = "variant line must read: variant <name>: key=value[, key=value
     # Settings checked after the last line carry no line number.
     ("engine = warp\n", "engine must be one of analytic|numeric|both (got 'warp')"),
     ("delta_min = 5\ndelta_max = 5\n", "delta_min must be < delta_max (got 5.0 >= 5.0)"),
+    ("delta_min = inf\n", "nonfinite delta grid bounds: [inf, 150.0]"),
+    ("delta_max = nan\n", "nonfinite delta grid bounds: [-150.0, nan]"),
     ("variant a: gamma1 = -1\n", "variant 'a': nonpositive gamma1: -1.0"),
 ])
 def test_config_reader_messages(text, message):
@@ -212,6 +214,36 @@ def test_delta_override_rejected(tmp_path):
             run(cfg)
         assert str(error.value) == f"variant 'a': {_AXIS}"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (SweepConfig(variants=()), "config defines no variants"),
+    # The sweep sets each row's delta; it used to drop a base delta silently.
+    (SweepConfig(base=SystemParams(delta=7.0), delta_grid=DeltaGrid(-1.0, 1.0, 3)),
+     f"base: {_AXIS}"),
+    (SweepConfig(base=SystemParams(delta=float("nan"))), f"base: {_AXIS}"),
+], ids=["no_variants", "base_delta", "nan_base_delta"])
+def test_library_config_refused_before_evaluation(tmp_path, cfg, message):
+    for run in (validate_config, run_sweep, lambda c: write_sweep(c, tmp_path / "out.csv")):
+        with pytest.raises(ConfigError) as error:
+            run(cfg)
+        assert str(error.value) == message
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("base", [None, {"delta": 7.0}])
+def test_base_that_is_no_params_is_refused_by_the_merge(base):
+    with pytest.raises(ConfigError) as error:
+        validate_config(SweepConfig(base=base))
+    assert str(error.value).startswith("variant 'base': ")
+
+
+def test_negative_zero_base_delta_is_the_default():
+    grid = DeltaGrid(-1.0, 1.0, 3)
+    cfg = SweepConfig(base=SystemParams(delta=-0.0), delta_grid=grid)
+    assert validate_config(cfg) is cfg
+    expected = emit(run_sweep(SweepConfig(delta_grid=grid)), "json")
+    assert emit(run_sweep(cfg), "json") == expected
 
 
 def test_text_values_keep_any_characters():
