@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .complexgrid import ComplexGrid, promote
+from .complexgrid import ComplexGrid, abs_squared, promote
 from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
                    validate_params)
 from .errors import MorsimError, NumericError
@@ -42,18 +42,6 @@ __all__ = [
 DENOMINATOR_GUARD = 1e-12
 
 
-def _abs_squared(z):
-    """``abs(z) ** 2`` by libm ``pow``, for a complex or a ComplexGrid.
-
-    ``**`` on an array squares by multiplication instead, and only a
-    float raises ``OverflowError``; an array holds inf.
-    """
-    magnitude = abs(z)
-    if isinstance(magnitude, np.ndarray):
-        return np.float_power(magnitude, 2.0)
-    return magnitude ** 2
-
-
 def _closed_form(p):
     """``(num+, den+, num-, den-)`` at ``p``, grouped as in the module
     docstring.
@@ -62,8 +50,8 @@ def _closed_form(p):
     operations in the same order.  On a SystemParams, raises
     ``OverflowError`` when ``|G|^2`` exceeds the float range.
     """
-    g1_sq = _abs_squared(p.G1)
-    g2_sq = _abs_squared(p.G2)
+    g1_sq = abs_squared(p.G1)
+    g2_sq = abs_squared(p.G2)
     d_plus, d_minus, q = detuning_factors(p)
 
     num_plus = 1j * promote(p.gamma1) * (g2_sq + d_minus * q)

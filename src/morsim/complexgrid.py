@@ -14,7 +14,9 @@ operation the way CPython 3.10-3.13 evaluates it on a scalar:
 * ``a / b`` is ``_Py_c_quot``, Smith's division: scale by the larger of
   ``|b.real|`` and ``|b.imag|`` and divide by the resulting denominator;
 * ``abs(z)`` is ``hypot(re, im)`` and ``exp`` is ``np.exp`` on complex128,
-  both of which match ``abs`` and ``cmath.exp`` bit for bit.
+  both of which match ``abs`` and ``cmath.exp`` bit for bit;
+* ``abs(z) ** 2`` is libm ``pow``: ``x ** 2`` on a float, but on an array
+  ``np.float_power(x, 2.0)`` (``**`` multiplies), as :func:`abs_squared` does.
 
 Float64 ``+ - * /`` are IEEE operations in both worlds, so an expression
 written once over Python numbers evaluates to the same bits when one of
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ComplexGrid", "promote"]
+__all__ = ["ComplexGrid", "abs_squared", "promote"]
 
 
 class ComplexGrid:
@@ -120,3 +122,10 @@ def promote(x):
         return ComplexGrid(x, np.zeros_like(x))
     return complex(x)
 
+
+def abs_squared(z):
+    """``abs(z) ** 2`` of a complex or a ComplexGrid; only a float raises OverflowError."""
+    magnitude = abs(z)
+    if isinstance(magnitude, np.ndarray):
+        return np.float_power(magnitude, 2.0)
+    return magnitude ** 2

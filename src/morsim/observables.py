@@ -8,10 +8,11 @@ signals follow from recombining the two components.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
-from .complexgrid import ComplexGrid, promote
+from .complexgrid import ComplexGrid, abs_squared, promote
 from .core import JonesVector, SusceptibilityPair
 from .errors import NumericError, ParameterError
 
@@ -29,9 +30,19 @@ def _overflow(s: SusceptibilityPair, alpha_l: float) -> NumericError:
                         f"s+={s.s_plus!r}, s-={s.s_minus!r}")
 
 
+def _check_alpha_l(alpha_l) -> None:
+    """Refuse a nonfinite, then a negative ``alpha_l``: a number, or an array of one per pair."""
+    if isinstance(alpha_l, float) and 0.0 <= alpha_l < math.inf:
+        return  # a valid float, without numpy's cost per call
+    values = np.asarray(alpha_l)
+    for problem, bad in (("nonfinite alpha_l", ~np.isfinite(values)),
+                         ("negative alpha_l", values < 0)):
+        if bad.any():
+            raise ParameterError(f"{problem}: {values[bad][0]}")
+
+
 def _phase_factors(s: SusceptibilityPair, alpha_l: float) -> tuple[complex, complex]:
-    if alpha_l < 0:
-        raise ParameterError(f"negative alpha_l: {alpha_l}")
+    _check_alpha_l(alpha_l)
     try:
         return (cmath.exp(0.5j * alpha_l * s.s_plus),
                 cmath.exp(0.5j * alpha_l * s.s_minus))
@@ -41,7 +52,7 @@ def _phase_factors(s: SusceptibilityPair, alpha_l: float) -> tuple[complex, comp
 
 def _quarter_intensity(z: complex, s: SusceptibilityPair, alpha_l: float) -> float:
     try:
-        return 0.25 * abs(z) ** 2
+        return 0.25 * abs_squared(z)
     except OverflowError as exc:
         raise _overflow(s, alpha_l) from exc
 
@@ -74,8 +85,7 @@ def rotation_angle(s: SusceptibilityPair, alpha_l: float) -> float:
     with absorbing media the crossed-polarizer signal
     :func:`transmission_y` is the operational observable.
     """
-    if alpha_l < 0:
-        raise ParameterError(f"negative alpha_l: {alpha_l}")
+    _check_alpha_l(alpha_l)
     return 0.25 * alpha_l * (s.s_minus.real - s.s_plus.real)
 
 
@@ -94,14 +104,11 @@ def observables_grid(s_plus: ComplexGrid, s_minus: ComplexGrid,
     ``alpha_l`` is a float, or a float64 array with one value per pair.
     Each value equals that of :func:`transmission_y`,
     :func:`transmission_x` and :func:`rotation_angle` on the same pair
-    bit for bit where it is finite (``np.float_power(x, 2.0)`` is libm
-    ``pow``, as ``x ** 2`` is on a float; ``x ** 2`` on an array is not).
-    Where the scalars raise a :class:`NumericError` for an overflow, the
-    grid holds inf; no floating-point warning escapes.
+    bit for bit where it is finite.  Where the scalars raise a
+    :class:`NumericError` for an overflow, the grid holds inf; no
+    floating-point warning escapes.
     """
-    negative = np.asarray(alpha_l) < 0
-    if negative.any():
-        raise ParameterError(f"negative alpha_l: {np.asarray(alpha_l)[negative].flat[0]}")
+    _check_alpha_l(alpha_l)
     with np.errstate(all="ignore"):
         factors = []
         overflow = False
@@ -113,8 +120,8 @@ def observables_grid(s_plus: ComplexGrid, s_minus: ComplexGrid,
                                    & ~(np.isfinite(f.re) & np.isfinite(f.im)))
             factors.append(f)
         f_plus, f_minus = factors
-        t_y = 0.25 * np.float_power(abs(f_plus - f_minus), 2.0)
-        t_x = 0.25 * np.float_power(abs(f_plus + f_minus), 2.0)
+        t_y = 0.25 * abs_squared(f_plus - f_minus)
+        t_x = 0.25 * abs_squared(f_plus + f_minus)
         theta = 0.25 * alpha_l * (s_minus.re - s_plus.re)
     t_y[overflow] = np.inf
     t_x[overflow] = np.inf

@@ -34,6 +34,7 @@ import csv
 import errno
 import io
 import math
+import operator
 import os
 import shutil
 import stat
@@ -74,7 +75,6 @@ __all__ = [
 
 ENGINES = ("analytic", "numeric", "both")
 FORMATS = ("csv", "json")
-PRESET_NAMES = ("fig2", "fig3", "fig4")
 
 # Maximum tolerated relative disagreement between the analytic and
 # numeric engines when running in cross-validation ("both") mode.
@@ -162,7 +162,13 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
 def _check_settings(cfg: SweepConfig) -> None:
     """The checks of :func:`validate_config` on the grid, engine and format."""
     grid = cfg.delta_grid
-    if not (math.isfinite(grid.min) and math.isfinite(grid.max)):
+    try:
+        # Not "and": every grid value's type is checked before any value is.
+        finite = math.isfinite(grid.min) & math.isfinite(grid.max)
+        operator.index(grid.points)  # any integer, a bool included
+    except TypeError as exc:
+        raise ConfigError(f"delta grid needs real bounds and integer points (got {grid})") from exc
+    if not finite:
         raise ConfigError(f"nonfinite delta grid bounds: [{grid.min}, {grid.max}]")
     if not grid.min < grid.max:
         raise ConfigError(f"delta_min must be < delta_max (got {grid.min} >= {grid.max})")
@@ -199,7 +205,7 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
         seen.add(variant.name)
         try:
             merged.append(validate_params(variant.apply(cfg.base)))
-        except (MorsimError, TypeError) as exc:
+        except (MorsimError, TypeError, ValueError) as exc:
             raise ConfigError(f"variant {str(variant.name)!r}: {exc}") from exc
         # Checked after the merge, which has shown the overrides to be a mapping.
         if "delta" in variant.overrides:
@@ -310,6 +316,25 @@ def _read_config(text: str) -> SweepConfig:
     return cfg
 
 
+# Each preset: base parameters, grid, and (name, overrides) per variant; names are output bytes.
+_PRESETS = {
+    "fig2": (SystemParams(Omega=0.0, Delta=0.0, G1=0.0, G2=0.0, alpha_l=30.0),
+             DeltaGrid(-150.0, 150.0, 2001),
+             (("G1=20", {"G1": 20.0}), ("G1=50", {"G1": 50.0}), ("G1=100", {"G1": 100.0}))),
+    "fig3": (SystemParams(Omega=5.0, Delta=5.0, G1=0.0, G2=0.0, alpha_l=30.0),
+             DeltaGrid(-80.0, 80.0, 1601),
+             (("G1=0 Delta=5", {"G1": 0.0, "Delta": 5.0}),
+              ("G1=20 Delta=5", {"G1": 20.0, "Delta": 5.0}),
+              ("G1=50 Delta=5", {"G1": 50.0, "Delta": 5.0}),
+              ("G1=20 Delta=-20", {"G1": 20.0, "Delta": -20.0}),
+              ("G1=20 Delta=-30", {"G1": 20.0, "Delta": -30.0}))),
+    "fig4": (SystemParams(Omega=5.0, Delta=5.0, G1=0.0, G2=10.0, alpha_l=30.0),
+             DeltaGrid(-80.0, 80.0, 1601),
+             (("G1=0", {"G1": 0.0}), ("G1=20", {"G1": 20.0}), ("G1=50", {"G1": 50.0}))),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> SweepConfig:
     """Built-in sweep reproducing one of the standard regimes.
 
@@ -318,46 +343,13 @@ def preset(name: str) -> SweepConfig:
     fig3: Zeeman-split medium, sigma- control, resonant and detuned
     (rotation enhancement).
     fig4: elliptically polarized control (both components driven).
+    Each call returns new variants, whose overrides the caller may change.
     """
-    if name == "fig2":
-        return SweepConfig(
-            base=SystemParams(Omega=0.0, Delta=0.0, G1=0.0, G2=0.0, alpha_l=30.0),
-            delta_grid=DeltaGrid(-150.0, 150.0, 2001),
-            variants=(
-                Variant("G1=20", {"G1": 20.0}),
-                Variant("G1=50", {"G1": 50.0}),
-                Variant("G1=100", {"G1": 100.0}),
-            ),
-            engine="both",
-            out_format="csv",
-        )
-    if name == "fig3":
-        return SweepConfig(
-            base=SystemParams(Omega=5.0, Delta=5.0, G1=0.0, G2=0.0, alpha_l=30.0),
-            delta_grid=DeltaGrid(-80.0, 80.0, 1601),
-            variants=(
-                Variant("G1=0 Delta=5", {"G1": 0.0, "Delta": 5.0}),
-                Variant("G1=20 Delta=5", {"G1": 20.0, "Delta": 5.0}),
-                Variant("G1=50 Delta=5", {"G1": 50.0, "Delta": 5.0}),
-                Variant("G1=20 Delta=-20", {"G1": 20.0, "Delta": -20.0}),
-                Variant("G1=20 Delta=-30", {"G1": 20.0, "Delta": -30.0}),
-            ),
-            engine="both",
-            out_format="csv",
-        )
-    if name == "fig4":
-        return SweepConfig(
-            base=SystemParams(Omega=5.0, Delta=5.0, G1=0.0, G2=10.0, alpha_l=30.0),
-            delta_grid=DeltaGrid(-80.0, 80.0, 1601),
-            variants=(
-                Variant("G1=0", {"G1": 0.0}),
-                Variant("G1=20", {"G1": 20.0}),
-                Variant("G1=50", {"G1": 50.0}),
-            ),
-            engine="both",
-            out_format="csv",
-        )
-    raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
+    base, grid, variants = _PRESETS[name]
+    return SweepConfig(base=base, delta_grid=grid,
+                       variants=tuple(Variant(v, dict(overrides)) for v, overrides in variants))
 
 
 def _at(name: str, delta: float, exc: MorsimError) -> MorsimError:
@@ -558,30 +550,31 @@ def _chunks(columns: _Columns, out_format: str) -> Iterator[tuple[_Columns, list
                         engine[start:stop]), delta[start:stop])
 
 
-def _row_columns(rows: list[OutputRow]) -> list[_Columns]:
-    """``rows`` as columns, _CHUNK_ROWS rows at a time.
+def _row_columns(rows: list[OutputRow]) -> _Columns:
+    """``rows`` as one block of columns.
 
-    Raises an EmitError naming the first value, in row order, that is not a ``str``
-    name or a ``float`` number (subclasses included), else the first nonfinite number.
+    Raises an EmitError for the first row without one value per column, else
+    the first value, in row order, that is not a ``str`` name or a ``float``
+    number (subclasses included), else the first nonfinite number.
     """
-    chunks = []
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        columns = list(zip(*rows[start:start + _CHUNK_ROWS]))
-        bad = [next((i, j, v) for i, v in enumerate(column) if not issubclass(type(v), kind))
-               for j, (kind, column) in enumerate(zip(_KINDS, columns))
-               if not all(issubclass(t, kind) for t in set(map(type, column)))]
-        if bad:
-            i, j, value = min(bad, key=lambda b: b[:2])
-            raise EmitError(f"output row {start + i}: {CSV_HEADER[j]} must be a "
-                            f"{_KINDS[j].__name__}, got {value!r}")
-        variant, *numbers, engine = columns
-        chunks.append(_Columns(list(variant), list(np.array(numbers, float)), list(engine)))
+    for i, row in enumerate(rows):
+        if len(row) != len(CSV_HEADER):
+            raise EmitError(f"output row {i}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+    columns = list(zip(*rows))
+    bad = [next((i, j, v) for i, v in enumerate(column) if not issubclass(type(v), kind))
+           for j, (kind, column) in enumerate(zip(_KINDS, columns))
+           if not all(issubclass(t, kind) for t in set(map(type, column)))]
+    if bad:
+        i, j, value = min(bad, key=lambda b: b[:2])
+        raise EmitError(f"output row {i}: {CSV_HEADER[j]} must be a "
+                        f"{_KINDS[j].__name__}, got {value!r}")
+    variant, *numbers, engine = columns
+    numbers = np.array(numbers, float)
     # Rows by numbers: a boolean index takes the nonfinite values in row order.
-    numbers = np.concatenate([chunk.numbers for chunk in chunks], axis=1).T
-    nonfinite = numbers[~np.isfinite(numbers)]
+    nonfinite = numbers.T[~np.isfinite(numbers.T)]
     if nonfinite.size:
         raise EmitError(f"nonfinite value in output row: {float(nonfinite[0])!r}")
-    return chunks
+    return _Columns(list(variant), list(numbers), list(engine))
 
 
 def _csv_precisions(column: np.ndarray) -> np.ndarray:
@@ -758,7 +751,7 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
         raise EmitError("no rows to emit")
     if out_format not in FORMATS:
         raise EmitError(f"unknown output format {out_format!r}")
-    data = b"".join(_encode(_row_columns(rows), out_format))
+    data = b"".join(_encode([_row_columns(rows)], out_format))
     if destination is not None:
         _write([data], destination)
     return data

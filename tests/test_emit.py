@@ -178,6 +178,28 @@ def test_type_error_names_first_value_in_row_order():
         assert message == f"output row {_CHUNK_ROWS}: engine must be a str, got b'analytic'"
 
 
+_ROW = OutputRow("v", *[0.5] * 8, "analytic")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([_ROW[:9]], "output row 0: expected 10 fields, got 9"),
+    ([("a", 1.0)], "output row 0: expected 10 fields, got 2"),
+    ([_ROW, (*_ROW, "x")], "output row 1: expected 10 fields, got 11"),
+    # Every row's length is checked before any value's type or finiteness.
+    ([_ROW._replace(variant=None, t_x=math.nan), _ROW, _ROW[:9], ()],
+     "output row 2: expected 10 fields, got 9"),
+    ([_ROW] * (_CHUNK_ROWS + 1) + [(*_ROW, 0.5), _ROW[:3]],
+     f"output row {_CHUNK_ROWS + 1}: expected 10 fields, got 11"),
+], ids=["short", "two_fields", "long", "mixed", "across_chunks"])
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_rows_of_the_wrong_length_are_refused(rows, message, out_format, tmp_path):
+    target = tmp_path / f"out.{out_format}"
+    with pytest.raises(EmitError) as error:
+        emit(rows, out_format, target)
+    assert str(error.value) == message
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("column", range(8))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("out_format", ["csv", "json"])

@@ -160,6 +160,19 @@ def test_negative_medium_length_rejected():
             func(pair, -1.0)
     with pytest.raises(ParameterError, match="alpha_l"):
         output_field(X_POLARIZED, pair, -1.0)
+    # A nonfinite length is refused as validate_params refuses it, before
+    # a negative one: by the scalars and by the grid, given a float or one per pair.
+    grids = _grids([pair, pair])
+    checks = (lambda a: transmission_x(pair, a), lambda a: transmission_y(pair, a),
+              lambda a: rotation_angle(pair, a), lambda a: output_field(X_POLARIZED, pair, a),
+              lambda a: observables_grid(*grids, a),
+              lambda a: observables_grid(*grids, np.array([30.0, a])),
+              lambda a: observables_grid(*grids, np.array([-1.0, a])))
+    for bad in (math.nan, math.inf, -math.inf):
+        for check in checks:
+            with pytest.raises(ParameterError) as error:
+                check(bad)
+            assert str(error.value) == f"nonfinite alpha_l: {bad}"
 
 
 # 0.5 * alpha_l * Im s+ = -5e12: exp of the phase overflows.

@@ -222,7 +222,16 @@ def test_delta_override_rejected(tmp_path):
     (SweepConfig(base=SystemParams(delta=7.0), delta_grid=DeltaGrid(-1.0, 1.0, 3)),
      f"base: {_AXIS}"),
     (SweepConfig(base=SystemParams(delta=float("nan"))), f"base: {_AXIS}"),
-], ids=["no_variants", "base_delta", "nan_base_delta"])
+    # A grid of the wrong types, built in Python, names the grid.
+    *((SweepConfig(delta_grid=grid),
+       f"delta grid needs real bounds and integer points (got {grid})")
+      for grid in (DeltaGrid(-1.0, 1.0, 2.5), DeltaGrid(-1.0, 1.0, 3.0),
+                   DeltaGrid(-1.0, 1.0, "3"), DeltaGrid("a", 1.0, 3))),
+    (SweepConfig(delta_grid=DeltaGrid(-1.0, 1.0, True)), "delta_points must be >= 2 (got True)"),
+    (SweepConfig(variants=(Variant("a", {"Omega": "x"}),)),
+     "variant 'a': could not convert string to float: 'x'"),
+], ids=["no_variants", "base_delta", "nan_base_delta", "fractional_points", "float_points",
+        "str_points", "str_min", "bool_points", "str_override"])
 def test_library_config_refused_before_evaluation(tmp_path, cfg, message):
     for run in (validate_config, run_sweep, lambda c: write_sweep(c, tmp_path / "out.csv")):
         with pytest.raises(ConfigError) as error:
@@ -236,6 +245,12 @@ def test_base_that_is_no_params_is_refused_by_the_merge(base):
     with pytest.raises(ConfigError) as error:
         validate_config(SweepConfig(base=base))
     assert str(error.value).startswith("variant 'base': ")
+
+
+def test_numpy_integer_points_run_like_int():
+    grid = DeltaGrid(-1.0, 1.0, np.int64(3))
+    expected = emit(run_sweep(SweepConfig(delta_grid=DeltaGrid(-1.0, 1.0, 3))), "json")
+    assert emit(run_sweep(SweepConfig(delta_grid=grid)), "json") == expected
 
 
 def test_negative_zero_base_delta_is_the_default():
@@ -322,6 +337,13 @@ def test_preset_fig4():
     assert cfg.base.G2 == 10.0
     assert cfg.base.Omega == 5.0 and cfg.base.Delta == 5.0
     assert [v.overrides["G1"] for v in cfg.variants] == [0.0, 20.0, 50.0]
+
+
+def test_preset_returns_fresh_overrides():
+    preset("fig3").variants[0].overrides["G1"] = 99.0
+    cfg = preset("fig3")
+    assert cfg.variants[0].overrides == {"G1": 0.0, "Delta": 5.0}
+    assert cfg.variants[0].overrides is not preset("fig3").variants[0].overrides
 
 
 def test_unknown_preset():
