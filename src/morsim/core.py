@@ -11,6 +11,7 @@ the default parameter set is dimensionless with ``gamma = 1``.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import math
 from dataclasses import dataclass, fields, replace
@@ -157,8 +158,26 @@ class SusceptibilityPair:
         object.__setattr__(self, "s_minus", complex(self.s_minus))
 
 
-def _finite(value: complex) -> bool:
-    return math.isfinite(value.real) and math.isfinite(value.imag)
+def _isfinite(x) -> bool:
+    """``math.isfinite``, False for an int beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_alpha_l(alpha_l) -> None:
+    """Refuse a nonfinite, then a negative ``alpha_l``: a number, or an array of one per pair."""
+    if isinstance(alpha_l, float) and 0.0 <= alpha_l < math.inf:
+        return  # a valid float, without numpy's cost per call
+    if isinstance(alpha_l, int) and not -2**63 <= alpha_l < 2**64:
+        # NumPy holds such an int only as an object: check it as its float, inf beyond the range.
+        alpha_l = float(alpha_l) if _isfinite(alpha_l) else (math.inf if alpha_l > 0 else -math.inf)
+    values = np.asarray(alpha_l)
+    for problem, bad in (("nonfinite alpha_l", ~np.isfinite(values)),
+                         ("negative alpha_l", values < 0)):
+        if bad.any():
+            raise ParameterError(f"{problem}: {values[bad][0]}")
 
 
 def validate_params(p: SystemParams) -> SystemParams:
@@ -169,11 +188,8 @@ def validate_params(p: SystemParams) -> SystemParams:
     ParameterError
         Naming the first violated constraint.
     """
-    for name in _REAL_FIELDS:
-        if not math.isfinite(getattr(p, name)):
-            raise ParameterError(f"nonfinite {name}: {getattr(p, name)!r}")
-    for name in _COMPLEX_FIELDS:
-        if not _finite(getattr(p, name)):
+    for name in _REAL_FIELDS + _COMPLEX_FIELDS:
+        if not cmath.isfinite(getattr(p, name)):
             raise ParameterError(f"nonfinite {name}: {getattr(p, name)!r}")
     if p.gamma1 <= 0:
         raise ParameterError(f"nonpositive gamma1: {p.gamma1}")
@@ -186,8 +202,7 @@ def validate_params(p: SystemParams) -> SystemParams:
     if p.Gamma1 + p.Gamma2 <= 0:
         # Without damping of |e> the stationary state is not unique.
         raise ParameterError("upper level undamped: Gamma1 + Gamma2 must be > 0")
-    if p.alpha_l < 0:
-        raise ParameterError(f"negative alpha_l: {p.alpha_l}")
+    _check_alpha_l(p.alpha_l)
     return p
 
 

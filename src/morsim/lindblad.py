@@ -35,9 +35,9 @@ in a stack.  The weak-probe response is linear response around
 ``rho0 = |g><g|``: with ``L = L0 + L1(g)`` the first-order state solves
 ``L0 rho1 = -L1 rho0``.  At zero probe the rows of rho_1g, rho_2g and
 rho_eg close on those three coherences, so the first-order system is the
-table's 3x3 coherence block, driven by minus those rows' rho_gg column;
-only the three coherence rows are built for it, once for both probe
-components.
+table's 3x3 coherence block, built from those three rows alone.  Its
+drive, one column per probe component at unit amplitude, is minus the
+rho_gg column of ``P`` on those rows, read off once, at import.
 
 Both routes check their solves by one rule (:func:`_solve`,
 :func:`_residuals`, :func:`_first_failure`): a stack is solved in one
@@ -69,9 +69,8 @@ __all__ = [
 
 # Basis indices, order {e, 1, 2, g}.
 _E, _M1, _M2, _G = 0, 1, 2, 3
-# Unknowns of the first-order system, in solve order, and the ground population.
+# Unknowns of the first-order system, in solve order.
 _COHERENCES = ((_M1, _G), (_M2, _G), (_E, _G))
-_GG = (_G, _G)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -236,6 +235,7 @@ def _scatter_plan() -> tuple[np.ndarray, np.ndarray]:
 
 
 _POSITIONS, _MIRRORED = _scatter_plan()
+_POSITIONS.flags.writeable = _MIRRORED.flags.writeable = False
 
 
 def _coefficients(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
@@ -274,6 +274,12 @@ _PROBE = np.stack([_generator(SystemParams(), *unit) - _generator(SystemParams()
                    for unit in ((1.0, 0.0), (0.0, 1.0))])
 _PROBE.flags.writeable = False
 
+# The first-order drive -L1 rho0, a column per probe component at unit amplitude: minus
+# the rho_gg column of _PROBE on the coherence rows (0 - x, so zero parts stay +0.0).
+_GG_ROW = 4 * _G + _G
+_DRIVE = 0.0 - _PROBE[:, [4 * a + b for a, b in _COHERENCES], _GG_ROW].T
+_DRIVE.flags.writeable = False
+
 
 def _generator_pair(p: SystemParams, g: float) -> np.ndarray:
     """The ``(2, 16, 16)`` stack of :func:`build_generator` at ``(g1, g2)``
@@ -282,9 +288,9 @@ def _generator_pair(p: SystemParams, g: float) -> np.ndarray:
     return _generator(p, 0.0, 0.0) + g * _PROBE
 
 
-# The trace condition that replaces the redundant ground-population row.
-_GG_ROW = 4 * _G + _G
-_TRACE_COLUMNS = np.array([4 * level + level for level in (_E, _M1, _M2, _G)])
+# The trace condition that replaces the redundant ground-population row: ones at the populations.
+_TRACE_ROW = np.identity(4, dtype=complex).ravel()
+_TRACE_ROW.flags.writeable = False
 _UNIT_TRACE = np.zeros(16, dtype=complex)
 _UNIT_TRACE[_GG_ROW] = 1.0
 _UNIT_TRACE.flags.writeable = False
@@ -353,8 +359,7 @@ def _steady_states(L: np.ndarray, check_states: bool = True
     check, with the error :func:`steady_state` raises for it.
     """
     constrained = L.copy()
-    constrained[:, _GG_ROW] = 0.0
-    constrained[:, _GG_ROW, _TRACE_COLUMNS] = 1.0
+    constrained[:, _GG_ROW] = _TRACE_ROW
     vec, checks = _solve(constrained, _UNIT_TRACE, lambda i: SingularSystemError(
         "steady-state solve failed: Singular matrix"))
     rho = vec.reshape(-1, 4, 4)
@@ -389,24 +394,11 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     return DensityMatrix(rho=rho[0])
 
 
-def _first_order_system(p):
-    """``(L0, -L1 rho0)`` of the first-order system, read off the coherence rows.
-
-    Returns the coefficient block over (rho_1g, rho_2g, rho_eg) as
-    nested lists and the ``(3, 2)`` drive, one column per circular probe
-    component driven alone at unit amplitude.  The rows are built once,
-    with both probe components on: the probe enters them only outside
-    their own columns, so the block does not depend on it, and component
-    ``j`` drives only the rho_gg entry of coherence row ``j``.  The other
-    drive entries are +0.0.
-    """
-    rows = _coherence_rows(p, 1.0, 1.0)
-    block = [[row.get(col, 0.0) for col in _COHERENCES] for row in rows.values()]
-    drive = np.zeros((3, 2), dtype=complex)
-    for j, coherence in enumerate(_COHERENCES[:2]):
-        # 0 - x rather than -x keeps the zero part of the drive at +0.0.
-        drive[j, j] = 0.0 - rows[coherence][_GG]
-    return block, drive
+def _first_order_block(p):
+    """``L0``: the coefficient block over (rho_1g, rho_2g, rho_eg), as nested lists.
+    The probe enters these rows only outside these columns, so it is left at zero."""
+    rows = _coherence_rows(p, 0.0, 0.0)
+    return [[rows[row].get(col, 0.0) for col in _COHERENCES] for row in _COHERENCES]
 
 
 def _where(p: SystemParams) -> str:
@@ -436,14 +428,13 @@ def probe_response_perturbative(p: SystemParams) -> SusceptibilityPair:
     gamma1 != gamma2.
     """
     validate_params(p)
-    block, rhs = _first_order_system(p)
-    coeffs = np.array(block, dtype=complex)
+    coeffs = np.array(_first_order_block(p), dtype=complex)
     try:
-        sol = np.linalg.solve(coeffs, rhs)
+        sol = np.linalg.solve(coeffs, _DRIVE)
     except np.linalg.LinAlgError as exc:
         raise _singular_error(p) from exc
     with np.errstate(all="ignore"):
-        residual, bound, within = _residuals(coeffs, coeffs @ sol - rhs)
+        residual, bound, within = _residuals(coeffs, coeffs @ sol - _DRIVE)
     if not within:
         raise _residual_error(residual, bound, p)
     s_plus = p.gamma1 * complex(sol[0, 0])
@@ -464,7 +455,8 @@ def probe_response_perturbative_grid(
     function raises and ``error`` what it raises there.  Values from
     ``i`` on are not defined.
     """
-    block, rhs = _first_order_system(rows)
+    # Held to the end: freed before the solve, it raised a 9,900-row block's peak RSS by 1.6 MB.
+    block = _first_order_block(rows)
     coeffs = np.empty((len(rows.delta), 3, 3), dtype=complex)
     for i, row in enumerate(block):
         for j, entry in enumerate(row):
@@ -472,9 +464,9 @@ def probe_response_perturbative_grid(
                 coeffs.real[:, i, j], coeffs.imag[:, i, j] = entry.re, entry.im
             else:
                 coeffs[:, i, j] = entry
-    sol, checks = _solve(coeffs, rhs, lambda i: _singular_error(rows.at(i)))
+    sol, checks = _solve(coeffs, _DRIVE, lambda i: _singular_error(rows.at(i)))
     with np.errstate(all="ignore"):
-        residual, bound, within = _residuals(coeffs, coeffs @ sol - rhs)
+        residual, bound, within = _residuals(coeffs, coeffs @ sol - _DRIVE)
         s_plus = rows.gamma1 * ComplexGrid.from_numpy(sol[:, 0, 0])
         s_minus = rows.gamma2 * ComplexGrid.from_numpy(sol[:, 1, 1])
     checks.append((within, lambda i: _residual_error(residual[i], bound[i], rows.at(i))))

@@ -8,13 +8,12 @@ signals follow from recombining the two components.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
 from .complexgrid import ComplexGrid, abs_squared, promote
-from .core import JonesVector, SusceptibilityPair
-from .errors import NumericError, ParameterError
+from .core import JonesVector, SusceptibilityPair, _check_alpha_l
+from .errors import NumericError
 
 __all__ = [
     "transmission_y",
@@ -28,17 +27,6 @@ __all__ = [
 def _overflow(s: SusceptibilityPair, alpha_l: float) -> NumericError:
     return NumericError(f"observable overflows the float range at alpha_l={alpha_l!r}, "
                         f"s+={s.s_plus!r}, s-={s.s_minus!r}")
-
-
-def _check_alpha_l(alpha_l) -> None:
-    """Refuse a nonfinite, then a negative ``alpha_l``: a number, or an array of one per pair."""
-    if isinstance(alpha_l, float) and 0.0 <= alpha_l < math.inf:
-        return  # a valid float, without numpy's cost per call
-    values = np.asarray(alpha_l)
-    for problem, bad in (("nonfinite alpha_l", ~np.isfinite(values)),
-                         ("negative alpha_l", values < 0)):
-        if bad.any():
-            raise ParameterError(f"{problem}: {values[bad][0]}")
 
 
 def _phase_factors(s: SusceptibilityPair, alpha_l: float) -> tuple[complex, complex]:

@@ -33,7 +33,6 @@ import contextlib
 import csv
 import errno
 import io
-import math
 import operator
 import os
 import shutil
@@ -49,7 +48,7 @@ import numpy as np
 
 from .analytic import s_pair_grid
 from .complexgrid import ComplexGrid
-from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams,
+from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams, _isfinite,
                    validate_params)
 from .errors import ConfigError, CrossValidationError, EmitError, MorsimError, NumericError
 from .lindblad import probe_response_perturbative_grid
@@ -164,7 +163,7 @@ def _check_settings(cfg: SweepConfig) -> None:
     grid = cfg.delta_grid
     try:
         # Not "and": every grid value's type is checked before any value is.
-        finite = math.isfinite(grid.min) & math.isfinite(grid.max)
+        finite = _isfinite(grid.min) & _isfinite(grid.max)
         operator.index(grid.points)  # any integer, a bool included
     except TypeError as exc:
         raise ConfigError(f"delta grid needs real bounds and integer points (got {grid})") from exc
@@ -172,7 +171,7 @@ def _check_settings(cfg: SweepConfig) -> None:
         raise ConfigError(f"nonfinite delta grid bounds: [{grid.min}, {grid.max}]")
     if not grid.min < grid.max:
         raise ConfigError(f"delta_min must be < delta_max (got {grid.min} >= {grid.max})")
-    if not math.isfinite(grid.max - grid.min):
+    if not _isfinite(grid.max - grid.min):
         raise ConfigError(f"delta grid span overflows: [{grid.min}, {grid.max}]")
     if grid.points < 2:
         raise ConfigError(f"delta_points must be >= 2 (got {grid.points})")
@@ -205,7 +204,7 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
         seen.add(variant.name)
         try:
             merged.append(validate_params(variant.apply(cfg.base)))
-        except (MorsimError, TypeError, ValueError) as exc:
+        except (MorsimError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"variant {str(variant.name)!r}: {exc}") from exc
         # Checked after the merge, which has shown the overrides to be a mapping.
         if "delta" in variant.overrides:
@@ -558,8 +557,12 @@ def _row_columns(rows: list[OutputRow]) -> _Columns:
     number (subclasses included), else the first nonfinite number.
     """
     for i, row in enumerate(rows):
-        if len(row) != len(CSV_HEADER):
-            raise EmitError(f"output row {i}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+        try:
+            got = len(row)
+        except TypeError:  # not a sequence
+            got = f"{type(row).__name__} {row!r}"
+        if got != len(CSV_HEADER):
+            raise EmitError(f"output row {i}: expected {len(CSV_HEADER)} fields, got {got}")
     columns = list(zip(*rows))
     bad = [next((i, j, v) for i, v in enumerate(column) if not issubclass(type(v), kind))
            for j, (kind, column) in enumerate(zip(_KINDS, columns))

@@ -190,7 +190,12 @@ _ROW = OutputRow("v", *[0.5] * 8, "analytic")
      "output row 2: expected 10 fields, got 9"),
     ([_ROW] * (_CHUNK_ROWS + 1) + [(*_ROW, 0.5), _ROW[:3]],
      f"output row {_CHUNK_ROWS + 1}: expected 10 fields, got 11"),
-], ids=["short", "two_fields", "long", "mixed", "across_chunks"])
+    # A row that is not a sequence is named by its type and value.
+    ([1.0], "output row 0: expected 10 fields, got float 1.0"),
+    ([None], "output row 0: expected 10 fields, got NoneType None"),
+    ([_ROW._replace(variant=None), _ROW, 2.5], "output row 2: expected 10 fields, got float 2.5"),
+], ids=["short", "two_fields", "long", "mixed", "across_chunks", "float_row", "none_row",
+        "scalar_after_bad_type"])
 @pytest.mark.parametrize("out_format", ["csv", "json"])
 def test_rows_of_the_wrong_length_are_refused(rows, message, out_format, tmp_path):
     target = tmp_path / f"out.{out_format}"

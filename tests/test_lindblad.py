@@ -310,3 +310,21 @@ def test_steady_state_residual_bound_must_be_finite():
 def test_generator_matrix_validation():
     with pytest.raises(ParameterError, match="16x16"):
         steady_state(np.zeros((4, 4), dtype=complex))
+
+
+def test_first_order_drive_is_the_per_call_drive_bit_for_bit():
+    # -L1 rho0 as it was built on every call: the rho_gg entries of the
+    # coherence rows with both probe components at unit amplitude, 0 - x each.
+    rows = lindblad._coherence_rows(SystemParams(), 1.0, 1.0)
+    drive = np.zeros((3, 2), dtype=complex)
+    for j, coherence in enumerate(lindblad._COHERENCES[:2]):
+        drive[j, j] = 0.0 - rows[coherence][(lindblad._G, lindblad._G)]
+    assert lindblad._DRIVE.shape == drive.shape
+    assert lindblad._DRIVE.tobytes() == drive.tobytes()
+
+
+def test_module_level_arrays_are_read_only():
+    arrays = {name: value for name, value in vars(lindblad).items()
+              if isinstance(value, np.ndarray)}
+    assert {"_PROBE", "_DRIVE", "_TRACE_ROW", "_UNIT_TRACE"} <= arrays.keys()
+    assert [name for name, value in arrays.items() if value.flags.writeable] == []

@@ -175,6 +175,31 @@ def test_negative_medium_length_rejected():
             assert str(error.value) == f"nonfinite alpha_l: {bad}"
 
 
+@pytest.mark.parametrize("alpha_l, message", [
+    (-1, "negative alpha_l: -1"),
+    (-2**64, "negative alpha_l: -1.8446744073709552e+19"),
+    (10**400, "nonfinite alpha_l: inf"),
+    (-10**400, "nonfinite alpha_l: -inf"),
+])
+def test_integer_alpha_l_is_refused_as_its_float(alpha_l, message):
+    # NumPy holds an int beyond int64 and uint64 only as an object; such an
+    # int is checked as its float, and one beyond the float range is not finite.
+    grids = _grids([FINITE])
+    checks = (lambda a: transmission_x(FINITE, a), lambda a: transmission_y(FINITE, a),
+              lambda a: rotation_angle(FINITE, a), lambda a: output_field(X_POLARIZED, FINITE, a),
+              lambda a: observables_grid(*grids, a))
+    for check in checks:
+        with pytest.raises(ParameterError) as error:
+            check(alpha_l)
+        assert str(error.value) == message
+
+
+@pytest.mark.parametrize("alpha_l", [2**63, 2**64, 10**20])
+def test_large_integer_alpha_l_acts_as_its_float(alpha_l):
+    for func in (transmission_x, transmission_y, rotation_angle):
+        assert func(FINITE, alpha_l) == func(FINITE, float(alpha_l))
+
+
 # 0.5 * alpha_l * Im s+ = -5e12: exp of the phase overflows.
 GAIN = SusceptibilityPair(-1e10j, 0.5 + 0.25j)
 # At alpha_l = 500, |exp(i alpha_l s+ / 2)| is about 1e200: finite, but

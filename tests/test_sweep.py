@@ -230,8 +230,21 @@ def test_delta_override_rejected(tmp_path):
     (SweepConfig(delta_grid=DeltaGrid(-1.0, 1.0, True)), "delta_points must be >= 2 (got True)"),
     (SweepConfig(variants=(Variant("a", {"Omega": "x"}),)),
      "variant 'a': could not convert string to float: 'x'"),
+    # An int beyond the float range is no finite bound, span or override value,
+    # and the grid's types are still checked before its values.
+    (SweepConfig(delta_grid=DeltaGrid(-10**400, 1.0, 3)),
+     f"nonfinite delta grid bounds: [{-10**400}, 1.0]"),
+    *((SweepConfig(delta_grid=grid),
+       f"delta grid needs real bounds and integer points (got {grid})")
+      for grid in (DeltaGrid(-10**400, "x", 3), DeltaGrid(-10**400, 1.0, 2.5))),
+    (SweepConfig(delta_grid=DeltaGrid(-2**1023, 2**1023, 3)),
+     f"delta grid span overflows: [{-2**1023}, {2**1023}]"),
+    *((SweepConfig(variants=(Variant("a", {name: 10**400}),)),
+       "variant 'a': int too large to convert to float") for name in ("Omega", "G1")),
 ], ids=["no_variants", "base_delta", "nan_base_delta", "fractional_points", "float_points",
-        "str_points", "str_min", "bool_points", "str_override"])
+        "str_points", "str_min", "bool_points", "str_override", "huge_int_min",
+        "huge_int_min_str_max", "huge_int_min_float_points", "int_span_overflows",
+        "huge_int_override", "huge_int_complex_override"])
 def test_library_config_refused_before_evaluation(tmp_path, cfg, message):
     for run in (validate_config, run_sweep, lambda c: write_sweep(c, tmp_path / "out.csv")):
         with pytest.raises(ConfigError) as error:
