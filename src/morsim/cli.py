@@ -5,8 +5,9 @@ Two subcommands::
     morsim sweep --config sweep.cfg [--engine both] [--format csv] [--out path]
     morsim figure fig2 [--out directory]
 
-Exit codes: 0 on success, 1 on configuration or parameter errors, 2 on
-numeric failures (including analytic-vs-numeric cross-validation).
+Exit codes: 0 on success, 2 on a numeric failure (a ``NumericError``,
+analytic-vs-numeric cross-validation included), 1 on any other
+``MorsimError``: a configuration, parameter or output error.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "rb") as stream:
             data = stream.read(MAX_CONFIG_BYTES + 1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if len(data) > MAX_CONFIG_BYTES:
         raise ConfigError(f"config {args.config} is larger than {MAX_CONFIG_BYTES} bytes")
@@ -87,7 +88,7 @@ def _run_figure_command(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise EmitError(f"cannot create output directory {out_dir}: {exc}") from exc
     path = out_dir / f"{args.name}.csv"
     rows = write_sweep(cfg, path)
@@ -111,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (MorsimError, ValueError) as exc:
+    except MorsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

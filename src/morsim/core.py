@@ -74,17 +74,31 @@ class SystemParams:
     alpha_l: float = 30.0
 
     def __post_init__(self):
-        # Normalize numeric types so equality and formatting behave.
-        for name in _REAL_FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in _COMPLEX_FIELDS:
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        # Normalize numeric types by the rule of _converted; float() would cast NumPy complex.
+        try:
+            for name in _REAL_FIELDS:
+                if isinstance(value := getattr(self, name), np.complexfloating):
+                    raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+                object.__setattr__(self, name, float(value))
+            for name in _COMPLEX_FIELDS:
+                object.__setattr__(self, name, complex(getattr(self, name)))
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(str(exc)) from exc
 
 
 # SystemParams' fields by (string) annotation, and all but delta, in declared order.
 _REAL_FIELDS, _COMPLEX_FIELDS = (tuple(f.name for f in fields(SystemParams) if f.type == kind)
                                  for kind in ("float", "complex"))
 _VARIANT_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "delta")
+
+
+def _converted(convert, value, *args):
+    """``convert(value, *args)``, ``complex`` or a NumPy array constructor, with its reason
+    as a ParameterError where it refuses a value of a type it takes (``'x'``, a huge int)."""
+    try:
+        return convert(value, *args)
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(str(exc)) from exc
 
 
 class ParamColumns:
@@ -136,8 +150,8 @@ class JonesVector:
     e_minus: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "e_plus", complex(self.e_plus))
-        object.__setattr__(self, "e_minus", complex(self.e_minus))
+        object.__setattr__(self, "e_plus", _converted(complex, self.e_plus))
+        object.__setattr__(self, "e_minus", _converted(complex, self.e_minus))
 
     @property
     def intensity(self) -> float:
@@ -154,30 +168,43 @@ class SusceptibilityPair:
     s_minus: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s_plus", complex(self.s_plus))
-        object.__setattr__(self, "s_minus", complex(self.s_minus))
+        object.__setattr__(self, "s_plus", _converted(complex, self.s_plus))
+        object.__setattr__(self, "s_minus", _converted(complex, self.s_minus))
 
 
-def _isfinite(x) -> bool:
-    """``math.isfinite``, False for an int beyond the float range."""
+def _shown(value) -> str:
+    """A caller's value in a message: a ``str`` quoted, anything else by ``str``,
+    or a stand-in where ``str`` refuses it (an int of more than 4,300 digits)."""
     try:
-        return math.isfinite(x)
+        return repr(str(value)) if isinstance(value, str) else str(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _real(x) -> float:
+    """``x`` as a float, a huge int as an infinity; anything but a real number is a TypeError."""
+    if isinstance(x, (complex, np.complexfloating, np.ndarray)):
+        raise TypeError(f"must be real number, not {type(x).__name__}")
+    try:
+        math.isfinite(x)  # a TypeError for text, which float() would parse
+        return float(x)
     except OverflowError:
-        return False
+        return math.inf if x > 0 else -math.inf
 
 
-def _check_alpha_l(alpha_l) -> None:
-    """Refuse a nonfinite, then a negative ``alpha_l``: a number, or an array of one per pair."""
+def _check_alpha_l(alpha_l):
+    """Refuse a nonfinite, then a negative ``alpha_l``; return it as a float or float64 array."""
     if isinstance(alpha_l, float) and 0.0 <= alpha_l < math.inf:
-        return  # a valid float, without numpy's cost per call
-    if isinstance(alpha_l, int) and not -2**63 <= alpha_l < 2**64:
-        # NumPy holds such an int only as an object: check it as its float, inf beyond the range.
-        alpha_l = float(alpha_l) if _isfinite(alpha_l) else (math.inf if alpha_l > 0 else -math.inf)
+        return alpha_l  # a valid float, without numpy's cost per call
     values = np.asarray(alpha_l)
+    if values.dtype.kind not in "biuf":
+        # No real number NumPy holds: an int beyond int64 and uint64 is checked as its float.
+        values = np.asarray(_real(alpha_l))
     for problem, bad in (("nonfinite alpha_l", ~np.isfinite(values)),
                          ("negative alpha_l", values < 0)):
         if bad.any():
-            raise ParameterError(f"{problem}: {values[bad][0]}")
+            raise ParameterError(f"{problem}: {_shown(values[bad][0])}")
+    return np.asarray(values, dtype=float) if values.ndim else float(values)
 
 
 def validate_params(p: SystemParams) -> SystemParams:
@@ -227,8 +254,7 @@ def cartesian_to_circular(ex: complex, ey: complex) -> JonesVector:
     ``e_plus = (ex - i ey)/sqrt(2)``, ``e_minus = (ex + i ey)/sqrt(2)``;
     the map is unitary, so total intensity is preserved.
     """
-    ex = complex(ex)
-    ey = complex(ey)
+    ex, ey = _converted(complex, ex), _converted(complex, ey)
     return JonesVector(e_plus=(ex - 1j * ey) / _SQRT2,
                        e_minus=(ex + 1j * ey) / _SQRT2)
 

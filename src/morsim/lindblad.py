@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexgrid import ComplexGrid
-from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
-                   validate_params)
+from .core import (ParamColumns, SusceptibilityPair, SystemParams, _converted, _real, _shown,
+                   detuning_factors, validate_params)
 from .errors import ParameterError, SingularSystemError
 
 __all__ = [
@@ -90,7 +90,7 @@ class DensityMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
+        rho = _converted(np.array, self.rho, complex)
         if rho.shape != (4, 4):
             raise ParameterError(f"density matrix must be 4x4, got {rho.shape}")
         failure = _first_failure(_state_checks(rho[np.newaxis]))
@@ -246,10 +246,10 @@ def _coefficients(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
 
 
 def _generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
-    """:func:`build_generator` for parameters already validated, writable."""
+    """:func:`build_generator` for parameters already validated and complex amplitudes, writable."""
     matrix = np.zeros(256, dtype=complex)
     # Every entry is written once; adding to zero turns a -0.0 part into +0.0.
-    matrix[_POSITIONS] += _coefficients(p, complex(g1), complex(g2))
+    matrix[_POSITIONS] += _coefficients(p, g1, g2)
     return matrix.reshape(16, 16)
 
 
@@ -263,15 +263,15 @@ def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
     indices, which preserves Hermiticity by construction.
     """
     validate_params(p)
-    matrix = _generator(p, g1, g2)
+    matrix = _generator(p, _converted(complex, g1), _converted(complex, g2))
     matrix.flags.writeable = False
     return matrix
 
 
 # Per unit g1 and per unit g2: each probe term is +-i g or +-i g* and writes
 # an entry no other term writes, so L(g, 0) = L(0, 0) + g * _PROBE[0] for real g.
-_PROBE = np.stack([_generator(SystemParams(), *unit) - _generator(SystemParams(), 0.0, 0.0)
-                   for unit in ((1.0, 0.0), (0.0, 1.0))])
+_PROBE = np.stack([_generator(SystemParams(), *unit) - _generator(SystemParams(), 0j, 0j)
+                   for unit in ((1 + 0j, 0j), (0j, 1 + 0j))])
 _PROBE.flags.writeable = False
 
 # The first-order drive -L1 rho0, a column per probe component at unit amplitude: minus
@@ -285,7 +285,7 @@ def _generator_pair(p: SystemParams, g: float) -> np.ndarray:
     """The ``(2, 16, 16)`` stack of :func:`build_generator` at ``(g1, g2)``
     = ``(g, 0)`` and ``(0, g)``, for parameters already validated, with
     the bits of those two calls from one evaluation of the table."""
-    return _generator(p, 0.0, 0.0) + g * _PROBE
+    return _generator(p, 0j, 0j) + g * _PROBE
 
 
 # The trace condition that replaces the redundant ground-population row: ones at the populations.
@@ -387,7 +387,7 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     checks are those of :class:`DensityMatrix`, run once, by its
     constructor, after the residual check.
     """
-    L = np.ascontiguousarray(generator, dtype=complex)
+    L = _converted(np.ascontiguousarray, generator, complex)
     if L.shape != (16, 16):
         raise ParameterError(f"generator must be 16x16, got {L.shape}")
     rho, _, _ = _steady_states(L[np.newaxis], check_states=False)
@@ -483,14 +483,15 @@ def probe_response_finite(p: SystemParams, g_mag: float) -> SusceptibilityPair:
     error of order ``g_mag**2`` (probe-induced population corrections).
     """
     validate_params(p)
-    if not (g_mag > 0):
-        raise ParameterError(f"nonpositive probe amplitude: {g_mag}")
-    if g_mag > MAX_FINITE_PROBE:
+    g = _real(g_mag)
+    if not (g > 0):
+        raise ParameterError(f"nonpositive probe amplitude: {_shown(g_mag)}")
+    if g > MAX_FINITE_PROBE:
         raise ParameterError(
-            f"probe too strong: g={g_mag} exceeds {MAX_FINITE_PROBE} "
+            f"probe too strong: g={_shown(g_mag)} exceeds {MAX_FINITE_PROBE} "
             f"(weak-probe extraction would be unreliable)"
         )
-    rho, _, _ = _steady_states(_generator_pair(p, g_mag))
-    s_plus = p.gamma1 * complex(rho[0, _M1, _G]) / g_mag
-    s_minus = p.gamma2 * complex(rho[1, _M2, _G]) / g_mag
+    rho, _, _ = _steady_states(_generator_pair(p, g))
+    s_plus = p.gamma1 * complex(rho[0, _M1, _G]) / g
+    s_minus = p.gamma2 * complex(rho[1, _M2, _G]) / g
     return SusceptibilityPair(s_plus=s_plus, s_minus=s_minus)

@@ -12,7 +12,7 @@ import cmath
 import numpy as np
 
 from .complexgrid import ComplexGrid, abs_squared, promote
-from .core import JonesVector, SusceptibilityPair, _check_alpha_l
+from .core import JonesVector, SusceptibilityPair, _check_alpha_l, _shown
 from .errors import NumericError
 
 __all__ = [
@@ -25,12 +25,12 @@ __all__ = [
 
 
 def _overflow(s: SusceptibilityPair, alpha_l: float) -> NumericError:
-    return NumericError(f"observable overflows the float range at alpha_l={alpha_l!r}, "
+    return NumericError(f"observable overflows the float range at alpha_l={_shown(alpha_l)}, "
                         f"s+={s.s_plus!r}, s-={s.s_minus!r}")
 
 
 def _phase_factors(s: SusceptibilityPair, alpha_l: float) -> tuple[complex, complex]:
-    _check_alpha_l(alpha_l)
+    alpha_l = _check_alpha_l(alpha_l)
     try:
         return (cmath.exp(0.5j * alpha_l * s.s_plus),
                 cmath.exp(0.5j * alpha_l * s.s_minus))
@@ -73,7 +73,7 @@ def rotation_angle(s: SusceptibilityPair, alpha_l: float) -> float:
     with absorbing media the crossed-polarizer signal
     :func:`transmission_y` is the operational observable.
     """
-    _check_alpha_l(alpha_l)
+    alpha_l = _check_alpha_l(alpha_l)
     return 0.25 * alpha_l * (s.s_minus.real - s.s_plus.real)
 
 
@@ -96,7 +96,7 @@ def observables_grid(s_plus: ComplexGrid, s_minus: ComplexGrid,
     :class:`NumericError` for an overflow, the grid holds inf; no
     floating-point warning escapes.
     """
-    _check_alpha_l(alpha_l)
+    alpha_l = _check_alpha_l(alpha_l)
     with np.errstate(all="ignore"):
         factors = []
         overflow = False

@@ -33,6 +33,7 @@ import contextlib
 import csv
 import errno
 import io
+import math
 import operator
 import os
 import shutil
@@ -48,7 +49,7 @@ import numpy as np
 
 from .analytic import s_pair_grid
 from .complexgrid import ComplexGrid
-from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams, _isfinite,
+from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams, _real, _shown,
                    validate_params)
 from .errors import ConfigError, CrossValidationError, EmitError, MorsimError, NumericError
 from .lindblad import probe_response_perturbative_grid
@@ -105,7 +106,7 @@ class DeltaGrid:
     points: int
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.points)
+        return np.linspace(_real(self.min), _real(self.max), self.points)
 
 
 @dataclass(frozen=True)
@@ -161,26 +162,26 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
 def _check_settings(cfg: SweepConfig) -> None:
     """The checks of :func:`validate_config` on the grid, engine and format."""
     grid = cfg.delta_grid
-    try:
-        # Not "and": every grid value's type is checked before any value is.
-        finite = _isfinite(grid.min) & _isfinite(grid.max)
+    try:  # every grid value's type before any value
+        low, high = _real(grid.min), _real(grid.max)
         operator.index(grid.points)  # any integer, a bool included
     except TypeError as exc:
-        raise ConfigError(f"delta grid needs real bounds and integer points (got {grid})") from exc
-    if not finite:
-        raise ConfigError(f"nonfinite delta grid bounds: [{grid.min}, {grid.max}]")
-    if not grid.min < grid.max:
-        raise ConfigError(f"delta_min must be < delta_max (got {grid.min} >= {grid.max})")
-    if not _isfinite(grid.max - grid.min):
-        raise ConfigError(f"delta grid span overflows: [{grid.min}, {grid.max}]")
+        raise ConfigError("delta grid needs real bounds and integer points "
+                          f"(got {_shown(grid)})") from exc
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ConfigError(f"nonfinite delta grid bounds: [{_shown(grid.min)}, {_shown(grid.max)}]")
+    if not low < high:
+        raise ConfigError("delta_min must be < delta_max "
+                          f"(got {_shown(grid.min)} >= {_shown(grid.max)})")
+    if not math.isfinite(high - low):
+        raise ConfigError(f"delta grid span overflows: [{_shown(grid.min)}, {_shown(grid.max)}]")
     if grid.points < 2:
-        raise ConfigError(f"delta_points must be >= 2 (got {grid.points})")
+        raise ConfigError(f"delta_points must be >= 2 (got {_shown(grid.points)})")
     if grid.points > MAX_DELTA_POINTS:
-        raise ConfigError(f"delta_points must be <= {MAX_DELTA_POINTS} (got {grid.points})")
-    if cfg.engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {'|'.join(ENGINES)} (got {cfg.engine!r})")
-    if cfg.out_format not in FORMATS:
-        raise ConfigError(f"format must be one of {'|'.join(FORMATS)} (got {cfg.out_format!r})")
+        raise ConfigError(f"delta_points must be <= {MAX_DELTA_POINTS} (got {_shown(grid.points)})")
+    for key, value, names in (("engine", cfg.engine, ENGINES), ("format", cfg.out_format, FORMATS)):
+        if value not in names:
+            raise ConfigError(f"{key} must be one of {'|'.join(names)} (got {_shown(value)})")
     if cfg.out_path == "":
         raise ConfigError("output path is empty")
 
@@ -198,17 +199,17 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
     seen, merged = set(), []
     for variant in cfg.variants:
         if not isinstance(variant.name, str):
-            raise ConfigError(f"variant name must be a str (got {variant.name!r})")
+            raise ConfigError(f"variant name must be a str (got {_shown(variant.name)})")
         if variant.name in seen:
-            raise ConfigError(f"duplicate variant name {str(variant.name)!r}")
+            raise ConfigError(f"duplicate variant name {_shown(variant.name)}")
         seen.add(variant.name)
         try:
             merged.append(validate_params(variant.apply(cfg.base)))
-        except (MorsimError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"variant {str(variant.name)!r}: {exc}") from exc
+        except (MorsimError, TypeError) as exc:
+            raise ConfigError(f"variant {_shown(variant.name)}: {exc}") from exc
         # Checked after the merge, which has shown the overrides to be a mapping.
         if "delta" in variant.overrides:
-            raise ConfigError(f"variant {str(variant.name)!r}: {_DELTA_IS_THE_AXIS}")
+            raise ConfigError(f"variant {_shown(variant.name)}: {_DELTA_IS_THE_AXIS}")
     return tuple(merged)
 
 
@@ -228,9 +229,9 @@ def _parse_value(key: str, text: str, line_no: int):
             return float(text)
         points = int(text)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse value for {key!r}: {text!r}", line=line_no) from exc
+        raise ConfigError(f"cannot parse value for {key!r}: {_shown(text)}", line=line_no) from exc
     if points > MAX_DELTA_POINTS:
-        raise ConfigError(f"delta_points must be <= {MAX_DELTA_POINTS} (got {points})",
+        raise ConfigError(f"delta_points must be <= {MAX_DELTA_POINTS} (got {_shown(points)})",
                           line=line_no)
     return points
 
@@ -243,9 +244,9 @@ def _assign(values: dict, assignment: str, allowed: tuple[str, ...], kind: str,
     if key == "delta":
         raise ConfigError(_DELTA_IS_THE_AXIS, line=line_no)
     if key not in allowed:
-        raise ConfigError(f"unknown key {key!r}", line=line_no)
+        raise ConfigError(f"unknown key {_shown(key)}", line=line_no)
     if key in values:
-        raise ConfigError(f"duplicate {kind} {key!r}", line=line_no)
+        raise ConfigError(f"duplicate {kind} {_shown(key)}", line=line_no)
     values[key] = _parse_value(key, text, line_no)
 
 
@@ -263,8 +264,8 @@ def parse_config(text: str) -> SweepConfig:
 
 def _read_config(text: str) -> SweepConfig:
     """:func:`parse_config` without merging and checking the variants."""
-    # A UTF-8 byte-order mark is not part of the first line.
-    text = text.removeprefix("\ufeff")
+    # A UTF-8 byte-order mark is not part of the first line; text that is no str is a TypeError.
+    text = str.removeprefix(text, "\ufeff")
     values: dict = {}
     variants: list[Variant] = []
 
@@ -276,7 +277,7 @@ def _read_config(text: str) -> SweepConfig:
         head = line.split(None, 1)
         if head[0] != "variant":
             if "=" not in line:
-                raise ConfigError(f"expected key = value, got {line!r}", line=line_no)
+                raise ConfigError(f"expected key = value, got {_shown(line)}", line=line_no)
             _assign(values, line, _BASE_KEYS, "key", line_no)
             continue
         if len(head) < 2 or ":" not in head[1]:
@@ -293,7 +294,7 @@ def _read_config(text: str) -> SweepConfig:
         if override_text:
             for item in override_text.split(","):
                 if "=" not in item:
-                    raise ConfigError(f"variant override {item.strip()!r} is not key=value",
+                    raise ConfigError(f"variant override {_shown(item.strip())} is not key=value",
                                       line=line_no)
                 _assign(overrides, item, _VARIANT_FIELDS, "override", line_no)
         variants.append(Variant(name=name, overrides=overrides))
@@ -345,19 +346,10 @@ def preset(name: str) -> SweepConfig:
     Each call returns new variants, whose overrides the caller may change.
     """
     if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
+        raise ConfigError(f"unknown preset {_shown(name)} (choose from {', '.join(PRESET_NAMES)})")
     base, grid, variants = _PRESETS[name]
     return SweepConfig(base=base, delta_grid=grid,
                        variants=tuple(Variant(v, dict(overrides)) for v, overrides in variants))
-
-
-def _at(name: str, delta: float, exc: MorsimError) -> MorsimError:
-    """``exc`` with the variant and the detuning where it occurred in front.
-
-    A name is printed as ``str(name)``, as in its rows: a ``str``
-    subclass such as ``numpy.str_`` has a repr of its own.
-    """
-    return type(exc)(f"variant {str(name)!r}, delta={delta}: {exc}")
 
 
 def _rel_err_grid(a: ComplexGrid, b: ComplexGrid) -> np.ndarray:
@@ -414,7 +406,8 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
             columns.append(values)
         if failures:
             i, _, exc = min(failures, key=lambda f: f[:2])
-            raise _at(cfg.variants[variant[i]].name, float(rows.delta[i]), exc) from exc
+            raise type(exc)(f"variant {_shown(cfg.variants[variant[i]].name)}, "
+                            f"delta={float(rows.delta[i])}: {exc}") from exc
         err = None
         if cfg.engine == "both":
             (a_plus, a_minus, _), (n_plus, n_minus, _) = pairs.values()
@@ -460,7 +453,7 @@ def _blocks(cfg: SweepConfig, params: tuple[SystemParams, ...]) -> Iterator[_Col
         v, i = divmod(worst[1], len(deltas))
         raise CrossValidationError(
             f"analytic and numeric engines disagree: worst relative error "
-            f"{worst[0]:.3e} at variant {str(cfg.variants[v].name)!r}, delta={float(deltas[i])} "
+            f"{worst[0]:.3e} at variant {_shown(cfg.variants[v].name)}, delta={float(deltas[i])} "
             f"(tolerance {CROSS_VALIDATION_TOL:.0e})"
         )
 
@@ -560,7 +553,7 @@ def _row_columns(rows: list[OutputRow]) -> _Columns:
         try:
             got = len(row)
         except TypeError:  # not a sequence
-            got = f"{type(row).__name__} {row!r}"
+            got = f"{type(row).__name__} {_shown(row)}"
         if got != len(CSV_HEADER):
             raise EmitError(f"output row {i}: expected {len(CSV_HEADER)} fields, got {got}")
     columns = list(zip(*rows))
@@ -570,7 +563,7 @@ def _row_columns(rows: list[OutputRow]) -> _Columns:
     if bad:
         i, j, value = min(bad, key=lambda b: b[:2])
         raise EmitError(f"output row {i}: {CSV_HEADER[j]} must be a "
-                        f"{_KINDS[j].__name__}, got {value!r}")
+                        f"{_KINDS[j].__name__}, got {_shown(value)}")
     variant, *numbers, engine = columns
     numbers = np.array(numbers, float)
     # Rows by numbers: a boolean index takes the nonfinite values in row order.
@@ -710,13 +703,17 @@ def _write(chunks: Iterable[bytes], destination) -> None:
     chunks from an anonymous temporary file they are spooled into, so it
     gets no byte unless every chunk has been produced (a path is opened
     only then), and the output is never held in memory whole.  An
-    ``OSError`` is raised as an EmitError naming the destination; a
-    directory (``""`` is the working one) fails before any chunk is made.
+    ``OSError`` is raised as an EmitError naming the destination; a directory
+    (``""`` is the working one) or a path with a NUL byte fails before any chunk is made.
     """
     file_like = hasattr(destination, "write")
     try:
         if not file_like:
-            if os.path.isdir(os.path.realpath(destination)):
+            try:
+                target = os.path.realpath(destination)
+            except ValueError as exc:  # a NUL byte, or text the file system cannot encode
+                raise EmitError(f"cannot write {_shown(os.fspath(destination))}: {exc}") from exc
+            if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                         os.fspath(destination))
             old = None
@@ -753,7 +750,7 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
     if not rows:
         raise EmitError("no rows to emit")
     if out_format not in FORMATS:
-        raise EmitError(f"unknown output format {out_format!r}")
+        raise EmitError(f"unknown output format {_shown(out_format)}")
     data = b"".join(_encode([_row_columns(rows)], out_format))
     if destination is not None:
         _write([data], destination)
@@ -766,14 +763,10 @@ def write_sweep(cfg: SweepConfig, destination) -> int:
     The bytes are those of ``emit(run_sweep(cfg), cfg.out_format)`` and
     a failure is the one ``run_sweep`` raises, but no row is built: each
     block of the sweep goes from its columns straight into the writer.
-    ``destination`` is a path or a binary file-like object.  A path to a
-    regular file, or a new one, is written block by block into a
-    temporary file that replaces it only after the last block has passed
-    cross-validation, so a failed sweep leaves no file and an existing
-    file keeps its old bytes; the destination is opened, or refused if it
-    is a directory, before the sweep is evaluated.  A file-like object, or
-    a device or FIFO, gets nothing unless the sweep passes: the blocks are
-    spooled into an anonymous temporary file, which is then copied to it.
+    ``destination`` is a path or a binary file-like object, written as
+    :func:`_write` writes: a failed sweep leaves no file, an existing file
+    keeps its old bytes, and a directory or a path with a NUL byte is
+    refused before the sweep is evaluated.
     """
     blocks = _blocks(cfg, _variant_params(cfg))
     _write(_encode(blocks, cfg.out_format), destination)
