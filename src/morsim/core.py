@@ -92,6 +92,12 @@ _REAL_FIELDS, _COMPLEX_FIELDS = (tuple(f.name for f in fields(SystemParams) if f
 _VARIANT_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "delta")
 
 
+def _check_type(value, kind: type, name: str) -> None:
+    """Refuse ``value`` by a TypeError unless it is a ``kind``, before any attribute of it is read."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 def _converted(convert, value, *args):
     """``convert(value, *args)``, ``complex`` or a NumPy array constructor, with its reason
     as a ParameterError where it refuses a value of a type it takes (``'x'``, a huge int)."""
@@ -215,6 +221,7 @@ def validate_params(p: SystemParams) -> SystemParams:
     ParameterError
         Naming the first violated constraint.
     """
+    _check_type(p, SystemParams, "p")
     for name in _REAL_FIELDS + _COMPLEX_FIELDS:
         if not cmath.isfinite(getattr(p, name)):
             raise ParameterError(f"nonfinite {name}: {getattr(p, name)!r}")
@@ -265,6 +272,7 @@ def circular_to_cartesian(j: JonesVector) -> tuple[complex, complex]:
     Returns ``(ex, ey)`` with ``ex = (e_plus + e_minus)/sqrt(2)`` and
     ``ey = i (e_plus - e_minus)/sqrt(2)``.
     """
+    _check_type(j, JonesVector, "j")
     ex = (j.e_plus + j.e_minus) / _SQRT2
     ey = 1j * (j.e_plus - j.e_minus) / _SQRT2
     return ex, ey

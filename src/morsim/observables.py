@@ -12,7 +12,7 @@ import cmath
 import numpy as np
 
 from .complexgrid import ComplexGrid, abs_squared, promote
-from .core import JonesVector, SusceptibilityPair, _check_alpha_l, _shown
+from .core import JonesVector, SusceptibilityPair, _check_alpha_l, _check_type, _shown
 from .errors import NumericError
 
 __all__ = [
@@ -30,6 +30,7 @@ def _overflow(s: SusceptibilityPair, alpha_l: float) -> NumericError:
 
 
 def _phase_factors(s: SusceptibilityPair, alpha_l: float) -> tuple[complex, complex]:
+    _check_type(s, SusceptibilityPair, "s")
     alpha_l = _check_alpha_l(alpha_l)
     try:
         return (cmath.exp(0.5j * alpha_l * s.s_plus),
@@ -73,6 +74,7 @@ def rotation_angle(s: SusceptibilityPair, alpha_l: float) -> float:
     with absorbing media the crossed-polarizer signal
     :func:`transmission_y` is the operational observable.
     """
+    _check_type(s, SusceptibilityPair, "s")
     alpha_l = _check_alpha_l(alpha_l)
     return 0.25 * alpha_l * (s.s_minus.real - s.s_plus.real)
 
@@ -80,6 +82,7 @@ def rotation_angle(s: SusceptibilityPair, alpha_l: float) -> float:
 def output_field(e_in: JonesVector, s: SusceptibilityPair, alpha_l: float) -> JonesVector:
     """Field after the slab: each circular component picks up its
     ``exp(i * alpha_l * s / 2)`` factor."""
+    _check_type(e_in, JonesVector, "e_in")
     f_plus, f_minus = _phase_factors(s, alpha_l)
     return JonesVector(e_plus=e_in.e_plus * f_plus,
                        e_minus=e_in.e_minus * f_minus)

@@ -49,8 +49,8 @@ import numpy as np
 
 from .analytic import s_pair_grid
 from .complexgrid import ComplexGrid
-from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams, _real, _shown,
-                   validate_params)
+from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams, _check_type,
+                   _real, _shown, validate_params)
 from .errors import ConfigError, CrossValidationError, EmitError, MorsimError, NumericError
 from .lindblad import probe_response_perturbative_grid
 from .observables import observables_grid
@@ -189,6 +189,8 @@ def _check_settings(cfg: SweepConfig) -> None:
 def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
     """The checks of :func:`validate_config`; returns each variant's
     parameters merged onto the base, in declared order."""
+    _check_type(cfg, SweepConfig, "cfg")
+    _check_type(cfg.delta_grid, DeltaGrid, "delta_grid")
     _check_settings(cfg)
     # The sweep sets each row's delta, so it would drop one set on the base or a variant.
     # A base with no delta is no SystemParams; the merge below refuses it.
@@ -198,6 +200,7 @@ def _variant_params(cfg: SweepConfig) -> tuple[SystemParams, ...]:
         raise ConfigError("config defines no variants")
     seen, merged = set(), []
     for variant in cfg.variants:
+        _check_type(variant, Variant, "variant")
         if not isinstance(variant.name, str):
             raise ConfigError(f"variant name must be a str (got {_shown(variant.name)})")
         if variant.name in seen:
@@ -307,7 +310,7 @@ def _read_config(text: str) -> SweepConfig:
             max=values.get("delta_max", default.delta_grid.max),
             points=values.get("delta_points", default.delta_grid.points),
         ),
-        variants=tuple(variants) or (Variant("base"),),
+        variants=tuple(variants) or default.variants,
         engine=values.get("engine", default.engine),
         out_format=values.get("format", default.out_format),
         out_path=values.get("output"),

@@ -95,12 +95,80 @@ def apply_generator(generator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (generator @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
 
 
+def reference_equations_of_motion(p: SystemParams, g1: complex, g2: complex) -> dict:
+    """Reference for the equations of motion: the ten explicit rows typed
+    out term by term, ``(a, b) -> {(m, n): coefficient}``, with
+    ``coefficient`` multiplying ``rho_mn`` in ``d/dt rho_ab``.
+
+    The table ``morsim.lindblad`` was first written with, kept verbatim
+    so that the terms its commutator rule derives can be compared with it.
+    """
+    E, M1, M2, G = 0, 1, 2, 3
+    gamma1, gamma2 = p.gamma1, p.gamma2
+    Gam = p.Gamma1 + p.Gamma2
+    G1, G2 = p.G1, p.G2
+    Om, De = p.Omega, p.Delta
+    a1, a2, q = detuning_factors(p)
+    return {
+        (E, E): {
+            (E, E): -2.0 * Gam,
+            (M1, E): 1j * G1, (E, M1): -1j * G1.conjugate(),
+            (M2, E): 1j * G2, (E, M2): -1j * G2.conjugate(),
+        },
+        (E, M1): {
+            (E, M1): -(Gam + gamma1 + 1j * (De - Om)),
+            (M1, M1): 1j * G1, (E, E): -1j * G1,
+            (M2, M1): 1j * G2, (E, G): -1j * g1.conjugate(),
+        },
+        (E, M2): {
+            (E, M2): -(Gam + gamma2 + 1j * (De + Om)),
+            (M2, M2): 1j * G2, (E, E): -1j * G2,
+            (M1, M2): 1j * G1, (E, G): -1j * g2.conjugate(),
+        },
+        (M1, M1): {
+            (E, E): 2.0 * p.Gamma1, (M1, M1): -2.0 * gamma1,
+            (E, M1): 1j * G1.conjugate(), (M1, E): -1j * G1,
+            (G, M1): 1j * g1, (M1, G): -1j * g1.conjugate(),
+        },
+        (M1, M2): {
+            (M1, M2): -(gamma1 + gamma2 + 2j * Om),
+            (E, M2): 1j * G1.conjugate(), (G, M2): 1j * g1,
+            (M1, E): -1j * G2, (M1, G): -1j * g2.conjugate(),
+        },
+        (M2, M2): {
+            (E, E): 2.0 * p.Gamma2, (M2, M2): -2.0 * gamma2,
+            (E, M2): 1j * G2.conjugate(), (M2, E): -1j * G2,
+            (G, M2): 1j * g2, (M2, G): -1j * g2.conjugate(),
+        },
+        (G, G): {
+            (M1, M1): 2.0 * gamma1, (M2, M2): 2.0 * gamma2,
+            (M1, G): 1j * g1.conjugate(), (G, M1): -1j * g1,
+            (M2, G): 1j * g2.conjugate(), (G, M2): -1j * g2,
+        },
+        (M1, G): {
+            (M1, G): -a1,
+            (G, G): 1j * g1, (M1, M1): -1j * g1,
+            (E, G): 1j * G1.conjugate(), (M1, M2): -1j * g2,
+        },
+        (M2, G): {
+            (M2, G): -a2,
+            (G, G): 1j * g2, (M2, M2): -1j * g2,
+            (E, G): 1j * G2.conjugate(), (M2, M1): -1j * g1,
+        },
+        (E, G): {
+            (E, G): -q,
+            (M1, G): 1j * G1, (M2, G): 1j * G2,
+            (E, M1): -1j * g1, (E, M2): -1j * g2,
+        },
+    }
+
+
 def reference_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
-    """Reference for ``build_generator``: the equations-of-motion table
+    """Reference for ``build_generator``: :func:`reference_equations_of_motion`
     scattered term by term, positions worked out on every call."""
     validate_params(p)
     index, values = [], []
-    for (a, b), terms in lindblad._equations_of_motion(p, complex(g1), complex(g2)).items():
+    for (a, b), terms in reference_equations_of_motion(p, complex(g1), complex(g2)).items():
         for (m, n), coeff in terms.items():
             index.append(16 * (4 * a + b) + 4 * m + n)
             values.append(coeff)

@@ -33,8 +33,10 @@ from morsim import (
     parse_config,
     preset,
     probe_response_finite,
+    probe_response_perturbative,
     rotation_angle,
     run_sweep,
+    s_pair,
     steady_state,
     transmission_x,
     transmission_y,
@@ -61,6 +63,7 @@ PARAMS = SystemParams(Omega=5.0, Delta=5.0, G1=20.0)
 PAIR = SusceptibilityPair(0.1 + 0.2j, 0.3 + 0.1j)
 GRID = DeltaGrid(-1.0, 1.0, 3)
 ROW = OutputRow("v", *[0.5] * 8, "analytic")
+STATE = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
 
 
 def _observables(pair, alpha_l):
@@ -117,6 +120,25 @@ ENTRY_POINTS = {
     "observables.alpha_l": (lambda v: _observables(PAIR, v),
                             (ParameterError, NumericError, TypeError)),
     "observables_grid.alpha_l": (_grid_observables, (ParameterError, TypeError)),
+    "DensityMatrix.coherence.upper": (lambda v: STATE.coherence(v, 0),
+                                      (ParameterError, TypeError)),
+    "DensityMatrix.coherence.lower": (lambda v: STATE.coherence(0, v),
+                                      (ParameterError, TypeError)),
+    # An argument of morsim's own types given another object.
+    **{f"{f.__name__}.p": (f, (TypeError,))
+       for f in (validate_params, s_pair, probe_response_perturbative)},
+    "probe_response_finite.p": (lambda v: probe_response_finite(v, 1e-3), (TypeError,)),
+    "build_generator.p": (lambda v: build_generator(v, 1e-3, 0.0), (TypeError,)),
+    **{f"{f.__name__}.s": (lambda v, f=f: f(v, 30.0), (TypeError,))
+       for f in (transmission_y, transmission_x, rotation_angle)},
+    "output_field.s": (lambda v: output_field(JonesVector(1.0, 0.0), v, 30.0), (TypeError,)),
+    "output_field.e_in": (lambda v: output_field(v, PAIR, 30.0), (TypeError,)),
+    "circular_to_cartesian.j": (circular_to_cartesian, (TypeError,)),
+    **{f"{f.__name__}.cfg": (f, (TypeError,)) for f in (run_sweep, validate_config)},
+    "write_sweep.cfg": (lambda v: write_sweep(v, "out.csv"), (TypeError,)),
+    "SweepConfig.delta_grid": (lambda v: _sweep(delta_grid=v), (TypeError,)),
+    "SweepConfig.variants": (lambda v: _sweep(variants=v), (ConfigError, TypeError)),
+    "SweepConfig.variants.item": (lambda v: _sweep(variants=(v,)), (TypeError,)),
     **{f"DeltaGrid.{name}": (lambda v, name=name: _grid(**{name: v}), (ConfigError,))
        for name in ("min", "max", "points")},
     "Variant.name": (lambda v: _sweep(variants=(Variant(v),)), (ConfigError,)),
@@ -222,6 +244,30 @@ def test_hostile_values_work_or_raise_the_documented_errors(entry, tmp_path, mon
      "descriptor 'removeprefix' for 'str' objects doesn't apply to a 'bytes' object"),
     # A path with a NUL byte is no path.
     (lambda: emit([ROW], "csv", "a\0b"), EmitError, "cannot write 'a\\x00b': embedded null byte"),
+    # A coherence index is an integer 0..3; a negative one does not count from the end.
+    (lambda: STATE.coherence(-1, 0), ParameterError,
+     "coherence index out of range 0..3: (-1, 0)"),
+    (lambda: STATE.coherence(0, 5), ParameterError, "coherence index out of range 0..3: (0, 5)"),
+    (lambda: STATE.coherence(HUGE, 0), ParameterError,
+     "coherence index out of range 0..3: (<int too long to print>, 0)"),
+    (lambda: STATE.coherence("x", 0), TypeError, "'str' object cannot be interpreted as an integer"),
+    (lambda: STATE.coherence(0, 1.0), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    # Another object for one of morsim's own types, named before any attribute is read.
+    (lambda: validate_params(None), TypeError, "p must be a SystemParams, not NoneType"),
+    (lambda: s_pair(PAIR), TypeError, "p must be a SystemParams, not SusceptibilityPair"),
+    (lambda: transmission_y(None, 1.0), TypeError, "s must be a SusceptibilityPair, not NoneType"),
+    (lambda: rotation_angle(PARAMS, 1.0), TypeError,
+     "s must be a SusceptibilityPair, not SystemParams"),
+    (lambda: output_field(None, PAIR, 1.0), TypeError, "e_in must be a JonesVector, not NoneType"),
+    (lambda: circular_to_cartesian((1.0, 0.0)), TypeError, "j must be a JonesVector, not tuple"),
+    (lambda: run_sweep(None), TypeError, "cfg must be a SweepConfig, not NoneType"),
+    (lambda: write_sweep(PARAMS, "out.csv"), TypeError,
+     "cfg must be a SweepConfig, not SystemParams"),
+    (lambda: validate_config(SweepConfig(delta_grid=(-1.0, 1.0, 3))), TypeError,
+     "delta_grid must be a DeltaGrid, not tuple"),
+    (lambda: validate_config(SweepConfig(variants="ab")), TypeError,
+     "variant must be a Variant, not str"),
 ], ids=["engine", "out_format", "grid_bound", "grid_type", "grid_points", "variant_name",
         "preset", "emit_format", "emit_value", "emit_row", "probe_amplitude",
         "complex64_grid_bound", "complex_alpha_l_angle", "complex_alpha_l_transmission",
@@ -230,7 +276,10 @@ def test_hostile_values_work_or_raise_the_documented_errors(entry, tmp_path, mon
         "complex64_override", "str_real_field", "huge_int_complex_field", "str_jones",
         "huge_int_pair", "str_cartesian", "str_probe_generator", "huge_int_probe_generator",
         "str_generator", "huge_int_generator", "str_density_matrix", "none_config_text",
-        "bytes_config_text", "nul_emit_path"])
+        "bytes_config_text", "nul_emit_path", "negative_coherence_index",
+        "large_coherence_index", "huge_coherence_index", "str_coherence_index",
+        "float_coherence_index", "none_params", "pair_params", "none_pair", "params_pair",
+        "none_jones", "tuple_jones", "none_config", "params_config", "tuple_grid", "str_variants"])
 def test_closed_case_message_is_pinned(call, error, message):
     with pytest.raises(error) as raised:
         call()

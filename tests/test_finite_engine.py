@@ -52,6 +52,7 @@ def _reference_stack_outcome(stack):
 def test_every_generator_entry_has_exactly_one_table_term():
     # A repeated position would lose a term to the fancy-index ``+=``.
     positions = lindblad._POSITIONS.tolist()
+    assert len(lindblad._COHERENT) == 40
     assert len(positions) == 83
     assert len(set(positions)) == 83
 

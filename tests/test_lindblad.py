@@ -8,8 +8,10 @@ import pytest
 from helpers import (
     apply_generator,
     pair_rel_err,
+    random_complex,
     random_density,
     random_params,
+    reference_equations_of_motion,
     rel_err,
     rows,
     s_no_control,
@@ -244,6 +246,7 @@ def test_density_matrix_coherence_is_one_entry():
     assert type(coherence) is complex and coherence != 0
     assert coherence == complex(state.rho[1, 3])
     assert state.coherence(3, 1) == complex(state.rho[3, 1])
+    assert state.coherence(np.int64(3), True) == complex(state.rho[3, 1])
 
 
 def test_density_matrix_rejects_nan():
@@ -315,12 +318,39 @@ def test_generator_matrix_validation():
 def test_first_order_drive_is_the_per_call_drive_bit_for_bit():
     # -L1 rho0 as it was built on every call: the rho_gg entries of the
     # coherence rows with both probe components at unit amplitude, 0 - x each.
-    rows = lindblad._coherence_rows(SystemParams(), 1.0, 1.0)
+    rows = reference_equations_of_motion(SystemParams(), 1.0, 1.0)
     drive = np.zeros((3, 2), dtype=complex)
     for j, coherence in enumerate(lindblad._COHERENCES[:2]):
         drive[j, j] = 0.0 - rows[coherence][(lindblad._G, lindblad._G)]
     assert lindblad._DRIVE.shape == drive.shape
     assert lindblad._DRIVE.tobytes() == drive.tobytes()
+
+
+def test_generator_is_the_commutator_with_the_coupling_hamiltonian():
+    # -i[H, rho] with H = -(G1 |e><1| + G2 |e><2| + g1 |1><g| + g2 |2><g| + h.c.),
+    # typed here from the four couplings, added to the zero-coupling generator.
+    rng = np.random.default_rng(85)
+    identity = np.identity(4)
+    for _ in range(300):
+        p = random_params(rng, g_max=10.0 ** rng.uniform(0, 8), equal_gammas=False)
+        g1, g2 = random_complex(rng, 1e-2), random_complex(rng, 1e-2)
+        coupling = np.zeros((4, 4), dtype=complex)
+        coupling[0, 1], coupling[0, 2], coupling[1, 3], coupling[2, 3] = p.G1, p.G2, g1, g2
+        H = -(coupling + coupling.conj().T)
+        expected = (build_generator(replace(p, G1=0.0, G2=0.0), 0.0, 0.0)
+                    - 1j * (np.kron(H, identity) - np.kron(identity, H.T)))
+        np.testing.assert_allclose(build_generator(p, g1, g2), expected, rtol=1e-15, atol=0)
+
+
+def test_first_order_block_is_the_oracle_tables_coherence_block_bit_for_bit():
+    rng = np.random.default_rng(86)
+    coherences = lindblad._COHERENCES
+    for _ in range(200):
+        p = random_params(rng, g_max=10.0 ** rng.uniform(0, 8), equal_gammas=False)
+        table = reference_equations_of_motion(p, 0.0, 0.0)
+        expected = [[table[row].get(col, 0.0) for col in coherences] for row in coherences]
+        assert (np.array(lindblad._first_order_block(p), dtype=complex).tobytes()
+                == np.array(expected, dtype=complex).tobytes())
 
 
 def test_module_level_arrays_are_read_only():
