@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .complexgrid import ComplexGrid, abs_squared, promote
-from .core import (ParamColumns, SusceptibilityPair, SystemParams, detuning_factors,
-                   validate_params)
+from .core import (ParamColumns, SusceptibilityPair, SystemParams, _check_type,
+                   detuning_factors, validate_params)
 from .errors import MorsimError, NumericError
 
 __all__ = [
@@ -114,6 +114,7 @@ def s_pair_grid(
     from ``i`` on are not defined.  What fails for a whole parameter set
     (an overflowing ``|G|^2``) fails at its first row.
     """
+    _check_type(rows, ParamColumns, "rows")
     with np.errstate(all="ignore"):
         num_plus, den_plus, num_minus, den_minus = _closed_form(rows)
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)

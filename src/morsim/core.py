@@ -123,6 +123,8 @@ class ParamColumns:
 
     def __init__(self, params: Sequence[SystemParams]):
         self.params = tuple(params)
+        for q in self.params:
+            _check_type(q, SystemParams, "params item")
         self.variant = np.arange(len(self.params))
         for name in _REAL_FIELDS + _COMPLEX_FIELDS:
             column = np.array([getattr(q, name) for q in self.params])

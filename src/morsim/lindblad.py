@@ -29,14 +29,17 @@ finds by a direct constrained linear solve (one redundant row replaced
 by the trace condition), exact to round-off and immune to the stiffness
 a time integrator would face at large control amplitudes.  Where each
 coefficient goes in ``L`` depends only on the plan, so it is worked out
-once, at import; the plan writes 83 entries, each through one term.
-The probe terms do not depend on the parameters, so at a real probe
+once, at import, as a gather: the plan writes 83 entries, each through
+one term, from 13 relaxation coefficients and 16 distinct coherent
+products, conjugated in the rows of the Hermitian completion.  Each
+probe term writes an entry no other term writes, so at a real probe
 amplitude ``g`` the generator is ``L(0, 0) + g P``, with ``P`` constant
 per circular probe component.  The finite-probe engine
-:func:`probe_response_finite` builds ``L(0, 0)`` once per point, adds
-``g P`` for each component, and solves both in one stacked
-``(2, 16, 16)`` steady-state solve; a matrix gets the same bits alone as
-in a stack.  The weak-probe response is linear response around
+:func:`probe_response_finite` evaluates the plan once per point, with
+both probe amplitudes at ``g``, gathers from it the generator of each
+component without the other's probe terms, and solves both in one
+stacked ``(2, 16, 16)`` steady-state solve; a matrix gets the same bits
+alone as in a stack.  The weak-probe response is linear response around
 ``rho0 = |g><g|``: with ``L = L0 + L1(g)`` the first-order state solves
 ``L0 rho1 = -L1 rho0``.  At zero probe the rows of rho_1g, rho_2g and
 rho_eg close on those three coherences, so the first-order system is the
@@ -50,7 +53,9 @@ Both routes check their solves by one rule (:func:`_solve`,
 call, and re-solved matrix by matrix up to its first singular matrix
 only if that call fails; each residual must be at most ``RESIDUAL_TOL``
 times the Frobenius norm of its matrix; and the first failing matrix,
-in stack order, is reported with the first check it fails.
+in stack order, is reported with the first check it fails.  One
+reduction tests every check of every matrix, and a message is built
+only for the failing one.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexgrid import ComplexGrid
-from .core import (ParamColumns, SusceptibilityPair, SystemParams, _converted, _real, _shown,
-                   detuning_factors, validate_params)
+from .core import (ParamColumns, SusceptibilityPair, SystemParams, _check_type, _converted,
+                   _real, _shown, detuning_factors, validate_params)
 from .errors import ParameterError, SingularSystemError
 
 __all__ = [
@@ -129,18 +134,20 @@ def _first_failure(checks: list) -> tuple[int, Exception] | None:
     matrix ``i``.  The first check that matrix fails wins.
     """
     passes = np.array([ok for ok, _ in checks])
-    if passes.all():
+    if np.logical_and.reduce(passes, axis=None):
         return None
-    i = int(np.argmin(passes.all(axis=0)))
+    i = int(np.argmin(np.logical_and.reduce(passes)))
     return i, checks[int(np.argmin(passes[:, i]))][1](i)
 
 
 def _state_checks(rho: np.ndarray) -> list:
     """The :class:`DensityMatrix` checks of a ``(k, 4, 4)`` stack, in order,
     as :func:`_first_failure` takes them.  Each fails on nan."""
-    herm = abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    trace = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
-    pops = rho.diagonal(axis1=-2, axis2=-1).real.min(axis=-1)
+    # Ufunc reduces: the bits of the ndarray methods without their Python layer.
+    herm = np.maximum.reduce(abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    diagonal = rho.diagonal(axis1=-2, axis2=-1)
+    trace = abs(np.add.reduce(diagonal, axis=-1) - 1.0)
+    pops = np.minimum.reduce(diagonal.real, axis=-1)
     return [
         (herm <= HERMITICITY_TOL,
          lambda i: ParameterError(f"non-Hermitian density matrix: deviation {herm[i]:.3e}")),
@@ -204,38 +211,51 @@ def _relaxation(p: SystemParams) -> list:
             -a1, -a2, -q]
 
 
-def _scatter_plan() -> tuple[np.ndarray, np.ndarray]:
-    """Where the coefficients of :func:`_coefficients` go in the generator.
-
-    Returns the flat 16x16 position of each coefficient and the terms
-    that get a Hermitian completion (those in off-diagonal rows).
-    """
-    terms = [*_RELAXATION, *((row, col) for row, col, _, _ in _COHERENT)]
-    mirrored = [i for i, ((a, b), _) in enumerate(terms) if a != b]
-    # Hermitian completion: d/dt rho_ba = conj(d/dt rho_ab).
-    keys = terms + [((b, a), (n, m)) for (a, b), (m, n) in (terms[i] for i in mirrored)]
-    positions = np.array([16 * (4 * a + b) + 4 * m + n for (a, b), (m, n) in keys])
-    return positions, np.array(mirrored)
+# The distinct (factor, v) of the coherent terms: 16 products make the 40 terms.
+_PRODUCTS = tuple(dict.fromkeys((factor, v) for _, _, factor, v in _COHERENT))
+# The index of the zero that ends the coefficients; their conjugates follow it.
+_ZERO = len(_RELAXATION) + len(_PRODUCTS)
 
 
-_POSITIONS, _MIRRORED = _scatter_plan()
-_POSITIONS.flags.writeable = _MIRRORED.flags.writeable = False
-
-
-def _coefficients(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
-    """The coefficients at ``p`` in :func:`_scatter_plan` order."""
+def _coefficients(p: SystemParams, g1: complex, g2: complex) -> list:
+    """The coefficients at ``p``: :func:`_relaxation`'s, the :data:`_PRODUCTS`, then a zero."""
     V = [_coupling(p, g1, g2, v) for v in range(8)]
-    values = np.array(_relaxation(p) + [factor * V[v] for _, _, factor, v in _COHERENT],
-                      dtype=complex)
-    return np.concatenate((values, values[_MIRRORED].conj()))
+    return _relaxation(p) + [factor * V[v] for factor, v in _PRODUCTS] + [0.0]
 
 
-def _generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
-    """:func:`build_generator` for parameters already validated and complex amplitudes, writable."""
-    matrix = np.zeros(256, dtype=complex)
-    # Every entry is written once; adding to zero turns a -0.0 part into +0.0.
-    matrix[_POSITIONS] += _coefficients(p, g1, g2)
-    return matrix.reshape(16, 16)
+def _gather_plan() -> np.ndarray:
+    """Where each generator entry comes from.
+
+    Returns, for each flat 16x16 position, an index into the coefficients
+    of :func:`_coefficients` followed by their conjugates: that of the one
+    term on it, conjugated in a row of the Hermitian completion, or
+    :data:`_ZERO` where no term writes.
+    """
+    # Each term as ((row, column), the index of its coefficient).
+    terms = [(term, i) for i, term in enumerate(_RELAXATION)]
+    terms += [((row, col), len(_RELAXATION) + _PRODUCTS.index((factor, v)))
+              for row, col, factor, v in _COHERENT]
+    gather = np.full(256, _ZERO)
+    for ((a, b), (m, n)), source in terms:
+        gather[16 * (4 * a + b) + 4 * m + n] = source
+        if a != b:
+            # Hermitian completion: d/dt rho_ba = conj(d/dt rho_ab).
+            gather[16 * (4 * b + a) + 4 * n + m] = _ZERO + 1 + source
+    return gather.reshape(16, 16)
+
+
+_GATHER = _gather_plan()
+_GATHER.flags.writeable = False
+
+
+def _generator(p: SystemParams, g1: complex, g2: complex, gather=_GATHER) -> np.ndarray:
+    """:func:`build_generator` for parameters already validated and complex amplitudes, writable;
+    with ``gather`` :data:`_PAIR_GATHER`, the pair of :func:`_generator_pair`."""
+    values = np.array(_coefficients(p, g1, g2), dtype=complex)
+    values = np.concatenate((values, values.conj()))
+    # Adding 0.0 turns a -0.0 part into +0.0, the zero of the entries no term writes.
+    values += 0.0
+    return values[gather]
 
 
 def build_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
@@ -265,12 +285,18 @@ _GG_ROW = 4 * _G + _G
 _DRIVE = 0.0 - _PROBE[:, [4 * a + b for a, b in _COHERENCES], _GG_ROW].T
 _DRIVE.flags.writeable = False
 
+# The pair L(g, 0), L(0, g) from the coefficients at (g, g): each generator puts the
+# other component's probe entries on the zero, the +0.0 those terms are at zero amplitude.
+_PAIR_GATHER = np.where(_PROBE[::-1] != 0, _ZERO, _GATHER)
+_PAIR_GATHER.flags.writeable = False
+
 
 def _generator_pair(p: SystemParams, g: float) -> np.ndarray:
     """The ``(2, 16, 16)`` stack of :func:`build_generator` at ``(g1, g2)``
     = ``(g, 0)`` and ``(0, g)``, for parameters already validated, with
     the bits of those two calls from one evaluation of the table."""
-    return _generator(p, 0j, 0j) + g * _PROBE
+    g = complex(g)
+    return _generator(p, g, g, _PAIR_GATHER)
 
 
 # The trace condition that replaces the redundant ground-population row: ones at the populations.
@@ -285,7 +311,7 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes; a matrix gets the same bits
     alone as inside a stack, which ``np.linalg.norm`` does not promise."""
     x = m.view(float)
-    return np.sqrt((x * x).sum(axis=(-2, -1)))
+    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
 
 
 def _solve(a: np.ndarray, b: np.ndarray, error) -> tuple[np.ndarray, list]:
@@ -348,7 +374,8 @@ def _steady_states(L: np.ndarray, check_states: bool = True
     vec, checks = _solve(constrained, _UNIT_TRACE, lambda i: SingularSystemError(
         "steady-state solve failed: Singular matrix"))
     rho = vec.reshape(-1, 4, 4)
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    rho += rho.conj().swapaxes(-1, -2)
+    rho *= 0.5
     with np.errstate(all="ignore"):
         residual, bound, within = _residuals(L, L @ rho.reshape(-1, 16, 1))
         checks.append((within, lambda i: SingularSystemError(
@@ -454,6 +481,7 @@ def probe_response_perturbative_grid(
     function raises and ``error`` what it raises there.  Values from
     ``i`` on are not defined.
     """
+    _check_type(rows, ParamColumns, "rows")
     # Held to the end: freed before the solve, it raised a 9,900-row block's peak RSS by 1.6 MB.
     block = _first_order_block(rows)
     coeffs = np.empty((len(rows.delta), 3, 3), dtype=complex)

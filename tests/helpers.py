@@ -48,6 +48,13 @@ def random_complex(rng: np.random.Generator, max_magnitude: float) -> complex:
     return rng.uniform(0.0, max_magnitude) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
 
 
+# The regime of the ``finite`` benchmark workload: the fig4 variants (Omega = Delta = 5,
+# G2 = 10, G1 in {0, 20, 50}) at every 8th of its 1,601 detunings on -80..80.
+FIG4_VARIANTS = tuple(SystemParams(Omega=5.0, Delta=5.0, G1=g1, G2=10.0, alpha_l=30.0)
+                      for g1 in (0.0, 20.0, 50.0))
+FIG4_DELTAS = np.linspace(-80.0, 80.0, 1601)[::8]
+
+
 def rows(p: SystemParams, deltas) -> ParamColumns:
     """``p``, validated, as grid-engine rows: one at each detuning in ``deltas``."""
     validate_params(p)

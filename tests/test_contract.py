@@ -43,9 +43,11 @@ from morsim import (
     validate_params,
     write_sweep,
 )
+from morsim.analytic import s_pair_grid
 from morsim.cli import main
 from morsim.complexgrid import ComplexGrid
-from morsim.core import _VARIANT_FIELDS
+from morsim.core import _VARIANT_FIELDS, ParamColumns
+from morsim.lindblad import probe_response_perturbative_grid
 from morsim.observables import observables_grid
 from morsim.sweep import CSV_HEADER, validate_config
 
@@ -128,6 +130,10 @@ ENTRY_POINTS = {
     **{f"{f.__name__}.p": (f, (TypeError,))
        for f in (validate_params, s_pair, probe_response_perturbative)},
     "probe_response_finite.p": (lambda v: probe_response_finite(v, 1e-3), (TypeError,)),
+    **{f"{f.__name__}.rows": (f, (TypeError,))
+       for f in (s_pair_grid, probe_response_perturbative_grid)},
+    "ParamColumns.params": (ParamColumns, (TypeError,)),
+    "ParamColumns.params.item": (lambda v: ParamColumns([v]), (TypeError,)),
     "build_generator.p": (lambda v: build_generator(v, 1e-3, 0.0), (TypeError,)),
     **{f"{f.__name__}.s": (lambda v, f=f: f(v, 30.0), (TypeError,))
        for f in (transmission_y, transmission_x, rotation_angle)},
@@ -268,6 +274,11 @@ def test_hostile_values_work_or_raise_the_documented_errors(entry, tmp_path, mon
      "delta_grid must be a DeltaGrid, not tuple"),
     (lambda: validate_config(SweepConfig(variants="ab")), TypeError,
      "variant must be a Variant, not str"),
+    (lambda: s_pair_grid(None), TypeError, "rows must be a ParamColumns, not NoneType"),
+    (lambda: probe_response_perturbative_grid(None), TypeError,
+     "rows must be a ParamColumns, not NoneType"),
+    (lambda: ParamColumns([None]), TypeError, "params item must be a SystemParams, not NoneType"),
+    (lambda: ParamColumns("x"), TypeError, "params item must be a SystemParams, not str"),
 ], ids=["engine", "out_format", "grid_bound", "grid_type", "grid_points", "variant_name",
         "preset", "emit_format", "emit_value", "emit_row", "probe_amplitude",
         "complex64_grid_bound", "complex_alpha_l_angle", "complex_alpha_l_transmission",
@@ -279,7 +290,8 @@ def test_hostile_values_work_or_raise_the_documented_errors(entry, tmp_path, mon
         "bytes_config_text", "nul_emit_path", "negative_coherence_index",
         "large_coherence_index", "huge_coherence_index", "str_coherence_index",
         "float_coherence_index", "none_params", "pair_params", "none_pair", "params_pair",
-        "none_jones", "tuple_jones", "none_config", "params_config", "tuple_grid", "str_variants"])
+        "none_jones", "tuple_jones", "none_config", "params_config", "tuple_grid", "str_variants",
+        "none_rows_analytic", "none_rows_numeric", "none_params_item", "str_params"])
 def test_closed_case_message_is_pinned(call, error, message):
     with pytest.raises(error) as raised:
         call()

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FIG4_DELTAS,
+    FIG4_VARIANTS,
     random_params,
     reference_generator,
     reference_probe_response_finite,
@@ -50,11 +52,9 @@ def _reference_stack_outcome(stack):
 
 
 def test_every_generator_entry_has_exactly_one_table_term():
-    # A repeated position would lose a term to the fancy-index ``+=``.
-    positions = lindblad._POSITIONS.tolist()
+    # Two terms on one position would lose one of them to the gather.
     assert len(lindblad._COHERENT) == 40
-    assert len(positions) == 83
-    assert len(set(positions)) == 83
+    assert np.count_nonzero(lindblad._GATHER != lindblad._ZERO) == 83
 
 
 def test_generator_is_the_zero_probe_generator_plus_g_times_probe_bit_for_bit():
@@ -88,6 +88,14 @@ def test_finite_probe_is_the_two_solve_route_bit_for_bit():
         p = random_params(rng, g_max=10.0 ** rng.uniform(0, 8), equal_gammas=False)
         g = 10.0 ** rng.uniform(-6, -2)
         assert _bits(probe_response_finite(p, g)) == _bits(reference_probe_response_finite(p, g))
+
+
+def test_finite_probe_is_the_two_solve_route_bit_for_bit_in_the_fig4_regime():
+    for p in FIG4_VARIANTS:
+        for delta in FIG4_DELTAS:
+            q = replace(p, delta=float(delta))
+            assert _bits(probe_response_finite(q, 1e-3)) == _bits(
+                reference_probe_response_finite(q, 1e-3))
 
 
 @pytest.mark.parametrize("p", [SystemParams(G1=1e154), SystemParams(G2=1e154),

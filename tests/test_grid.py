@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_params, rows, scalar_sweep
+from helpers import FIG4_DELTAS, FIG4_VARIANTS, random_params, rows, scalar_sweep
 from morsim import (
     DeltaGrid,
     MorsimError,
@@ -97,6 +97,12 @@ def test_first_order_grid_equals_scalar(regime, equal_gammas):
     for p, deltas in _draws(202, equal_gammas, regime):
         scalar = [probe_response_perturbative(replace(p, delta=float(d))) for d in deltas]
         _assert_same_pairs(probe_response_perturbative_grid(rows(p, deltas)), scalar)
+
+
+def test_first_order_grid_equals_scalar_in_the_fig4_regime():
+    for p in FIG4_VARIANTS:
+        scalar = [probe_response_perturbative(replace(p, delta=float(d))) for d in FIG4_DELTAS]
+        _assert_same_pairs(probe_response_perturbative_grid(rows(p, FIG4_DELTAS)), scalar)
 
 
 @pytest.mark.parametrize("equal_gammas", [True, False], ids=["equal", "unequal"])
