@@ -75,13 +75,17 @@ class SystemParams:
 
     def __post_init__(self):
         # Normalize numeric types by the rule of _converted; float() would cast NumPy complex.
+        # A value of the field's exact type is kept: float() or complex() would return it.
         try:
             for name in _REAL_FIELDS:
-                if isinstance(value := getattr(self, name), np.complexfloating):
+                if type(value := getattr(self, name)) is float:
+                    continue
+                if isinstance(value, np.complexfloating):
                     raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
                 object.__setattr__(self, name, float(value))
             for name in _COMPLEX_FIELDS:
-                object.__setattr__(self, name, complex(getattr(self, name)))
+                if type(value := getattr(self, name)) is not complex:
+                    object.__setattr__(self, name, complex(value))
         except (ValueError, OverflowError) as exc:
             raise ParameterError(str(exc)) from exc
 
@@ -158,8 +162,10 @@ class JonesVector:
     e_minus: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "e_plus", _converted(complex, self.e_plus))
-        object.__setattr__(self, "e_minus", _converted(complex, self.e_minus))
+        if type(self.e_plus) is not complex:
+            object.__setattr__(self, "e_plus", _converted(complex, self.e_plus))
+        if type(self.e_minus) is not complex:
+            object.__setattr__(self, "e_minus", _converted(complex, self.e_minus))
 
     @property
     def intensity(self) -> float:
@@ -176,8 +182,10 @@ class SusceptibilityPair:
     s_minus: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s_plus", _converted(complex, self.s_plus))
-        object.__setattr__(self, "s_minus", _converted(complex, self.s_minus))
+        if type(self.s_plus) is not complex:
+            object.__setattr__(self, "s_plus", _converted(complex, self.s_plus))
+        if type(self.s_minus) is not complex:
+            object.__setattr__(self, "s_minus", _converted(complex, self.s_minus))
 
 
 def _shown(value) -> str:

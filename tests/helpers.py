@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Context, Decimal
 
 import numpy as np
@@ -88,6 +88,32 @@ def random_params(
         G2=random_complex(rng, g_max),
         alpha_l=30.0,
     )
+
+
+def reference_converted(cls, values: dict) -> dict:
+    """Reference for field conversion: the field values of ``cls(**values)``
+    (SystemParams, JonesVector or SusceptibilityPair), with ``values``
+    naming every field, by the rule that converts every field with no
+    shortcut for a value of the field's exact type.
+
+    The real fields come first, in declared order: a NumPy complex number
+    is a TypeError, anything else goes through ``float()``.  Then every
+    complex field goes through ``complex()``.  Where either refuses a value
+    with a ValueError or an OverflowError, its reason is a ParameterError.
+    """
+    kinds = {f.name: f.type for f in fields(cls)}
+    order = [name for name in kinds if kinds[name] == "float"]
+    order += [name for name in kinds if kinds[name] == "complex"]
+    converted = {}
+    for name in order:
+        value = values[name]
+        if kinds[name] == "float" and isinstance(value, np.complexfloating):
+            raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+        try:
+            converted[name] = (float if kinds[name] == "float" else complex)(value)
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(str(exc)) from exc
+    return converted
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ point instead; that rule is tested on its own.
 
 import io
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from morsim import (
     MorsimError,
     NumericError,
     SingularSystemError,
+    SusceptibilityPair,
     SweepConfig,
     SystemParams,
     Variant,
@@ -327,3 +329,63 @@ def test_nonfinite_value_fails_before_any_byte_is_written(monkeypatch, tmp_path,
             assert str(info.value) == message
         assert buffer.getvalue() == b""
     assert os.listdir(tmp_path) == []
+
+
+# Valid parameter sets with magnitudes near 1e308 or |G| above 1e154, where
+# intermediate products overflow, and sets of large scale that evaluate.
+_EXTREME = [
+    SystemParams(Omega=1e308, delta=-1e308),
+    SystemParams(Omega=-1e308, Delta=1e308, delta=1e308),
+    SystemParams(gamma1=1e308, gamma2=1e308, Gamma1=1e308, Gamma2=1e308),
+    SystemParams(G1=2e154, G2=3e154j),
+    SystemParams(Delta=-1e308, delta=1e308, G1=1e160j),
+    SystemParams(delta=1e300, G2=1e300),
+    SystemParams(gamma1=1e-300, gamma2=1e-300, delta=1e-300, alpha_l=1e308),
+    SystemParams(G1=1e150, G2=1e150),
+    SystemParams(G1=1e100, delta=1e100, alpha_l=1e308),
+    SystemParams(delta=-1e150, Omega=1e150, G2=1e75j, alpha_l=1e308),
+]
+
+
+@pytest.mark.parametrize("p", _EXTREME)
+def test_grid_engines_called_directly_do_not_warn(p):
+    # Outside run_sweep's np.errstate: the engines own their floating-point state.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scalar, grid in ((s_pair, s_pair_grid),
+                             (probe_response_perturbative, probe_response_perturbative_grid)):
+            s_plus, s_minus, failure = grid(ParamColumns([p]))
+            try:
+                expected = scalar(p)
+            except MorsimError as exc:
+                assert failure[0] == 0
+                assert type(failure[1]) is type(exc) and str(failure[1]) == str(exc)
+                continue
+            _assert_same_pairs((s_plus, s_minus, failure), [expected])
+            observed = observables_grid(s_plus, s_minus, p.alpha_l)
+            for func, value in zip((transmission_y, transmission_x, rotation_angle), observed):
+                assert _bits(value) == _bits([func(expected, p.alpha_l)])
+
+
+@pytest.mark.parametrize("pair, alpha_l", [
+    (SusceptibilityPair(1e308 - 1e308j, 1e308 + 1e308j), 1.0),
+    (SusceptibilityPair(-1e300j, 1e300j), 1.0),
+    (SusceptibilityPair(1e308 + 1e308j, -1e308 - 1e308j), 1e308),
+    (SusceptibilityPair(1e308 + 0j, -1e308 + 0j), 1e308),
+    (SusceptibilityPair(0.5 + 0.25j, -0.5 + 1e-300j), 1e308),
+    (SusceptibilityPair(1e-308j, 1e-308j), 1e308),
+])
+def test_observables_grid_called_directly_does_not_warn(pair, alpha_l):
+    s_plus, s_minus = (ComplexGrid.from_numpy(np.array([s])) for s in (pair.s_plus, pair.s_minus))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        observed = observables_grid(s_plus, s_minus, alpha_l)
+    for func, value in zip((transmission_y, transmission_x, rotation_angle), observed):
+        try:
+            expected = func(pair, alpha_l)
+        except Exception:
+            # Where a scalar raises (a NumericError, or cmath's ValueError where the
+            # phase itself is infinite), the grid value is not finite.
+            assert not np.isfinite(value[0])
+            continue
+        assert _bits(value) == _bits([expected])
