@@ -55,7 +55,11 @@ only if that call fails; each residual must be at most ``RESIDUAL_TOL``
 times the Frobenius norm of its matrix; and the first failing matrix,
 in stack order, is reported with the first check it fails.  One
 reduction tests every check of every matrix, and a message is built
-only for the failing one.
+only for the failing one.  Every solve goes through
+:func:`_lapack_solve`, the LAPACK gufunc of ``np.linalg.solve`` under
+its floating-point state, so it keeps that function's bits and errors
+without the per-call checks and conversions of its wrapper, which cost
+about as much as a 3x3 solve itself.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .complexgrid import ComplexGrid
 from .core import (ParamColumns, SusceptibilityPair, SystemParams, _check_type, _converted,
@@ -314,6 +319,19 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for complex128 ``a`` and ``b``: its LAPACK
+    gufunc under its floating-point state, the same bits and errors, without
+    the per-call checks and conversions its wrapper makes."""
+    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
+        a, b, signature="DD->D")
+
+
 def _solve(a: np.ndarray, b: np.ndarray, error) -> tuple[np.ndarray, list]:
     """Solve each matrix of the stack ``a`` against ``b`` in one call.
 
@@ -325,14 +343,14 @@ def _solve(a: np.ndarray, b: np.ndarray, error) -> tuple[np.ndarray, list]:
     inside a stack.
     """
     try:
-        return np.linalg.solve(a, b), []
+        return _lapack_solve(a, b), []
     except np.linalg.LinAlgError:
         # The stacked solve does not say which matrix is singular.
         x = np.full(a.shape[:-1] + b.shape[1:], np.nan, dtype=complex)
         solved = np.zeros(len(a), dtype=bool)
         for i, matrix in enumerate(a):
             try:
-                x[i] = np.linalg.solve(matrix, b)
+                x[i] = _lapack_solve(matrix, b)
             except np.linalg.LinAlgError:
                 break
             solved[i] = True
@@ -456,7 +474,7 @@ def probe_response_perturbative(p: SystemParams) -> SusceptibilityPair:
     validate_params(p)
     coeffs = np.array(_first_order_block(p), dtype=complex)
     try:
-        sol = np.linalg.solve(coeffs, _DRIVE)
+        sol = _lapack_solve(coeffs, _DRIVE)
     except np.linalg.LinAlgError as exc:
         raise _singular_error(p) from exc
     with np.errstate(all="ignore"):

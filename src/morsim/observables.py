@@ -35,7 +35,8 @@ def _phase_factors(s: SusceptibilityPair, alpha_l: float) -> tuple[complex, comp
     try:
         return (cmath.exp(0.5j * alpha_l * s.s_plus),
                 cmath.exp(0.5j * alpha_l * s.s_minus))
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
+        # ValueError: the phase itself overflowed to an infinity.
         raise _overflow(s, alpha_l) from exc
 
 
@@ -106,9 +107,12 @@ def observables_grid(s_plus: ComplexGrid, s_minus: ComplexGrid,
         for s in (s_plus, s_minus):
             exponent = 0.5j * promote(alpha_l) * s
             f = exponent.exp()
-            # cmath.exp raises where a finite exponent gives a nonfinite factor.
-            overflow = overflow | (np.isfinite(exponent.re) & np.isfinite(exponent.im)
+            # cmath.exp raises where a finite exponent gives a nonfinite factor, and
+            # where the phase is infinite unless the real part is nan or -inf.
+            re_finite = np.isfinite(exponent.re)
+            overflow = overflow | (re_finite & np.isfinite(exponent.im)
                                    & ~(np.isfinite(f.re) & np.isfinite(f.im)))
+            overflow = overflow | (np.isinf(exponent.im) & (re_finite | (exponent.re == np.inf)))
             factors.append(f)
         f_plus, f_minus = factors
         t_y = 0.25 * abs_squared(f_plus - f_minus)

@@ -1,6 +1,7 @@
 """The finite-probe engine: one table evaluation and one stacked steady-state
 solve per point, held to the two-solve route of ``tests/helpers.py``."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from morsim import (
     SystemParams,
     build_generator,
     probe_response_finite,
+    probe_response_perturbative,
     steady_state,
 )
 from morsim import lindblad
@@ -176,14 +178,78 @@ def test_steady_state_accepts_a_strided_generator():
     assert steady_state(strided).rho.tobytes() == steady_state(L).rho.tobytes()
 
 
-def test_finite_probe_makes_one_stacked_solve(monkeypatch):
+def _solve_shapes(monkeypatch, call) -> list:
+    """The matrix shape of each solve ``call`` makes."""
     shapes = []
-    solve = np.linalg.solve
+    solve = lindblad._lapack_solve
 
     def counting(a, b):
         shapes.append(np.shape(a))
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    probe_response_finite(STRONG_SIGMA_MINUS, 1e-3)
+    monkeypatch.setattr(lindblad, "_lapack_solve", counting)
+    call()
+    return shapes
+
+
+def test_finite_probe_makes_one_stacked_solve(monkeypatch):
+    shapes = _solve_shapes(monkeypatch, lambda: probe_response_finite(STRONG_SIGMA_MINUS, 1e-3))
     assert shapes == [(2, 16, 16)]
+
+
+def test_first_order_probe_makes_one_solve(monkeypatch):
+    shapes = _solve_shapes(monkeypatch, lambda: probe_response_perturbative(STRONG_SIGMA_MINUS))
+    assert shapes == [(3, 3)]
+
+
+def _solve_outcome(solve, a, b):
+    """What ``solve(a, b)`` returns, as dtype, shape and bytes, or the type and
+    message of what it raises; with the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            x = solve(a, b)
+            out = (type(x), x.dtype, x.shape, x.tobytes())
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _solve_cases(n: int, rng):
+    """Seeded ``(a, b)`` cases of ``n x n`` complex systems: one matrix or a stack
+    of 1 to 5, each regular, with a singular matrix at the first, a middle or the
+    last position, with a nan or an inf entry, or a transposed view; ``b`` 1-D or 2-D."""
+    for k in (None, 1, 2, 3, 4, 5):
+        shape = (n, n) if k is None else (k, n, n)
+        for kind in ("regular", "singular first", "singular middle", "singular last",
+                     "nan", "inf", "transposed"):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            stack = a.reshape(-1, n, n)
+            at = {"singular first": 0, "singular last": -1}.get(kind, len(stack) // 2)
+            if kind.startswith("singular"):
+                stack[at, -1] = 0.0
+            elif kind == "nan":
+                stack[at, n // 2, 1] = complex(np.nan, 1.0)
+            elif kind == "inf":
+                stack[at, 1, n // 2] = complex(1.0, np.inf)
+            elif kind == "transposed":
+                a = a.swapaxes(-1, -2)
+            for b_shape in ((n,), (n, 2)):
+                b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+                yield a, (b if kind != "transposed" else np.repeat(b, 2, axis=0)[::2])
+
+
+@pytest.mark.parametrize("n", [3, 16])
+@pytest.mark.parametrize("caller_state", [{}, {"all": "raise"}], ids=["default", "raise"])
+def test_lapack_solve_is_numpy_solve_bit_for_bit_and_error_for_error(n, caller_state):
+    # The helper calls a private module of NumPy's; a change there fails here.
+    rng = np.random.default_rng(n)
+    outcomes = []
+    for a, b in _solve_cases(n, rng):
+        with np.errstate(**caller_state):
+            expected = _solve_outcome(np.linalg.solve, a, b)
+            assert _solve_outcome(lindblad._lapack_solve, a, b) == expected
+        outcomes.append(expected[0][0])
+    # Every singular case raises, and every regular and transposed one solves.
+    assert outcomes.count(np.linalg.LinAlgError) >= 3 * 6 * 2
+    assert outcomes.count(np.ndarray) >= 2 * 6 * 2

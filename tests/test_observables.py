@@ -213,8 +213,17 @@ def _grids(pairs):
             ComplexGrid.from_numpy(np.array([q.s_minus for q in pairs])))
 
 
-@pytest.mark.parametrize("pair, alpha_l", [(GAIN, 1e3), (LARGE_GAIN, 500.0)],
-                         ids=["phase_overflow", "square_overflow"])
+# At alpha_l = 1e308 the phase 0.5j * alpha_l * s itself overflows to an
+# infinity, where cmath.exp raises ValueError.
+INFINITE_PHASE = SusceptibilityPair(1e308 + 1e308j, -1e308 - 1e308j)
+INFINITE_REAL_PHASE = SusceptibilityPair(1e308 + 0j, -1e308 + 0j)
+
+
+@pytest.mark.parametrize("pair, alpha_l", [(GAIN, 1e3), (LARGE_GAIN, 500.0),
+                                           (INFINITE_PHASE, 1e308),
+                                           (INFINITE_REAL_PHASE, 1e308)],
+                         ids=["phase_overflow", "square_overflow", "infinite_phase",
+                              "infinite_real_phase"])
 def test_overflow_is_numeric_error_naming_its_inputs(pair, alpha_l):
     for func in (transmission_y, transmission_x):
         with pytest.raises(NumericError) as info:
@@ -222,13 +231,16 @@ def test_overflow_is_numeric_error_naming_its_inputs(pair, alpha_l):
         message = str(info.value)
         assert f"alpha_l={alpha_l!r}" in message
         assert f"s+={pair.s_plus!r}" in message and f"s-={pair.s_minus!r}" in message
-    if pair is GAIN:
+    if pair is not LARGE_GAIN:
         with pytest.raises(NumericError, match="overflows"):
             output_field(X_POLARIZED, pair, alpha_l)
 
 
-@pytest.mark.parametrize("pair, alpha_l", [(GAIN, 1e3), (LARGE_GAIN, 500.0)],
-                         ids=["phase_overflow", "square_overflow"])
+@pytest.mark.parametrize("pair, alpha_l", [(GAIN, 1e3), (LARGE_GAIN, 500.0),
+                                           (INFINITE_PHASE, 1e308),
+                                           (INFINITE_REAL_PHASE, 1e308)],
+                         ids=["phase_overflow", "square_overflow", "infinite_phase",
+                              "infinite_real_phase"])
 def test_grid_overflow_is_inf_without_warnings(pair, alpha_l):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -236,6 +248,43 @@ def test_grid_overflow_is_inf_without_warnings(pair, alpha_l):
     assert t_y[0] == transmission_y(FINITE, alpha_l) and t_x[0] == transmission_x(FINITE, alpha_l)
     assert t_y[1] == math.inf and t_x[1] == math.inf
     assert theta[1] == rotation_angle(pair, alpha_l)
+
+
+_EXTREME_PARTS = (0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, -1e300, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan)
+
+
+def _extreme_part(rng) -> float:
+    if rng.random() < 0.5:
+        return _EXTREME_PARTS[rng.integers(len(_EXTREME_PARTS))]
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-310.0, 308.2))
+
+
+def test_grid_is_inf_exactly_where_the_scalars_raise():
+    # Seeded extreme pairs, nonfinite parts among them: each scalar either
+    # raises a NumericError, where the grid holds inf, or returns the grid's
+    # value, equal in repr (which tells -0.0 from 0.0, and not nan's sign).
+    rng = np.random.default_rng(2025)
+    pairs = [SusceptibilityPair(complex(_extreme_part(rng), _extreme_part(rng)),
+                                complex(_extreme_part(rng), _extreme_part(rng)))
+             for _ in range(2000)]
+    lengths = np.array([(1e308, 1e3, 1.0, 0.0, 10.0 ** rng.uniform(-300.0, 308.2))
+                        [rng.integers(5)] for _ in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_y, t_x = observables_grid(*_grids(pairs), lengths)[:2]
+    raised = 0
+    for k, (q, alpha_l) in enumerate(zip(pairs, lengths.tolist())):
+        for func, grid in ((transmission_y, t_y), (transmission_x, t_x)):
+            try:
+                expected = func(q, alpha_l)
+            except NumericError:
+                raised += 1
+                assert grid[k] == math.inf, (q, alpha_l, func.__name__)
+                continue
+            assert repr(expected) == repr(float(grid[k])), (q, alpha_l, func.__name__)
+    # Both outcomes are common among the draws.
+    assert 500 < raised < 3500
 
 
 def test_grid_takes_one_alpha_l_per_pair():
