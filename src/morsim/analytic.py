@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .complexgrid import ComplexGrid, abs_squared, promote
-from .core import (ParamColumns, SusceptibilityPair, SystemParams, _check_type,
+from .core import (ParamColumns, SusceptibilityPair, SystemParams, _check_type, _first_failure,
                    detuning_factors, validate_params)
 from .errors import MorsimError, NumericError
 
@@ -119,14 +119,8 @@ def s_pair_grid(
         num_plus, den_plus, num_minus, den_minus = _closed_form(rows)
         abs_plus, abs_minus = abs(den_plus), abs(den_minus)
         # An infinite |G|^2 makes every denominator of its rows infinite.
-        unbounded = ~(np.isfinite(abs_plus) & np.isfinite(abs_minus))
-        failing = unbounded | (abs_plus < DENOMINATOR_GUARD) | (abs_minus < DENOMINATOR_GUARD)
-        failure = None
-        if failing.any():
-            i = int(np.argmax(failing))
-            if unbounded[i]:
-                error = _overflow(rows.at(i))
-            else:
-                error = _vanishing(abs_plus[i], abs_minus[i], rows.at(i))
-            failure = (i, error)
-        return num_plus / den_plus, num_minus / den_minus, failure
+        return num_plus / den_plus, num_minus / den_minus, _first_failure([
+            (np.isfinite(abs_plus) & np.isfinite(abs_minus), lambda i: _overflow(rows.at(i))),
+            ((abs_plus >= DENOMINATOR_GUARD) & (abs_minus >= DENOMINATOR_GUARD),
+             lambda i: _vanishing(abs_plus[i], abs_minus[i], rows.at(i))),
+        ])

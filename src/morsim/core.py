@@ -111,6 +111,22 @@ def _converted(convert, value, *args):
         raise ParameterError(str(exc)) from exc
 
 
+def _first_failure(checks: list) -> tuple[int, Exception] | None:
+    """The first row (of a grid, or matrix of a stack) that fails one of
+    ``checks``, as ``(i, error)``, or None if every row passes: the one
+    rule for which failure a caller sees.
+
+    ``checks`` holds ``(passes, error)`` pairs in check order: ``passes``
+    has one boolean per row, and ``error(i)`` is the exception for row
+    ``i``.  The first check that row fails wins.
+    """
+    passes = np.array([ok for ok, _ in checks])
+    if np.logical_and.reduce(passes, axis=None):
+        return None
+    i = int(np.argmin(np.logical_and.reduce(passes)))
+    return i, checks[int(np.argmin(passes[:, i]))][1](i)
+
+
 class ParamColumns:
     """Parameter sets of many rows, each field a column over the rows.
 

@@ -49,11 +49,12 @@ unit amplitude, is minus the rho_gg column of ``P`` on those rows, read
 off once, at import.
 
 Both routes check their solves by one rule (:func:`_solve`,
-:func:`_residuals`, :func:`_first_failure`): a stack is solved in one
-call, and re-solved matrix by matrix up to its first singular matrix
-only if that call fails; each residual must be at most ``RESIDUAL_TOL``
-times the Frobenius norm of its matrix; and the first failing matrix,
-in stack order, is reported with the first check it fails.  One
+:func:`_residuals`, and :func:`~morsim.core._first_failure`, which the
+closed-form grid shares): a stack is solved in one call, and
+re-solved matrix by matrix up to its first singular matrix only if
+that call fails; each residual must be at most ``RESIDUAL_TOL`` times
+the Frobenius norm of its matrix; and the first failing matrix, in
+stack order, is reported with the first check it fails.  One
 reduction tests every check of every matrix, and a message is built
 only for the failing one.  Every solve goes through
 :func:`_lapack_solve`, the LAPACK gufunc of ``np.linalg.solve`` under
@@ -72,7 +73,7 @@ from numpy.linalg import _umath_linalg
 
 from .complexgrid import ComplexGrid
 from .core import (ParamColumns, SusceptibilityPair, SystemParams, _check_type, _converted,
-                   _real, _shown, detuning_factors, validate_params)
+                   _first_failure, _real, _shown, detuning_factors, validate_params)
 from .errors import ParameterError, SingularSystemError
 
 __all__ = [
@@ -128,21 +129,6 @@ class DensityMatrix:
             raise ParameterError(f"coherence index out of range 0..3: "
                                  f"({_shown(index[0])}, {_shown(index[1])})")
         return complex(self.rho[index])
-
-
-def _first_failure(checks: list) -> tuple[int, Exception] | None:
-    """The first matrix of a stack that fails one of ``checks``, as
-    ``(i, error)``, or None if every matrix passes.
-
-    ``checks`` holds ``(passes, error)`` pairs in check order: ``passes``
-    has one boolean per matrix, and ``error(i)`` is the exception for
-    matrix ``i``.  The first check that matrix fails wins.
-    """
-    passes = np.array([ok for ok, _ in checks])
-    if np.logical_and.reduce(passes, axis=None):
-        return None
-    i = int(np.argmin(np.logical_and.reduce(passes)))
-    return i, checks[int(np.argmin(passes[:, i]))][1](i)
 
 
 def _state_checks(rho: np.ndarray) -> list:
@@ -501,7 +487,8 @@ def probe_response_perturbative_grid(
     """
     _check_type(rows, ParamColumns, "rows")
     with np.errstate(all="ignore"):
-        # Held to the end: freed before the solve, it raised a 9,900-row block's peak RSS by 1.6 MB.
+        # Held to the end: freed before the solve, it raised the peak RSS of a 9,900-point sweep
+        # (blocks of 8,192 and 1,708 rows) by 1.6 MB.
         block = _first_order_block(rows)
         coeffs = np.empty((len(rows.delta), 3, 3), dtype=complex)
         for i, row in enumerate(block):

@@ -394,21 +394,21 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
              if cfg.engine in (label, "both")}
     columns, failures = [], []
     with np.errstate(all="ignore"):
-        for rank, (label, (s_plus, s_minus, failure)) in enumerate(pairs.items()):
+        # Per engine, its own failure, then its first nonfinite value; min keeps the first of a tie.
+        for label, (s_plus, s_minus, failure) in pairs.items():
             values = np.stack((s_plus.re, s_plus.im, s_minus.re, s_minus.im,
                                *observables_grid(s_plus, s_minus, rows.alpha_l)))
+            if failure is not None:
+                failures.append(failure)
             nonfinite = ~np.isfinite(values)
             if nonfinite.any():
                 i = int(np.argmax(nonfinite.any(axis=0)))
                 j = int(np.argmax(nonfinite[:, i]))
-                if failure is None or i < failure[0]:
-                    failure = (i, NumericError(f"nonfinite {label} value "
-                                               f"{CSV_HEADER[2 + j]}={float(values[j, i])!r}"))
-            if failure is not None:
-                failures.append((failure[0], rank, failure[1]))
+                failures.append((i, NumericError(f"nonfinite {label} value "
+                                                 f"{CSV_HEADER[2 + j]}={float(values[j, i])!r}")))
             columns.append(values)
         if failures:
-            i, _, exc = min(failures, key=lambda f: f[:2])
+            i, exc = min(failures, key=lambda f: f[0])
             raise type(exc)(f"variant {_shown(cfg.variants[variant[i]].name)}, "
                             f"delta={float(rows.delta[i])}: {exc}") from exc
         err = None
@@ -720,6 +720,8 @@ def _write(chunks: Iterable[bytes], destination) -> None:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                         os.fspath(destination))
             old = None
+            # Not a stat of ``target``: on a pipe, ``/dev/stdout`` resolves to a
+            # ``/proc/<pid>/fd/pipe:[...]`` that does not exist, so it would be replaced as a file.
             with contextlib.suppress(FileNotFoundError):
                 old = os.stat(destination)
             if old is None or stat.S_ISREG(old.st_mode):

@@ -155,6 +155,30 @@ def test_closed_form_grid_fails_a_whole_parameter_set_at_its_first_row(p):
     assert type(failure[1]) is type(info.value) and str(failure[1]) == str(info.value)
 
 
+_OVERFLOWING_CONTROL = SystemParams(G1=1e200)
+_VANISHING_DENOMINATORS = SystemParams(gamma1=1e-7, gamma2=1.2e-7, Gamma1=1e-7, Gamma2=0.8e-7)
+
+
+@pytest.mark.parametrize("points, expected", [
+    ([(SystemParams(), 1.0), (_OVERFLOWING_CONTROL, -1.0), (_VANISHING_DENOMINATORS, 0.0)],
+     "overflow in closed-form susceptibility"),
+    ([(SystemParams(), 1.0), (_VANISHING_DENOMINATORS, 0.0), (_OVERFLOWING_CONTROL, -1.0)],
+     "vanishing denominator in closed-form susceptibility"),
+], ids=["overflow_first", "vanishing_first"])
+def test_closed_form_grid_failure_order_is_the_scalar_loops(points, expected):
+    columns = ParamColumns([replace(p, delta=delta) for p, delta in points])
+    scalar = None
+    for i in range(len(points)):
+        try:
+            s_pair(columns.at(i))
+        except MorsimError as exc:
+            scalar = (i, type(exc), str(exc))
+            break
+    *_, (i, error) = s_pair_grid(columns)
+    assert (i, type(error), str(error)) == scalar
+    assert i == 1 and str(error).startswith(expected)
+
+
 def test_unequal_gammas_sweep_matches_scalar_loop():
     p = SystemParams(gamma2=2.0)
     deltas = [-1.0, 0.0, 1.0]
@@ -293,6 +317,10 @@ def _fake_engine(label, check=None, nonfinite=None, column="re_s_plus"):
     # Values from a failing check on are not defined and not looked at.
     ({"check": 2, "nonfinite": 3}, {}, "delta=2.0: analytic check"),
     ({"check": 3, "nonfinite": 2}, {}, "delta=2.0: nonfinite analytic value re_s_plus=nan"),
+    # Ties: an engine's check beats its own nonfinite value, and analytic beats numeric.
+    ({"check": 2, "nonfinite": 2}, {}, "delta=2.0: analytic check"),
+    ({"check": 2}, {"nonfinite": 2}, "delta=2.0: analytic check"),
+    ({"nonfinite": 2}, {"nonfinite": 2}, "delta=2.0: nonfinite analytic value re_s_plus=nan"),
 ])
 def test_first_failure_in_row_order_is_raised(monkeypatch, analytic, numeric, expected):
     monkeypatch.setattr(sweep, "s_pair_grid", _fake_engine("analytic", **analytic))

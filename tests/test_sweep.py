@@ -71,8 +71,10 @@ def test_single_point_grid_rejected():
 
 def test_oversized_grid_rejected_with_line_number():
     parse_config(f"delta_points = {MAX_DELTA_POINTS}\n")
-    with pytest.raises(ConfigError, match=rf"line 2: delta_points must be <= {MAX_DELTA_POINTS}"):
+    message = rf"line 2: delta_points must be <= {MAX_DELTA_POINTS}"
+    with pytest.raises(ConfigError, match=message) as error:
         parse_config(f"Omega = 1\ndelta_points = {MAX_DELTA_POINTS + 1}\n")
+    assert error.value.line == 2
 
 
 def test_oversized_grid_rejected_before_allocation(monkeypatch):
@@ -105,13 +107,15 @@ def test_reversed_grid_rejected():
 
 
 def test_unknown_key_rejected_with_line_number():
-    with pytest.raises(ConfigError, match=r"line 2.*dopler"):
+    with pytest.raises(ConfigError, match=r"line 2.*dopler") as error:
         parse_config("Omega = 1\ndopler = 600\n")
+    assert error.value.line == 2
 
 
 def test_syntax_error_reports_line_number():
-    with pytest.raises(ConfigError, match="line 3"):
+    with pytest.raises(ConfigError, match="line 3") as error:
         parse_config("Omega = 1\nG1 = 2\nwhat is this\n")
+    assert error.value.line == 3
 
 
 def test_delta_cannot_be_assigned():
@@ -185,6 +189,9 @@ def test_config_reader_messages(text, message):
     with pytest.raises(ConfigError) as error:
         parse_config(text)
     assert str(error.value) == message
+    # The line number is the message's prefix, and None where there is none.
+    prefix, _, _ = message.partition(": ")
+    assert error.value.line == (int(prefix[5:]) if prefix.startswith("line ") else None)
 
 
 def test_duplicate_variant_name_rejected():
@@ -194,6 +201,7 @@ def test_duplicate_variant_name_rejected():
     with pytest.raises(ConfigError) as error:
         validate_config(cfg)
     assert str(error.value) == "duplicate variant name 'a'"
+    assert error.value.line is None
 
 
 @pytest.mark.parametrize("name", [1, None, b"a"])
