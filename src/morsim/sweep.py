@@ -50,7 +50,7 @@ import numpy as np
 from .analytic import s_pair_grid
 from .complexgrid import ComplexGrid
 from .core import (_COMPLEX_FIELDS, _VARIANT_FIELDS, ParamColumns, SystemParams, _check_type,
-                   _real, _shown, validate_params)
+                   _first_failure, _real, _shown, validate_params)
 from .errors import ConfigError, CrossValidationError, EmitError, MorsimError, NumericError
 from .lindblad import probe_response_perturbative_grid
 from .observables import observables_grid
@@ -369,12 +369,13 @@ _BLOCK_ROWS = 1 << 13
 
 
 class _Columns(NamedTuple):
-    """Output rows as columns: ``str`` lists of names and engines, finite float64 number arrays.
+    """Output rows as columns: ``str`` lists of names and engines, and the
+    number columns as the rows of one finite float64 matrix, delta first.
 
     _evaluate_block and _row_columns refuse any other value; the writer only formats."""
 
     variant: list
-    numbers: list
+    numbers: np.ndarray
     engine: list
 
 
@@ -396,16 +397,13 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
     with np.errstate(all="ignore"):
         # Per engine, its own failure, then its first nonfinite value; min keeps the first of a tie.
         for label, (s_plus, s_minus, failure) in pairs.items():
-            values = np.stack((s_plus.re, s_plus.im, s_minus.re, s_minus.im,
+            values = np.stack((rows.delta, s_plus.re, s_plus.im, s_minus.re, s_minus.im,
                                *observables_grid(s_plus, s_minus, rows.alpha_l)))
-            if failure is not None:
-                failures.append(failure)
-            nonfinite = ~np.isfinite(values)
-            if nonfinite.any():
-                i = int(np.argmax(nonfinite.any(axis=0)))
-                j = int(np.argmax(nonfinite[:, i]))
-                failures.append((i, NumericError(f"nonfinite {label} value "
-                                                 f"{CSV_HEADER[2 + j]}={float(values[j, i])!r}")))
+            nonfinite = _first_failure([
+                (finite, lambda i, j=j: NumericError(
+                    f"nonfinite {label} value {CSV_HEADER[1 + j]}={float(values[j, i])!r}"))
+                for j, finite in enumerate(np.isfinite(values))])
+            failures += filter(None, (failure, nonfinite))
             columns.append(values)
         if failures:
             i, exc = min(failures, key=lambda f: f[0])
@@ -419,11 +417,9 @@ def _evaluate_block(cfg: SweepConfig, deltas: np.ndarray, table: ParamColumns,
     names = [v.name for v in cfg.variants]
     labels = list(pairs)
     # Each point gives one row per engine, in the order of ``labels``.
-    interleaved = np.stack(columns, axis=-1).reshape(7, -1)
-    per_point = len(labels)
     return _Columns(
-        variant=list(map(names.__getitem__, np.repeat(variant, per_point).tolist())),
-        numbers=[np.repeat(rows.delta, per_point), *interleaved],
+        variant=list(map(names.__getitem__, np.repeat(variant, len(labels)).tolist())),
+        numbers=np.stack(columns, axis=-1).reshape(8, -1),
         engine=labels * len(rows.delta),
     ), err
 
@@ -479,8 +475,7 @@ def run_sweep(cfg: SweepConfig) -> list[OutputRow]:
     """
     rows: list[OutputRow] = []
     for block in _blocks(cfg, _variant_params(cfg)):
-        rows += map(OutputRow, block.variant, *(c.tolist() for c in block.numbers),
-                    block.engine)
+        rows += map(OutputRow, block.variant, *block.numbers.tolist(), block.engine)
     return rows
 
 
@@ -527,7 +522,7 @@ def _chunks(columns: _Columns, out_format: str) -> Iterator[tuple[_Columns, list
     Each distinct delta is formatted once: by the CSV number rule, or by
     ``float.__repr__`` for JSON.  Deltas are told apart by bit pattern,
     since JSON prints ``0.0`` and ``-0.0`` apart.  A chunk's ``numbers``
-    are the columns after delta.
+    are the rows after delta.
     """
     variant, numbers, engine = columns
     # The column is 1-d, so its inverse is 1-d on every numpy 2.x.
@@ -541,8 +536,8 @@ def _chunks(columns: _Columns, out_format: str) -> Iterator[tuple[_Columns, list
     delta = list(map(text.__getitem__, inverse.tolist()))
     for start in range(0, len(variant), _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
-        yield (_Columns(variant[start:stop], [column[start:stop] for column in numbers[1:]],
-                        engine[start:stop]), delta[start:stop])
+        yield (_Columns(variant[start:stop], numbers[1:, start:stop], engine[start:stop]),
+               delta[start:stop])
 
 
 def _row_columns(rows: list[OutputRow]) -> _Columns:
@@ -569,15 +564,17 @@ def _row_columns(rows: list[OutputRow]) -> _Columns:
                         f"{_KINDS[j].__name__}, got {_shown(value)}")
     variant, *numbers, engine = columns
     numbers = np.array(numbers, float)
-    # Rows by numbers: a boolean index takes the nonfinite values in row order.
-    nonfinite = numbers.T[~np.isfinite(numbers.T)]
-    if nonfinite.size:
-        raise EmitError(f"nonfinite value in output row: {float(nonfinite[0])!r}")
-    return _Columns(list(variant), list(numbers), list(engine))
+    nonfinite = _first_failure([
+        (finite, lambda i, j=j: EmitError(
+            f"nonfinite value in output row: {float(numbers[j, i])!r}"))
+        for j, finite in enumerate(np.isfinite(numbers))])
+    if nonfinite:
+        raise nonfinite[1]
+    return _Columns(list(variant), numbers, list(engine))
 
 
-def _csv_precisions(column: np.ndarray) -> np.ndarray:
-    """The "%.*f" precision that prints each value as _format_number does.
+def _csv_precisions(x: np.ndarray) -> np.ndarray:
+    """The "%.*f" precision that prints each value of ``x`` as _format_number does.
 
     The value rounded to 12 significant digits has decimal exponent
     ``e``; its digits end ``11 - e`` places after the point, and "%.*f"
@@ -590,8 +587,8 @@ def _csv_precisions(column: np.ndarray) -> np.ndarray:
     and ``e >= 12`` (printed with padding zeros before the point).
     """
     with np.errstate(all="ignore"):
-        magnitude = np.log10(np.abs(column))
-        scaled = column * 2.0 ** 17
+        magnitude = np.log10(np.abs(x))
+        scaled = x * 2.0 ** 17
         exact = (np.isfinite(magnitude) & (scaled != np.floor(scaled))
                  & (np.abs(magnitude - np.rint(magnitude)) >= 1e-10))
         return np.where(exact, 11 - np.floor(magnitude), -1).astype(int)
@@ -612,18 +609,18 @@ def _csv_chunk(columns: _Columns, delta: list) -> str:
     by _format_number.
     """
     variant, numbers, engine = columns
-    precision = np.stack([_csv_precisions(column) for column in numbers], axis=1)
+    precision = _csv_precisions(numbers)
     fallback = precision < 0
-    values = [column.tolist() for column in numbers]
-    for i, j in zip(*np.nonzero(fallback)):
+    values = numbers.tolist()
+    for j, i in zip(*np.nonzero(fallback)):
         values[j][i] = _format_number(values[j][i])
     precision[fallback] = 0
     quote = {name: _csv_field(name) for name in {*variant, *engine}}.__getitem__
     fields = [map(quote, variant), delta]
-    for width_or_precision, column in zip(precision.T.tolist(), values):
+    for width_or_precision, column in zip(precision.tolist(), values):
         fields += (width_or_precision, column)
     fields.append(map(quote, engine))
-    templates = map(_CSV_ROWS.__getitem__, (fallback @ _MASK_BITS).tolist())
+    templates = map(_CSV_ROWS.__getitem__, (_MASK_BITS @ fallback).tolist())
     return "".join(map(str.__mod__, templates, zip(*fields)))
 
 
@@ -634,7 +631,7 @@ def _json_chunk(columns: _Columns, delta: list) -> str:
     """
     variant, numbers, engine = columns
     encoded = {name: encode_basestring_ascii(name) for name in {*variant, *engine}}
-    args = zip(map(encoded.__getitem__, variant), delta, *(column.tolist() for column in numbers),
+    args = zip(map(encoded.__getitem__, variant), delta, *numbers.tolist(),
                map(encoded.__getitem__, engine))
     return ",\n  ".join(map(_JSON_ROW.__mod__, args))
 
@@ -660,20 +657,20 @@ def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
     yield b"\n]\n"
 
 
-def _replace_file(destination, old: os.stat_result | None, chunks: Iterable[bytes]) -> None:
-    """Replace the regular file ``destination`` (stat ``old``, None if it
-    does not exist yet) by the concatenated ``chunks``.
+def _replace_file(target, old: os.stat_result | None, chunks: Iterable[bytes]) -> None:
+    """Replace the regular file ``target``, a path resolved by
+    ``os.path.realpath`` (stat ``old``, None if it does not exist yet), by
+    the concatenated ``chunks``.
 
     The chunks go to a temporary file beside it as they are produced,
     which is renamed over it after the last, so a failed write, or an
     error raised while producing a chunk, leaves no partial file and an
     existing file keeps its old bytes.  The new file gets the mode (and,
     where the process may set it, the owner) ``Path.write_bytes`` would
-    leave: an existing file's, else ``0o666`` less the umask.  A symbolic
-    link is written through.  Being a new inode, the file is no longer
-    shared with hard links to the old one.
+    leave: an existing file's, else ``0o666`` less the umask.  Being
+    resolved, a symbolic link is written through.  Being a new inode, the
+    file is no longer shared with hard links to the old one.
     """
-    target = os.path.realpath(destination)
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -725,7 +722,7 @@ def _write(chunks: Iterable[bytes], destination) -> None:
             with contextlib.suppress(FileNotFoundError):
                 old = os.stat(destination)
             if old is None or stat.S_ISREG(old.st_mode):
-                _replace_file(destination, old, chunks)
+                _replace_file(target, old, chunks)
                 return
         with tempfile.TemporaryFile() as spool:
             spool.writelines(chunks)

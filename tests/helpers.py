@@ -35,6 +35,34 @@ from morsim.core import ParamColumns, detuning_factors
 from morsim.sweep import OutputRow, validate_config
 
 
+# Bounds of the accuracy headroom, at least 60x above the worst values
+# measured on the presets and seeded sweeps: 8.2e-15 and 1.5e-6.
+WORST_ERROR = 1e-12
+WORST_RESIDUAL_RATIO = 1e-4
+
+
+def spy_headroom(monkeypatch) -> dict:
+    """Spies, set through ``monkeypatch``, on the worst cross-validation
+    error and residual ratio of the calls that follow, a nan propagating:
+    a dict that fills as they run."""
+    record = {"error": 0.0, "ratio": 0.0}
+    rel_err_grid, residuals = sweep._rel_err_grid, lindblad._residuals
+
+    def spy_rel_err_grid(a, b):
+        err = rel_err_grid(a, b)
+        record["error"] = np.maximum(record["error"], np.max(err))
+        return err
+
+    def spy_residuals(a, r):
+        residual, bound, within = residuals(a, r)
+        record["ratio"] = np.maximum(record["ratio"], np.max(residual / bound))
+        return residual, bound, within
+
+    monkeypatch.setattr(sweep, "_rel_err_grid", spy_rel_err_grid)
+    monkeypatch.setattr(lindblad, "_residuals", spy_residuals)
+    return record
+
+
 def rel_err(a: complex, b: complex) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0

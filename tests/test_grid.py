@@ -296,13 +296,13 @@ def test_first_order_grid_failure_order_is_the_scalar_loops(points, expected):
 _S_COLUMNS = ("re_s_plus", "im_s_plus", "re_s_minus", "im_s_minus")
 
 
-def _fake_engine(label, check=None, nonfinite=None, column="re_s_plus"):
-    """A grid engine whose check fails at index ``check`` and whose
-    ``column`` of s+ and s- is nan at index ``nonfinite``."""
+def _fake_engine(label, check=None, nonfinite=()):
+    """A grid engine whose check fails at index ``check`` and whose s+ and
+    s- are nan at each ``(index, column)`` pair of ``nonfinite``."""
     def evaluate(columns):
         parts = {name: np.zeros(len(columns.delta)) for name in _S_COLUMNS}
-        if nonfinite is not None:
-            parts[column][nonfinite] = np.nan
+        for i, column in nonfinite:
+            parts[column][i] = np.nan
         failure = None if check is None else (check, SingularSystemError(f"{label} check"))
         re_plus, im_plus, re_minus, im_minus = parts.values()
         return ComplexGrid(re_plus, im_plus), ComplexGrid(re_minus, im_minus), failure
@@ -310,17 +310,24 @@ def _fake_engine(label, check=None, nonfinite=None, column="re_s_plus"):
 
 
 @pytest.mark.parametrize("analytic, numeric, expected", [
-    ({"check": 2}, {"nonfinite": 1}, "delta=1.0: nonfinite numeric value re_s_plus=nan"),
-    ({"nonfinite": 1}, {"check": 1}, "delta=1.0: nonfinite analytic value re_s_plus=nan"),
+    ({"check": 2}, {"nonfinite": [(1, "re_s_plus")]},
+     "delta=1.0: nonfinite numeric value re_s_plus=nan"),
+    ({"nonfinite": [(1, "re_s_plus")]}, {"check": 1},
+     "delta=1.0: nonfinite analytic value re_s_plus=nan"),
     ({"check": 1}, {"check": 1}, "delta=1.0: analytic check"),
-    ({"nonfinite": 2}, {"check": 1}, "delta=1.0: numeric check"),
+    ({"nonfinite": [(2, "re_s_plus")]}, {"check": 1}, "delta=1.0: numeric check"),
     # Values from a failing check on are not defined and not looked at.
-    ({"check": 2, "nonfinite": 3}, {}, "delta=2.0: analytic check"),
-    ({"check": 3, "nonfinite": 2}, {}, "delta=2.0: nonfinite analytic value re_s_plus=nan"),
+    ({"check": 2, "nonfinite": [(3, "re_s_plus")]}, {}, "delta=2.0: analytic check"),
+    ({"check": 3, "nonfinite": [(2, "re_s_plus")]}, {},
+     "delta=2.0: nonfinite analytic value re_s_plus=nan"),
     # Ties: an engine's check beats its own nonfinite value, and analytic beats numeric.
-    ({"check": 2, "nonfinite": 2}, {}, "delta=2.0: analytic check"),
-    ({"check": 2}, {"nonfinite": 2}, "delta=2.0: analytic check"),
-    ({"nonfinite": 2}, {"nonfinite": 2}, "delta=2.0: nonfinite analytic value re_s_plus=nan"),
+    ({"check": 2, "nonfinite": [(2, "re_s_plus")]}, {}, "delta=2.0: analytic check"),
+    ({"check": 2}, {"nonfinite": [(2, "re_s_plus")]}, "delta=2.0: analytic check"),
+    ({"nonfinite": [(2, "re_s_plus")]}, {"nonfinite": [(2, "re_s_plus")]},
+     "delta=2.0: nonfinite analytic value re_s_plus=nan"),
+    # The first row with a nonfinite value, then its first such column.
+    ({"nonfinite": [(3, "re_s_plus"), (2, "im_s_minus")]}, {},
+     "delta=2.0: nonfinite analytic value im_s_minus=nan"),
 ])
 def test_first_failure_in_row_order_is_raised(monkeypatch, analytic, numeric, expected):
     monkeypatch.setattr(sweep, "s_pair_grid", _fake_engine("analytic", **analytic))
@@ -342,7 +349,7 @@ def test_nonfinite_value_fails_before_any_byte_is_written(monkeypatch, tmp_path,
     # column in row order is the one named.
     for name, attribute in (("analytic", "s_pair_grid"),
                             ("numeric", "probe_response_perturbative_grid")):
-        bad = {"nonfinite": 7, "column": column} if name == label else {}
+        bad = {"nonfinite": [(7, column)]} if name == label else {}
         monkeypatch.setattr(sweep, attribute, _fake_engine(name, **bad))
     message = f"variant 'b', delta=2.0: nonfinite {label} value {column}=nan"
     for out_format in ("csv", "json"):

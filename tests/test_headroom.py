@@ -6,6 +6,7 @@ bound of 1e-10 times the norm of its matrix.  The golden bytes cover only
 the presets, so these tests bound the worst disagreement and the worst
 residual ratio on the presets and on seeded sweeps of the benchmark's
 ``scan`` shape, and check that each tolerance is where it is documented.
+``test_properties.py`` holds drawn parameter sets to the same bounds.
 """
 
 import cmath
@@ -15,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import WORST_ERROR, WORST_RESIDUAL_RATIO, spy_headroom
 from morsim import (
     CrossValidationError,
     DeltaGrid,
@@ -27,32 +29,6 @@ from morsim import (
 from morsim import lindblad, sweep
 from morsim.cli import main
 from morsim.sweep import PRESET_NAMES
-
-# At least 60x above the worst values measured on these inputs: 8.2e-15 and 1.5e-6.
-WORST_ERROR = 1e-12
-WORST_RESIDUAL_RATIO = 1e-4
-
-
-@pytest.fixture
-def headroom(monkeypatch):
-    """The worst cross-validation error and residual ratio of the calls that
-    follow, a nan propagating, as a dict that fills as they run."""
-    record = {"error": 0.0, "ratio": 0.0}
-    rel_err_grid, residuals = sweep._rel_err_grid, lindblad._residuals
-
-    def spy_rel_err_grid(a, b):
-        err = rel_err_grid(a, b)
-        record["error"] = np.maximum(record["error"], np.max(err))
-        return err
-
-    def spy_residuals(a, r):
-        residual, bound, within = residuals(a, r)
-        record["ratio"] = np.maximum(record["ratio"], np.max(residual / bound))
-        return residual, bound, within
-
-    monkeypatch.setattr(sweep, "_rel_err_grid", spy_rel_err_grid)
-    monkeypatch.setattr(lindblad, "_residuals", spy_residuals)
-    return record
 
 
 def scan_config(seed: int, variants: int = 300) -> SweepConfig:
@@ -74,7 +50,8 @@ def scan_config(seed: int, variants: int = 300) -> SweepConfig:
 @pytest.mark.parametrize("cfg", [preset(name) for name in PRESET_NAMES]
                          + [scan_config(seed) for seed in (1, 2, 3)],
                          ids=[*PRESET_NAMES, *(f"scan_seed{seed}" for seed in (1, 2, 3))])
-def test_sweeps_keep_their_accuracy_headroom(headroom, cfg):
+def test_sweeps_keep_their_accuracy_headroom(monkeypatch, cfg):
+    headroom = spy_headroom(monkeypatch)
     run_sweep(cfg)
     assert 0.0 < headroom["error"] <= WORST_ERROR
     assert 0.0 < headroom["ratio"] <= WORST_RESIDUAL_RATIO

@@ -14,7 +14,8 @@ and on the rows ``run_sweep`` writes, for both engines.  A third
 property ties the two density-matrix engines together: the finite-probe
 response converges on the weak-probe one as the square of the probe
 amplitude.  Near the closed form's denominator guard, a cross-validated
-sweep either agrees or names the point where it stops.
+sweep either agrees or names the point where it stops.  Away from it, the
+sweeps keep the accuracy headroom that ``test_headroom.py`` bounds.
 """
 
 import math
@@ -22,10 +23,11 @@ import re
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_params, rel_err
+from helpers import WORST_ERROR, WORST_RESIDUAL_RATIO, random_params, rel_err, spy_headroom
 from morsim import (
     DeltaGrid,
     NumericError,
@@ -82,7 +84,12 @@ def test_sweep_rows_are_mirrored_and_passive(seed, equal_gammas):
     variants = tuple(Variant(name, {key: getattr(q, key) for key in _PARAM_KEYS})
                      for name, q in (("p", p), ("mirror", _mirror(p))))
     cfg = SweepConfig(delta_grid=DeltaGrid(-150.0, 150.0, 31), variants=variants, engine="both")
-    rows = run_sweep(cfg)
+    # Hypothesis refuses function-scoped fixtures, so each draw sets its own spies.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        headroom = spy_headroom(monkeypatch)
+        rows = run_sweep(cfg)
+    assert headroom["error"] <= WORST_ERROR
+    assert headroom["ratio"] <= WORST_RESIDUAL_RATIO
     for row in rows:
         assert row.im_s_plus >= 0 and row.im_s_minus >= 0
         assert row.t_x + row.t_y <= 1

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation gauntlet: tier-1 must fail on every mutant listed here.
+"""Mutation gauntlet: tier-1 must fail on every mutant listed here, except
+the few listed as surviving by design.
 
 Each mutant is an exact string in one file of ``src/morsim`` and its
 replacement.  The script copies ``src/``, with the ``tests/``,
@@ -7,8 +8,10 @@ replacement.  The script copies ``src/``, with the ``tests/``,
 directory, and checks that the unmutated copy passes tier-1.  Then, one
 mutant at a time, it applies the mutant to a fresh copy of ``src/`` and
 runs the tier-1 command with ``-x`` there.  It fails if tier-1 passes on a
-mutant (the mutant survives) or if a mutant's string does not occur
-exactly once (the list is stale).  It uses the standard library only.
+mutant (the mutant survives), if tier-1 fails on a mutant that names why
+it survives (the reason no longer holds), or if a mutant's string does
+not occur exactly once (the list is stale).  It uses the standard library
+only.
 
 Usage, from anywhere: ``python3 tools/mutants.py``.
 """
@@ -33,6 +36,7 @@ class Mutant(NamedTuple):
     path: str  # relative to src/morsim
     old: str
     new: str
+    survives: str = ""  # why tier-1 cannot see the mutant; empty if it must be killed
 
 
 MUTANTS = [
@@ -64,6 +68,28 @@ MUTANTS = [
            "    values += 0.0\n", ""),
     Mutant("invalid=\"call\" dropped from _lapack_solve", "lindblad.py",
            'invalid="call", over="ignore"', 'over="ignore"'),
+    Mutant("solve1 for a 2-d right-hand side", "lindblad.py",
+           "solve1 if b.ndim == 1", "solve1 if b.ndim <= 2"),
+    Mutant("observables_grid's +inf test written as != -inf", "observables.py",
+           "(exponent.re == np.inf)", "(exponent.re != -np.inf)"),
+    Mutant("s- generator built with the s+ probe terms", "lindblad.py",
+           "np.where(_PROBE[::-1] != 0,", "np.where(_PROBE[[1, 1]] != 0,"),
+    Mutant("_first_failure takes the first failing check, then its row", "core.py",
+           "    i = int(np.argmin(np.logical_and.reduce(passes)))\n"
+           "    return i, checks[int(np.argmin(passes[:, i]))][1](i)\n",
+           "    c = int(np.argmin(np.logical_and.reduce(passes, axis=1)))\n"
+           "    i = int(np.argmin(passes[c]))\n"
+           "    return i, checks[c][1](i)\n"),
+    Mutant("-x for 0.0 - x in the first-order drive", "lindblad.py",
+           "_DRIVE = 0.0 - _PROBE[", "_DRIVE = -_PROBE["),
+    Mutant("sweep's nonfinite checks in reverse column order", "sweep.py",
+           "for j, finite in enumerate(np.isfinite(values))])",
+           "for j, finite in enumerate(np.isfinite(values))][::-1])"),
+    Mutant("np.linalg.norm for _frobenius in the residual bound", "lindblad.py",
+           "bound = RESIDUAL_TOL * _frobenius(a)",
+           "bound = RESIDUAL_TOL * np.linalg.norm(a, axis=(-2, -1))",
+           survives="on these inputs both norms give the same bits; _frobenius is kept "
+                    "because NumPy does not promise that a matrix gets them alone as in a stack"),
 ]
 
 
@@ -110,13 +136,19 @@ def main() -> int:
                 continue
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
             passed, seconds, summary = _tier1(work)
-            if passed:
+            if passed and not mutant.survives:
                 problems.append(f"{mutant.name}: survives tier-1")
+            if not passed and mutant.survives:
+                problems.append(f"{mutant.name}: killed, though listed as surviving because "
+                                f"{mutant.survives}")
             print(f"{'SURVIVED' if passed else 'killed  '}  {mutant.name} ({seconds:.1f} s)"
+                  f"{' by design' if passed and mutant.survives else ''}"
                   f"{'' if passed else ': ' + summary}", flush=True)
     for problem in problems:
         print(problem, file=sys.stderr)
-    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
+    survivors = sum(bool(mutant.survives) for mutant in MUTANTS)
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants as expected: "
+          f"{len(MUTANTS) - survivors} to be killed, {survivors} surviving by design")
     return 1 if problems else 0
 
 
