@@ -293,7 +293,7 @@ def _generator_pair(p: SystemParams, g: float) -> np.ndarray:
 # The trace condition that replaces the redundant ground-population row: ones at the populations.
 _TRACE_ROW = np.identity(4, dtype=complex).ravel()
 _TRACE_ROW.flags.writeable = False
-_UNIT_TRACE = np.zeros(16, dtype=complex)
+_UNIT_TRACE = np.zeros((16, 1), dtype=complex)
 _UNIT_TRACE[_GG_ROW] = 1.0
 _UNIT_TRACE.flags.writeable = False
 
@@ -311,11 +311,10 @@ def _raise_singular(err, flag):
 
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for complex128 ``a`` and ``b``: its LAPACK
-    gufunc under its floating-point state, the same bits and errors, without
-    the per-call checks and conversions its wrapper makes."""
-    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
-        a, b, signature="DD->D")
+    """``np.linalg.solve(a, b)`` for complex128 ``a`` and a matrix ``b``: its
+    LAPACK gufunc under its floating-point state, the same bits and errors,
+    without the per-call checks and conversions its wrapper makes."""
+    return _umath_linalg.solve(a, b, signature="DD->D")
 
 
 def _solve(a: np.ndarray, b: np.ndarray, error) -> tuple[np.ndarray, list]:
@@ -381,7 +380,8 @@ def _steady_states(L: np.ndarray, check_states: bool = True
     rho += rho.conj().swapaxes(-1, -2)
     rho *= 0.5
     with np.errstate(all="ignore"):
-        residual, bound, within = _residuals(L, L @ rho.reshape(-1, 16, 1))
+        # rho is a view of vec: this is the residual of the projected state.
+        residual, bound, within = _residuals(L, L @ vec)
         checks.append((within, lambda i: SingularSystemError(
             f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} "
             f"* ||L|| = {bound[i]:.3e}")))

@@ -8,6 +8,8 @@ import pytest
 from helpers import pair_rel_err, random_params, s_no_control, s_plus_sigma_minus_control
 from morsim import (NumericError, ParameterError, SystemParams, probe_response_perturbative,
                     s_pair)
+from morsim.analytic import s_pair_grid
+from morsim.core import ParamColumns
 
 
 def test_no_control_reduction_spot_values():
@@ -111,6 +113,26 @@ def test_degenerate_denominator_raises_instead_of_blowing_up():
     p = SystemParams(gamma1=1e-7, gamma2=1e-7, Gamma1=5e-10, Gamma2=5e-10)
     with pytest.raises(NumericError, match="denominator"):
         s_pair(p)
+
+
+def _scaled_fig3(s: float) -> SystemParams:
+    """The fig3-shaped set with G2 = 10, every rate, detuning and control times
+    ``s``: both |den| are 1477.0 at s = 1 and scale as s**3."""
+    return SystemParams(gamma1=s, gamma2=s, Gamma1=s, Gamma2=s, Omega=5.0 * s, Delta=5.0 * s,
+                        G1=20.0 * s, G2=10.0 * s)
+
+
+def test_denominator_guard_holds_at_its_bound():
+    # The guard is 1e-12: |den| = 2.0e-12 passes and 5.0e-13 fails, as a
+    # scalar and at row 1 of a grid.
+    passing, failing = _scaled_fig3(1.106e-5), _scaled_fig3(6.97e-6)
+    s_pair(passing)
+    with pytest.raises(NumericError) as info:
+        s_pair(failing)
+    assert str(info.value).startswith(
+        "vanishing denominator in closed-form susceptibility (|den+|=5.001e-13, |den-|=5.001e-13)")
+    *_, (i, error) = s_pair_grid(ParamColumns([passing, failing]))
+    assert (i, type(error), str(error)) == (1, NumericError, str(info.value))
 
 
 def test_birefringence_without_magnetic_field():

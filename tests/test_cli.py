@@ -11,7 +11,9 @@ import pytest
 
 import morsim
 from morsim.cli import main
-from morsim.sweep import MAX_CONFIG_BYTES
+
+# The config limit as README documents it, not as the code spells it.
+CONFIG_LIMIT = 1048576
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -75,15 +77,15 @@ def test_missing_config_file_is_validation_error(tmp_path):
 
 def test_config_larger_than_the_bound_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
-    padding = MAX_CONFIG_BYTES - len(GOOD_CONFIG.encode())
+    padding = CONFIG_LIMIT - len(GOOD_CONFIG.encode())
     cfg.write_text("#" * (padding - 1) + "\n" + GOOD_CONFIG, encoding="utf-8")
-    assert cfg.stat().st_size == MAX_CONFIG_BYTES
+    assert cfg.stat().st_size == CONFIG_LIMIT
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
     capsys.readouterr()
     cfg.write_text("#" * padding + "\n" + GOOD_CONFIG, encoding="utf-8")
     assert main(["sweep", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: config {cfg} is larger than {MAX_CONFIG_BYTES} bytes\n"
+    assert captured.err == f"error: config {cfg} is larger than {CONFIG_LIMIT} bytes\n"
     assert captured.out == ""
 
 
@@ -112,7 +114,7 @@ def test_endless_config_is_validation_error_in_bounded_memory():
                             check=False, timeout=60)
     err = result.stderr.decode()
     assert result.returncode == 1, err
-    assert err == f"error: config /dev/zero is larger than {MAX_CONFIG_BYTES} bytes\n"
+    assert err == f"error: config /dev/zero is larger than {CONFIG_LIMIT} bytes\n"
     assert result.stdout == b""
 
 

@@ -218,7 +218,8 @@ def _solve_outcome(solve, a, b):
 def _solve_cases(n: int, rng):
     """Seeded ``(a, b)`` cases of ``n x n`` complex systems: one matrix or a stack
     of 1 to 5, each regular, with a singular matrix at the first, a middle or the
-    last position, with a nan or an inf entry, or a transposed view; ``b`` 1-D or 2-D."""
+    last position, with a nan or an inf entry, or a transposed view; ``b`` one
+    column or two."""
     for k in (None, 1, 2, 3, 4, 5):
         shape = (n, n) if k is None else (k, n, n)
         for kind in ("regular", "singular first", "singular middle", "singular last",
@@ -234,7 +235,7 @@ def _solve_cases(n: int, rng):
                 stack[at, 1, n // 2] = complex(1.0, np.inf)
             elif kind == "transposed":
                 a = a.swapaxes(-1, -2)
-            for b_shape in ((n,), (n, 2)):
+            for b_shape in ((n, 1), (n, 2)):
                 b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
                 yield a, (b if kind != "transposed" else np.repeat(b, 2, axis=0)[::2])
 

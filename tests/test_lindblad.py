@@ -240,6 +240,27 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([-0.5, 0.0, 0.5, 1.0]).astype(complex))
 
 
+def _off_by(d: float) -> tuple:
+    """States off the Hermiticity, trace and population checks by ``d``, in that order."""
+    herm = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+    herm[0, 1] = d
+    return (herm, np.diag([0.0, 0.0, 0.0, 1.0 + d]).astype(complex),
+            np.diag([-d, 0.0, 0.0, 1.0 + d]).astype(complex))
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "non-Hermitian density matrix: deviation 2.000e-12"),
+    (1, "trace differs from 1 by 2.000e-12"),
+    (2, "negative population: -2.000e-12"),
+], ids=["hermiticity", "trace", "population"])
+def test_density_matrix_tolerances_hold_at_their_bounds(k, message):
+    # Each tolerance is 1e-12 in magnitude: twice it fails, half of it passes.
+    with pytest.raises(ParameterError) as info:
+        DensityMatrix(_off_by(2e-12)[k])
+    assert str(info.value) == message
+    DensityMatrix(_off_by(0.5e-12)[k])
+
+
 def test_density_matrix_coherence_is_one_entry():
     state = steady_state(build_generator(FIG3_BASE, g1=0.01, g2=0.02j))
     coherence = state.coherence(1, 3)
