@@ -50,17 +50,17 @@ off once, at import.
 
 Both routes check their solves by one rule (:func:`_solve`,
 :func:`_residuals`, and :func:`~morsim.core._first_failure`, which the
-closed-form grid shares): a stack is solved in one call, and
-re-solved matrix by matrix up to its first singular matrix only if
-that call fails; each residual must be at most ``RESIDUAL_TOL`` times
-the Frobenius norm of its matrix; and the first failing matrix, in
-stack order, is reported with the first check it fails.  One
-reduction tests every check of every matrix, and a message is built
-only for the failing one.  Every solve goes through
-:func:`_lapack_solve`, the LAPACK gufunc of ``np.linalg.solve`` under
-its floating-point state, so it keeps that function's bits and errors
-without the per-call checks and conversions of its wrapper, which cost
-about as much as a 3x3 solve itself.
+closed-form grid shares): a stack is solved in one call, and again with
+errors ignored only if that call fails, a matrix being singular where
+``np.linalg.slogdet`` (the same LU) gives it sign 0; each residual must
+be at most ``RESIDUAL_TOL`` times the Frobenius norm of its matrix; and
+the first failing matrix, in stack order, is reported with the first
+check it fails.  One reduction tests every check of every matrix, and a
+message is built only for the failing one.  Every solve that succeeds
+goes through :func:`_lapack_solve`, the LAPACK gufunc of
+``np.linalg.solve`` under its floating-point state, so it keeps that
+function's bits and errors without the per-call checks and conversions
+of its wrapper, which cost about as much as a 3x3 solve itself.
 """
 
 from __future__ import annotations
@@ -323,23 +323,17 @@ def _solve(a: np.ndarray, b: np.ndarray, error) -> tuple[np.ndarray, list]:
     Returns the solutions and the solvability check as
     :func:`_first_failure` takes it, with ``error(i)`` for a singular
     matrix ``i``: no check if the stacked solve succeeds.  Otherwise the
-    matrices are solved one by one up to the first singular one, and the
-    solutions from it on are nan.  A matrix gets the same bits alone as
-    inside a stack.
+    stack is solved again with errors ignored, each singular matrix to
+    nan, and a matrix is singular where ``np.linalg.slogdet`` (the same
+    LU) gives it sign 0.  A matrix gets the same bits alone as in a stack.
     """
     try:
         return _lapack_solve(a, b), []
     except np.linalg.LinAlgError:
         # The stacked solve does not say which matrix is singular.
-        x = np.full(a.shape[:-1] + b.shape[1:], np.nan, dtype=complex)
-        solved = np.zeros(len(a), dtype=bool)
-        for i, matrix in enumerate(a):
-            try:
-                x[i] = _lapack_solve(matrix, b)
-            except np.linalg.LinAlgError:
-                break
-            solved[i] = True
-        return x, [(solved, error)]
+        with np.errstate(all="ignore"):
+            return (_umath_linalg.solve(a, b, signature="DD->D"),
+                    [(np.linalg.slogdet(a).sign != 0, error)])
 
 
 def _residuals(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,9 +371,9 @@ def _steady_states(L: np.ndarray, check_states: bool = True
     vec, checks = _solve(constrained, _UNIT_TRACE, lambda i: SingularSystemError(
         "steady-state solve failed: Singular matrix"))
     rho = vec.reshape(-1, 4, 4)
-    rho += rho.conj().swapaxes(-1, -2)
-    rho *= 0.5
     with np.errstate(all="ignore"):
+        rho += rho.conj().swapaxes(-1, -2)
+        rho *= 0.5
         # rho is a view of vec: this is the residual of the projected state.
         residual, bound, within = _residuals(L, L @ vec)
         checks.append((within, lambda i: SingularSystemError(

@@ -737,8 +737,9 @@ def _write(chunks: Iterable[bytes], destination) -> None:
         raise EmitError(f"cannot write {name}: {exc}") from exc
 
 
-def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
-    """Serialize rows and optionally write them out.
+def emit(rows: Iterable[OutputRow], out_format: str, destination=None) -> bytes:
+    """Serialize rows, from a list or any other iterable, and optionally
+    write them out.
 
     Names are ``str`` and numbers finite ``float`` values (subclasses such
     as ``numpy.float64`` included); any other value is an EmitError.
@@ -749,7 +750,7 @@ def emit(rows: list[OutputRow], out_format: str, destination=None) -> bytes:
     its old bytes.  Any other existing path (a device, a FIFO) is
     written in place.
     """
-    if not rows:
+    if not rows or not (rows := list(rows)):
         raise EmitError("no rows to emit")
     if out_format not in FORMATS:
         raise EmitError(f"unknown output format {_shown(out_format)}")

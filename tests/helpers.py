@@ -257,6 +257,28 @@ def reference_density_checks(rho: np.ndarray) -> None:
         raise ParameterError(f"negative population: {pops.min():.3e}")
 
 
+def reference_solve(a: np.ndarray, b: np.ndarray, error) -> tuple[np.ndarray, list]:
+    """Reference for ``lindblad._solve``: the stack in one call, and if that
+    call fails, matrix by matrix up to the first singular one.
+
+    The fallback ``_solve`` was first written with, kept verbatim so that
+    the first failure it reports and the solutions before it can be
+    compared with it.  Solutions from the first singular matrix on are nan.
+    """
+    try:
+        return lindblad._lapack_solve(a, b), []
+    except np.linalg.LinAlgError:
+        x = np.full(a.shape[:-1] + b.shape[1:], np.nan, dtype=complex)
+        solved = np.zeros(len(a), dtype=bool)
+        for i, matrix in enumerate(a):
+            try:
+                x[i] = lindblad._lapack_solve(matrix, b)
+            except np.linalg.LinAlgError:
+                break
+            solved[i] = True
+        return x, [(solved, error)]
+
+
 def reference_steady_state(generator: np.ndarray) -> np.ndarray:
     """Reference for ``steady_state(generator).rho``: one 16x16 solve,
     residual by ``np.linalg.norm``, then the scalar state checks.

@@ -37,6 +37,7 @@ from morsim import (
     write_sweep,
 )
 from morsim.cli import main
+from morsim.complexgrid import ComplexGrid
 from test_golden import JSON_SHA256, PRESET_SHA256
 
 
@@ -134,6 +135,34 @@ def test_cross_validation_reports_the_worst_point_of_the_sweep(monkeypatch, bloc
     named = replace(cfg, variants=tuple(Variant(np.str_(v.name), v.overrides)
                                         for v in cfg.variants))
     assert _outcomes(named) == outcomes
+
+
+def test_a_nan_disagreement_in_an_early_block_stays_the_worst(monkeypatch):
+    # Block 1 disagrees by nan at its second point, every later point by 1e-9.
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", 4)
+    calls = []
+
+    def rel_err_grid(a, b):
+        calls.append(None)
+        err = np.full(len(a.re), 1e-9)
+        if len(calls) <= 2:  # s+ and s- of block 1
+            err[1] = np.nan
+        return err
+
+    monkeypatch.setattr(sweep, "_rel_err_grid", rel_err_grid)
+    with pytest.raises(CrossValidationError) as info:
+        run_sweep(_config("both"))
+    assert str(info.value) == ("analytic and numeric engines disagree: worst relative error "
+                               "nan at variant 'a', delta=-25.0 (tolerance 1e-06)")
+    assert len(calls) == 2 * 10
+
+
+def test_rel_err_grid_is_0_where_both_engines_vanish():
+    zero = ComplexGrid.from_numpy(np.array([0j, -0.0 + 0j, 0j]))
+    other = ComplexGrid.from_numpy(np.array([0j, 2.0 + 0j, -1j]))
+    with np.errstate(all="ignore"):  # as in the sweep
+        assert sweep._rel_err_grid(zero, zero).tolist() == [0.0, 0.0, 0.0]
+        assert sweep._rel_err_grid(zero, other).tolist() == [0.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("block_rows", [3, 4, 5, 7])

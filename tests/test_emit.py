@@ -225,6 +225,25 @@ def test_nonfinite_error_names_first_value_across_chunks(out_format):
     assert "-inf" in _assert_same_error(_rows(values), out_format)
 
 
+@pytest.mark.parametrize("wrap", [iter, lambda rows: (row for row in rows),
+                                  lambda rows: map(tuple, rows)],
+                         ids=["iterator", "generator", "map"])
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_any_iterable_of_rows_gives_the_bytes_of_the_list(wrap, out_format):
+    rows = _rows([0.25 * i for i in range(24)])
+    assert emit(wrap(rows), out_format) == emit(rows, out_format)
+    with pytest.raises(EmitError, match="^no rows to emit$"):
+        emit(wrap([]), out_format)
+
+
+def test_no_rows_and_rows_that_cannot_be_iterated_keep_their_errors():
+    for rows in (None, [], ()):
+        with pytest.raises(EmitError, match="^no rows to emit$"):
+            emit(rows, "csv")
+    with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+        emit(5, "csv")
+
+
 # -- writing to a path ---------------------------------------------------
 
 

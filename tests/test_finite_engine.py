@@ -13,6 +13,7 @@ from helpers import (
     random_params,
     reference_generator,
     reference_probe_response_finite,
+    reference_solve,
     reference_steady_state,
 )
 from morsim import (
@@ -24,6 +25,7 @@ from morsim import (
     steady_state,
 )
 from morsim import lindblad
+from morsim.core import _first_failure
 
 STRONG_SIGMA_MINUS = SystemParams(Omega=5.0, Delta=5.0, G1=20.0, G2=0.0, delta=0.3)
 
@@ -153,6 +155,21 @@ def test_singular_generator_error_is_the_reference_error():
         assert _stack_outcome(stack) == error
 
 
+def test_overflowing_projection_does_not_warn():
+    # The state solves to 1.7e308 at rho_e1 and rho_1e, whose Hermitian projection overflows.
+    L = np.eye(16, dtype=complex)
+    L[[1, 4], [1, 4]] = 0.6e-308
+    L[[1, 4], 15] = -1.0
+    residual_error = (lindblad.SingularSystemError,
+                      "steady-state residual nan exceeds 1e-10 * ||L|| = 4.000e-10")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(lambda: steady_state(L)) == residual_error
+        # Solved again after the singular matrix fails the stack, it must not warn either.
+        assert _stack_outcome(np.array([np.zeros((16, 16)), L])) == (
+            lindblad.SingularSystemError, "steady-state solve failed: Singular matrix")
+
+
 def test_steady_state_bits_do_not_depend_on_the_stack():
     rng = np.random.default_rng(83)
     generators = []
@@ -254,3 +271,81 @@ def test_lapack_solve_is_numpy_solve_bit_for_bit_and_error_for_error(n, caller_s
     # Every singular case raises, and every regular and transposed one solves.
     assert outcomes.count(np.linalg.LinAlgError) >= 3 * 6 * 2
     assert outcomes.count(np.ndarray) >= 2 * 6 * 2
+
+
+_MATRIX_KINDS = ("random", "scaled row", "integer row sum", "zero column", "sparse",
+                 "nonfinite entry", "extreme scale")
+
+
+def _matrix(kind: str, n: int, rng) -> np.ndarray:
+    """A seeded ``n x n`` complex matrix of ``kind``: random, rank-deficient by a
+    scaled row, of small integers with one row the sum of two others, with a zero
+    column, 80% zeros, one inf or nan entry, or random scaled by 1e300 or 1e-300."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    i, j, k = rng.choice(n, 3, replace=False)
+    if kind == "scaled row":
+        a[i] = rng.normal() * a[j]
+    elif kind == "integer row sum":
+        a = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+        a[i] = a[j] + a[k]
+    elif kind == "zero column":
+        a[:, i] = 0.0
+    elif kind == "sparse":
+        a[rng.random((n, n)) < 0.8] = 0.0
+    elif kind == "nonfinite entry":
+        a[i, j] = complex(rng.choice([np.inf, -np.inf, np.nan]), rng.normal())
+    elif kind == "extreme scale":
+        a *= rng.choice([1e300, 1e-300])
+    return a
+
+
+def _raises(call) -> bool:
+    try:
+        call()
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_slogdet_sign_is_0_exactly_where_the_solve_raises(n):
+    # _solve's fallback takes its singular matrices from slogdet, which factors each by
+    # the solve's LU: a NumPy that factors the two gufuncs differently fails here.
+    rng = np.random.default_rng(30 + n)
+    b = np.ones((n, 1), dtype=complex)
+    raised = {kind: 0 for kind in _MATRIX_KINDS}
+    for _ in range(200):
+        for kind in _MATRIX_KINDS:
+            a = _matrix(kind, n, rng)
+            with np.errstate(all="ignore"):
+                sign = np.linalg.slogdet(a).sign
+            assert (sign == 0) == _raises(lambda: lindblad._lapack_solve(a, b)), (kind, a)
+            raised[kind] += sign == 0
+    # Hundreds of singular matrices, none of them random.  In 16 x 16 round-off
+    # leaves almost no exact zero pivot in a dependent row.
+    assert raised["zero column"] == 200 and raised["sparse"] > 100 and raised["random"] == 0
+    if n == 3:
+        assert raised["scaled row"] > 10 and raised["integer row sum"] > 20
+
+
+@pytest.mark.parametrize("caller_state", [{}, {"all": "raise"}], ids=["default", "raise"])
+def test_solve_reports_the_first_singular_matrix_as_the_matrix_by_matrix_loop(caller_state):
+    # Stacks of 1 to 8 matrices of mixed kinds; ``b`` one column or two.
+    rng = np.random.default_rng(30)
+    late_failures = 0
+    for _ in range(300):
+        n = int(rng.choice([3, 16]))
+        a = np.array([_matrix(rng.choice(_MATRIX_KINDS), n, rng)
+                      for _ in range(rng.integers(1, 9))])
+        b = rng.normal(size=(n, rng.integers(1, 3))) + 0j
+        outcomes = []
+        for solve in (lindblad._solve, reference_solve):
+            with np.errstate(**caller_state):
+                x, checks = solve(a, b, lambda i: ValueError(f"matrix {i} is singular"))
+            failure = _first_failure(checks)
+            stop = failure[0] if failure else len(a)
+            outcomes.append((failure and (failure[0], str(failure[1])), x.shape,
+                             x[:stop].tobytes()))
+        assert outcomes[0] == outcomes[1]
+        late_failures += bool(outcomes[0][0]) and outcomes[0][0][0] > 0
+    assert late_failures > 50

@@ -122,6 +122,27 @@ MUTANTS = [
     Mutant("config limit 2 MiB", "sweep.py",
            "MAX_CONFIG_BYTES = 1 << 20", "MAX_CONFIG_BYTES = 1 << 21",
            test="test_cli.py::test_config_larger_than_the_bound_is_validation_error"),
+    Mutant("_solve's fallback takes sign 1, not sign 0, as solvable", "lindblad.py",
+           "np.linalg.slogdet(a).sign != 0", "np.linalg.slogdet(a).sign != 1",
+           test="test_finite_engine.py::"
+                "test_solve_reports_the_first_singular_matrix_as_the_matrix_by_matrix_loop"),
+    Mutant("steady-state projection outside the ignored floating-point errors", "lindblad.py",
+           "    with np.errstate(all=\"ignore\"):\n"
+           "        rho += rho.conj().swapaxes(-1, -2)\n"
+           "        rho *= 0.5\n",
+           "    rho += rho.conj().swapaxes(-1, -2)\n"
+           "    rho *= 0.5\n"
+           "    with np.errstate(all=\"ignore\"):\n",
+           test="test_finite_engine.py::test_overflowing_projection_does_not_warn"),
+    Mutant("emit reads its rows twice", "sweep.py",
+           "if not rows or not (rows := list(rows)):", "if not rows:",
+           test="test_emit.py::test_any_iterable_of_rows_gives_the_bytes_of_the_list"),
+    Mutant("a nan disagreement no longer the worst", "sweep.py",
+           "not (np.isnan(worst[0]) or err[j] <= worst[0])", "not (err[j] <= worst[0])",
+           test="test_blocks.py::test_a_nan_disagreement_in_an_early_block_stays_the_worst"),
+    Mutant("_rel_err_grid divides where both vanish", "sweep.py",
+           "np.where(scale > 0,", "np.where(scale >= 0,",
+           test="test_blocks.py::test_rel_err_grid_is_0_where_both_engines_vanish"),
 ]
 
 
