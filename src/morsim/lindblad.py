@@ -111,7 +111,8 @@ class DensityMatrix:
         rho = _converted(np.array, self.rho, complex)
         if rho.shape != (4, 4):
             raise ParameterError(f"density matrix must be 4x4, got {rho.shape}")
-        failure = _first_failure(_state_checks(rho[np.newaxis]))
+        with np.errstate(all="ignore"):  # an inf or 1e308 entry fails a check, not a warning
+            failure = _first_failure(_state_checks(rho[np.newaxis]))
         if failure:
             raise failure[1]
         rho.flags.writeable = False

@@ -41,7 +41,7 @@ import stat
 import tempfile
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
-from itertools import chain, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
@@ -497,15 +497,19 @@ def _format_number(x: float) -> str:
 # not of a whole block, is alive at once.
 _CHUNK_ROWS = 4096
 
-# CSV row templates indexed by a fallback mask.  The delta column comes
-# as text and prints by "%s".  Bit j set means the j-th number column
-# after it is a string from _format_number, printed by "%*s" at width 0;
-# the others print by "%.*f" at the precision that gives the same digits.
-_CSV_ROWS = tuple(
-    "%s,%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(7)) + "%s\n"
+# Templates of a CSV row's text up to its engine field, indexed by a
+# fallback mask.  The delta column comes as text and prints by "%s".  Bit
+# j set means the j-th number column after it is a string from
+# _format_number, printed by "%*s" at width 0; the others print by "%.*f"
+# at the precision that gives the same digits.
+_CSV_BODIES = tuple(
+    "%s,%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(7))
     for mask in range(128)
 )
 _MASK_BITS = 1 << np.arange(7)
+
+# 10**p for the precisions at which it is a float exactly (5**22 < 2**53).
+_POWERS_OF_TEN = np.array([float(10 ** p) for p in range(23)])
 
 # JSON object template of one row, as json.dumps(..., indent=2) lays it out
 # inside the top-level array: strings pre-encoded, the delta text as it
@@ -601,27 +605,66 @@ def _csv_field(value) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _csv_chunk(columns: _Columns, delta: list) -> str:
-    """CSV lines of a chunk from _chunks, each printed by one template of _CSV_ROWS.
+def _csv_digits(x: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    """The integer whose digits "%.*f" prints for each value of ``x`` at its
+    ``precision``, nan where that is not proven.
 
-    ``delta`` is the text of each row's delta; values of the other
-    number columns that the precision pass cannot print are formatted
+    For ``0 <= p <= 22``, ``10**p`` is a float exactly, so ``s = x * 10**p``
+    is rounded once: ``|s - x·10**p| <= |s|·2**-53``.  Where ``k = rint(s)``
+    is nonzero and ``|s - k| < 0.5 - |s|·2**-51``, the exact ``x·10**p``
+    lies strictly inside ``(k - 0.5, k + 0.5)``.  "%.*f" rounds correctly,
+    so it prints the digits and sign of ``k`` and meets no tie; at ``k = 0``
+    it would print ``0`` or ``-0`` by the sign of ``x``.  Two values with the
+    same precision and the same ``k`` therefore print the same text.
+    """
+    with np.errstate(all="ignore"):
+        scaled = x * _POWERS_OF_TEN[np.clip(precision, 0, 22)]
+        k = np.rint(scaled)
+        proven = ((precision >= 0) & (precision <= 22) & (k != 0)
+                  & (abs(scaled - k) < 0.5 - abs(scaled) * 2.0 ** -51))
+    return np.where(proven, k, np.nan)
+
+
+def _csv_chunk(columns: _Columns, delta: list) -> str:
+    """CSV lines of a chunk from _chunks.
+
+    ``delta`` is the text of each row's delta.  A row is a twin of the row
+    before it in the chunk when both have the same variant and delta text,
+    and each of their seven number columns prints by "%.*f" at the same
+    precision with the same rounded integer by _csv_digits.  That integer
+    is proven only where the exact scaled value lies strictly inside half
+    a unit of it, so "%.*f", which rounds correctly, prints the same text
+    for both values.  A twin, as a ``both``-mode numeric row mostly is of
+    its analytic row, reuses the text of the row before it up to the
+    engine field.  Every other row is printed by one template of
+    _CSV_BODIES; values that the precision pass cannot print are formatted
     by _format_number.
     """
     variant, numbers, engine = columns
     precision = _csv_precisions(numbers)
+    digits = _csv_digits(numbers, precision)
+    # The numbers first, in one array pass: comparing every row's names in Python costs more.
+    same = ((precision[:, 1:] == precision[:, :-1]) & (digits[:, 1:] == digits[:, :-1])).all(axis=0)
+    head = np.ones(len(variant), bool)
+    head[[i for i in (np.flatnonzero(same) + 1).tolist()
+          if variant[i] == variant[i - 1] and delta[i] == delta[i - 1]]] = False
+    precision = precision[:, head]
     fallback = precision < 0
-    values = numbers.tolist()
+    values = numbers[:, head].tolist()
     for j, i in zip(*np.nonzero(fallback)):
         values[j][i] = _format_number(values[j][i])
     precision[fallback] = 0
-    quote = {name: _csv_field(name) for name in {*variant, *engine}}.__getitem__
-    fields = [map(quote, variant), delta]
+    keep = head.tolist()
+    quote = {name: _csv_field(name) for name in set(variant)}.__getitem__
+    fields = [map(quote, compress(variant, keep)), compress(delta, keep)]
     for width_or_precision, column in zip(precision.tolist(), values):
         fields += (width_or_precision, column)
-    fields.append(map(quote, engine))
-    templates = map(_CSV_ROWS.__getitem__, (_MASK_BITS @ fallback).tolist())
-    return "".join(map(str.__mod__, templates, zip(*fields)))
+    templates = map(_CSV_BODIES.__getitem__, (_MASK_BITS @ fallback).tolist())
+    bodies = list(map(str.__mod__, templates, zip(*fields)))
+    # A row's body is its own or, for a twin, that of the row before it.
+    text = map(bodies.__getitem__, (np.cumsum(head) - 1).tolist())
+    end = {name: _csv_field(name) + "\n" for name in set(engine)}.__getitem__
+    return "".join(chain.from_iterable(zip(text, map(end, engine))))
 
 
 def _json_chunk(columns: _Columns, delta: list) -> str:

@@ -4,7 +4,8 @@ A sweep is evaluated in blocks of at most ``sweep._BLOCK_ROWS``
 (variant, delta) points and each block is written as it is evaluated.
 These tests shrink the block bound to a few points, so that boundaries
 fall inside variants, and hold the output bytes, the first failure and
-the cross-validation report to those of one block.  A subprocess checks
+the cross-validation report to those of one block; seeded ``both``
+sweeps are held to the reference CSV writer.  A subprocess checks
 that peak memory does not grow with the number of variants, whether the
 sweep goes to a file or to a file-like object.
 """
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import morsim
-from helpers import scalar_sweep
+from helpers import reference_csv, scalar_sweep
 from morsim import (
     CrossValidationError,
     DeltaGrid,
@@ -39,6 +40,7 @@ from morsim import (
 from morsim.cli import main
 from morsim.complexgrid import ComplexGrid
 from test_golden import JSON_SHA256, PRESET_SHA256
+from test_headroom import scan_config
 
 
 def _sha256(data: bytes) -> str:
@@ -73,6 +75,16 @@ def test_bytes_do_not_depend_on_block_bounds(monkeypatch, engine, out_format):
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk_rows)
         assert _written(cfg) == one_block
         assert emit(run_sweep(cfg), out_format) == one_block
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 4095])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_sweep_bytes_are_the_reference_writers(monkeypatch, seed, chunk_rows):
+    # Most numeric rows reuse the text of their analytic rows; with odd chunk
+    # bounds, some pairs straddle a chunk.  4,620 rows, more than one chunk of 4,095.
+    cfg = scan_config(seed, variants=70)
+    monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk_rows)
+    assert _written(cfg) == reference_csv(run_sweep(cfg))
 
 
 @pytest.mark.parametrize("name", sorted(JSON_SHA256))

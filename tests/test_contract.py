@@ -243,6 +243,13 @@ def test_hostile_values_work_or_raise_the_documented_errors(entry, tmp_path, mon
     (lambda: steady_state("x"), ParameterError, "complex() arg is a malformed string"),
     (lambda: steady_state(HUGE), ParameterError, "int too large to convert to float"),
     (lambda: DensityMatrix("x"), ParameterError, "complex() arg is a malformed string"),
+    # A matrix of inf, nan or 1e308 fails a state check, with no floating-point warning.
+    (lambda: DensityMatrix(np.full((4, 4), np.inf)), ParameterError,
+     "non-Hermitian density matrix: deviation nan"),
+    (lambda: DensityMatrix(np.full((4, 4), np.nan)), ParameterError,
+     "non-Hermitian density matrix: deviation nan"),
+    (lambda: DensityMatrix(np.full((4, 4), 1e308)), ParameterError,
+     "trace differs from 1 by inf"),
     # Config text is a str.
     (lambda: parse_config(None), TypeError,
      "descriptor 'removeprefix' for 'str' objects doesn't apply to a 'NoneType' object"),
@@ -286,7 +293,8 @@ def test_hostile_values_work_or_raise_the_documented_errors(entry, tmp_path, mon
         "complex64_probe_amplitude", "complex64_real_field", "complex128_real_field",
         "complex64_override", "str_real_field", "huge_int_complex_field", "str_jones",
         "huge_int_pair", "str_cartesian", "str_probe_generator", "huge_int_probe_generator",
-        "str_generator", "huge_int_generator", "str_density_matrix", "none_config_text",
+        "str_generator", "huge_int_generator", "str_density_matrix", "inf_density_matrix",
+        "nan_density_matrix", "overflowing_density_matrix", "none_config_text",
         "bytes_config_text", "nul_emit_path", "negative_coherence_index",
         "large_coherence_index", "huge_coherence_index", "str_coherence_index",
         "float_coherence_index", "none_params", "pair_params", "none_pair", "params_pair",

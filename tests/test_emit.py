@@ -2,7 +2,8 @@
 
 The CSV and JSON writers print rows through templates; these tests hold
 them to the plain ``Decimal`` / ``csv.writer`` / ``json.dumps`` encoders
-they replaced, on drawn and on hostile values, hold their type errors
+they replaced, on drawn and on hostile values and on rows that repeat
+the text of the row before them, hold their type errors
 to a field-by-field check, and check that a path to a regular file is
 replaced whole or not at all, while a device or a FIFO is written in
 place.
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 import morsim
 from morsim import EmitError, OutputRow, emit
-from morsim.sweep import _CHUNK_ROWS
+from morsim.sweep import _CHUNK_ROWS, _csv_digits, _csv_precisions
 
 from helpers import reference_csv, reference_json, reference_number
 
@@ -125,6 +126,156 @@ def test_repeated_deltas_match_reference():
     assert json_deltas == [f'    "delta": {row.delta!r},' for row in rows]
     csv_deltas = [line.split(",")[1] for line in emit(rows, "csv").decode().split("\n")[1:-1]]
     assert csv_deltas[:2] == ["0", "0"]
+
+
+# -- rows that print like the row before them ---------------------------
+
+
+def _run(numbers, variant="v", delta=-1.5):
+    """Rows with one variant and delta, engines alternating as in a ``both``
+    sweep.  Each entry of ``numbers`` is one row's seven numbers, or one
+    value put in the first column before six copies of 0.3, which never
+    falls back to _format_number."""
+    return [OutputRow(variant, delta, *(x if isinstance(x, tuple) else (x, *[0.3] * 6)),
+                      ("analytic", "numeric")[i % 2]) for i, x in enumerate(numbers)]
+
+
+def _twin_count(rows):
+    """How many of ``rows`` the digit rule proves equal, in every number, to the row before."""
+    numbers = np.array([row[2:-1] for row in rows]).T
+    precision = _csv_precisions(numbers)
+    digits = _csv_digits(numbers, precision)
+    return int(((precision[:, 1:] == precision[:, :-1])
+                & (digits[:, 1:] == digits[:, :-1])).all(axis=0).sum())
+
+
+# 12-digit rounding boundaries: half a unit in the twelfth digit.
+_BOUNDARIES = [1.234567890125, 5.000000000005, 123456.7890125, 9.876543210125e-05,
+               -4.567890123455e07, 3.333333333335e-11, 7.777777777775e08]
+
+
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+def test_rows_one_ulp_apart_at_a_rounding_boundary_match_reference(boundary):
+    # Consecutive rows step one ulp across the boundary, in every column at once and in one.
+    values = sorted(_ulps(boundary, 6))
+    rows = _run(values) + _run([(x,) * 7 for x in values])
+    _assert_same_bytes(rows)
+    assert _twin_count(rows) > 0
+
+
+def test_rows_at_the_margin_of_the_digit_rule_match_reference():
+    # x * 1e11 within 5e-4 of k +- 0.5, where the margin |s| * 2**-51 is 2.3e-4:
+    # the rule proves some of these values and leaves the others to be formatted.
+    k = 512345678901.0
+    steps = np.linspace(0.0, 5e-4, 41)
+    values = [(k + 0.5 - m) / 1e11 for m in steps] + [(k - 0.5 + m) / 1e11 for m in steps]
+    proven = ~np.isnan(_csv_digits(np.array(values), np.full(len(values), 11)))
+    assert proven.any() and not proven.all()
+    values = [y for x in values for y in _ulps(x, 1)]
+    _assert_same_bytes(_run(values) + _run(values[::-1]))
+
+
+@pytest.mark.parametrize("pair", [
+    (0.999999999999995, 1.0000000000001),  # across a power of ten
+    (1.23456789012, 12.3456789012),  # the same digits, one decade apart
+    (-12.3456789012, -1.23456789012),
+    (4.56789012345e-06, 4.56789012345e-05),
+    # Below 1e-11 the precision passes 22; 1e22 alone would scale these alike.
+    (1.234567890123e-12, 1.234567890123e-12 + 2e-23),
+], ids=["power_of_ten", "decade", "negative_decade", "small_decade", "past_exact_powers"])
+def test_rows_that_differ_in_decade_match_reference(pair):
+    a, b = pair
+    _assert_same_bytes(_run([a, b, a, b]) + _run([(a,) * 7, (b,) * 7, (b,) * 7]))
+
+
+def test_zeros_and_fallback_values_among_repeated_rows_match_reference():
+    # Values _format_number prints (zeros, dyadics, e >= 12, next to powers of ten)
+    # are formatted in every row, beside twins in the other columns.
+    specials = [0.0, -0.0, 0.5, -0.125, 20.0, 1e12, 123456789012.5, 1.5e13,
+                *_ulps(1e5, 2), *_ulps(1e-7, 2)]
+    rows = _run([x for x in specials for _ in range(2)])
+    rows += _run([(x, 0.3, -0.0, 1.234, x, 0.0, 5.5) for x in specials for _ in range(3)])
+    _assert_same_bytes(rows)
+
+
+def test_twins_across_chunks_and_in_runs_match_reference():
+    # Runs of 1 to 7 equal rows, with run and chunk bounds falling anywhere.
+    rng = random.Random(31)
+    numbers = []
+    while len(numbers) < 2 * _CHUNK_ROWS + 9:
+        x = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-8, 8) for _ in range(7))
+        numbers += [x] * rng.randrange(1, 8)
+    rows = _run(numbers)
+    _assert_same_bytes(rows)
+    for edge in (_CHUNK_ROWS, 2 * _CHUNK_ROWS):
+        _assert_same_bytes(_run([numbers[0]] * (edge + 2)))
+    assert _twin_count(rows) > len(rows) // 2
+
+
+@pytest.mark.parametrize("rows", [
+    _run([0.7] * 3, variant="a") + _run([0.7] * 3, variant="b"),
+    _run([0.7] * 3, delta=-1.5) + _run([0.7] * 3, delta=2.0),
+    _run([0.7] * 2, delta=5e-324) + _run([0.7] * 2, delta=-5e-324),
+    # 0.0 and -0.0 print alike as a delta, so these rows print alike.
+    _run([0.7] * 2, delta=0.0) + _run([0.7] * 2, delta=-0.0),
+    [OutputRow('a,"b', -1.5, *[0.7] * 7, engine) for engine in ("x", 'a,"b', "x y", "x")],
+], ids=["variant", "delta", "delta_sign", "zero_delta", "quoted_names"])
+def test_equal_numbers_under_other_names_or_deltas_match_reference(rows):
+    _assert_same_bytes(rows)
+
+
+def _printed(k: float, p: int) -> str:
+    """The "%.*f" text of a value whose ``p``-place rounding is the nonzero integer ``k``."""
+    digits = str(abs(int(k))).rjust(p + 1, "0")
+    head, tail = digits[:len(digits) - p], digits[len(digits) - p:]
+    return ("-" if k < 0 else "") + head + ("." + tail if p else "")
+
+
+def _assert_digits_print(values, precisions):
+    x = np.array(values, float)
+    p = np.array(precisions)
+    digits = _csv_digits(x, p)
+    for value, q, k in zip(x.tolist(), p.tolist(), digits.tolist()):
+        if not 0 <= q <= 22:
+            assert math.isnan(k), (value, q)
+        elif not math.isnan(k):
+            assert "%.*f" % (q, value) == _printed(k, q), (value, q, k)
+
+
+@pytest.mark.parametrize("value, precision", [
+    (0.1, 22), (1e10, 22), (math.nextafter(1e10, 0.0), 22), (123.456, 20), (2.0 ** 60, 0),
+    (-0.4, 0), (0.4, 0), (-0.04, 1), (2.5, 0), (0.125, 2), (-1.5, 0), (0.3, 23), (0.3, -1),
+    (1e300, 5), (5e-324, 22), (-0.0, 3),
+])
+def test_csv_digits_are_the_digits_that_print(value, precision):
+    # The rule at precisions no CSV column reaches: |x * 10**p| past 2**53, zero digits,
+    # ties and precisions outside 0..22.
+    _assert_digits_print([value], [precision])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2, 25))
+def test_csv_digits_print_at_any_precision(value, precision):
+    _assert_digits_print([value], [precision])
+
+
+# Any magnitude a few ulps and 1e-13 from overflow, and the magnitudes the rule can prove.
+_NEAR_TWIN_BASES = st.one_of(st.floats(-1e300, 1e300), st.floats(1e-11, 1e12),
+                             st.floats(-1e12, -1e-11))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_NEAR_TWIN_BASES, min_size=7, max_size=7), st.integers(0, 4),
+       st.floats(-1e-13, 1e-13))
+def test_near_twins_match_reference(base, steps, epsilon):
+    # Each row beside one a few ulps away and one scaled by 1 + epsilon.
+    up, down = list(base), list(base)
+    for _ in range(steps):
+        up = [math.nextafter(x, math.inf) for x in up]
+        down = [math.nextafter(x, -math.inf) for x in down]
+    scaled = [x * (1.0 + epsilon) for x in base]
+    numbers = [tuple(row) for row in (base, up, base, down, base, scaled, scaled, base)]
+    _assert_same_bytes(_run(numbers))
 
 
 @pytest.mark.parametrize("name", ['a,"b"', " leading space", "line\nbreak", "carriage\rreturn",

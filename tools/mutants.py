@@ -143,6 +143,30 @@ MUTANTS = [
     Mutant("_rel_err_grid divides where both vanish", "sweep.py",
            "np.where(scale > 0,", "np.where(scale >= 0,",
            test="test_blocks.py::test_rel_err_grid_is_0_where_both_engines_vanish"),
+    Mutant("digit rule without its rounding margin", "sweep.py",
+           "abs(scaled - k) < 0.5 - abs(scaled) * 2.0 ** -51", "abs(scaled - k) < 0.5",
+           test="test_emit.py::test_csv_digits_are_the_digits_that_print"),
+    Mutant("digit rule takes k = 0, whose sign does not print", "sweep.py",
+           "(precision <= 22) & (k != 0)", "(precision <= 22)",
+           test="test_emit.py::test_csv_digits_are_the_digits_that_print"),
+    Mutant("digit rule past the exact powers of ten", "sweep.py",
+           "(precision >= 0) & (precision <= 22) & ", "",
+           test="test_emit.py::test_rows_that_differ_in_decade_match_reference"),
+    Mutant("twin rows at different precisions", "sweep.py",
+           "(precision[:, 1:] == precision[:, :-1]) & (digits", "(digits",
+           test="test_emit.py::test_rows_that_differ_in_decade_match_reference"),
+    Mutant("twin rows under different variants", "sweep.py",
+           "if variant[i] == variant[i - 1] and delta", "if delta",
+           test="test_emit.py::test_equal_numbers_under_other_names_or_deltas_match_reference"),
+    Mutant("twin rows at different deltas", "sweep.py",
+           "variant[i - 1] and delta[i] == delta[i - 1]]", "variant[i - 1]]",
+           test="test_emit.py::test_equal_numbers_under_other_names_or_deltas_match_reference"),
+    Mutant("DensityMatrix checks outside the ignored floating-point errors", "lindblad.py",
+           "        with np.errstate(all=\"ignore\"):  # an inf or 1e308 entry fails a check, "
+           "not a warning\n"
+           "            failure = _first_failure(_state_checks(rho[np.newaxis]))\n",
+           "        failure = _first_failure(_state_checks(rho[np.newaxis]))\n",
+           test="test_contract.py::test_closed_case_message_is_pinned"),
 ]
 
 
