@@ -41,7 +41,7 @@ import stat
 import tempfile
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
@@ -498,50 +498,32 @@ def _format_number(x: float) -> str:
 _CHUNK_ROWS = 4096
 
 # Templates of a CSV row's text up to its engine field, indexed by a
-# fallback mask.  The delta column comes as text and prints by "%s".  Bit
-# j set means the j-th number column after it is a string from
+# fallback mask.  Bit j set means the j-th number column is a string from
 # _format_number, printed by "%*s" at width 0; the others print by "%.*f"
 # at the precision that gives the same digits.
 _CSV_BODIES = tuple(
-    "%s,%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(7))
-    for mask in range(128)
+    "%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(8))
+    for mask in range(256)
 )
-_MASK_BITS = 1 << np.arange(7)
+_MASK_BITS = 1 << np.arange(8)
 
 # 10**p for the precisions at which it is a float exactly (5**22 < 2**53).
 _POWERS_OF_TEN = np.array([float(10 ** p) for p in range(23)])
 
 # JSON object template of one row, as json.dumps(..., indent=2) lays it out
-# inside the top-level array: strings pre-encoded, the delta text as it
-# comes, the other floats by float.__repr__.
+# inside the top-level array: strings pre-encoded, floats by float.__repr__.
 _JSON_ROW = "{\n    " + ",\n    ".join(
-    f"{encode_basestring_ascii(name)}: " + ("%s" if kind is str or name == "delta" else "%r")
+    f"{encode_basestring_ascii(name)}: " + ("%s" if kind is str else "%r")
     for name, kind in zip(CSV_HEADER, _KINDS)
 ) + "\n  }"
 
 
-def _chunks(columns: _Columns, out_format: str) -> Iterator[tuple[_Columns, list]]:
-    """``columns`` in chunks of _CHUNK_ROWS rows, each with the text of its deltas.
-
-    Each distinct delta is formatted once: by the CSV number rule, or by
-    ``float.__repr__`` for JSON.  Deltas are told apart by bit pattern,
-    since JSON prints ``0.0`` and ``-0.0`` apart.  A chunk's ``numbers``
-    are the rows after delta.
-    """
+def _chunks(columns: _Columns) -> Iterator[_Columns]:
+    """``columns`` in chunks of _CHUNK_ROWS rows."""
     variant, numbers, engine = columns
-    # The column is 1-d, so its inverse is 1-d on every numpy 2.x.
-    bits, inverse = np.unique(numbers[0].view(np.uint64), return_inverse=True)
-    values = bits.view(np.float64)
-    if out_format == "csv":
-        text = ["%.*f" % (p, x) if p >= 0 else _format_number(x)
-                for p, x in zip(_csv_precisions(values).tolist(), values.tolist())]
-    else:
-        text = list(map(float.__repr__, values.tolist()))
-    delta = list(map(text.__getitem__, inverse.tolist()))
     for start in range(0, len(variant), _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
-        yield (_Columns(variant[start:stop], numbers[1:, start:stop], engine[start:stop]),
-               delta[start:stop])
+        yield _Columns(variant[start:stop], numbers[:, start:stop], engine[start:stop])
 
 
 def _row_columns(rows: list[OutputRow]) -> _Columns:
@@ -582,20 +564,26 @@ def _csv_precisions(x: np.ndarray) -> np.ndarray:
 
     The value rounded to 12 significant digits has decimal exponent
     ``e``; its digits end ``11 - e`` places after the point, and "%.*f"
-    rounds the exact binary value half to even at that place, as the
-    ``Decimal`` context does.  The precision is negative where that does
-    not hold or ``e`` is not certain: zero, ``x * 2**17`` integral (the
-    exact expansion may have 12 digits or fewer and print unpadded),
-    values whose ``log10`` lies within 1e-10 of an integer (rounding may
-    carry into the next decade, and ``floor(log10)`` may be off by one),
-    and ``e >= 12`` (printed with padding zeros before the point).
+    rounds the exact binary value half to even there, as the ``Decimal``
+    context does.  A short binary fraction ``n / 2**k`` (``x * 2**17``
+    integral) has exactly ``k`` decimal places, so where ``k <= 11 - e``
+    it prints unrounded and unpadded at precision ``k``; any other value
+    has more than 12 digits (``k >= 18`` gives 13).  The precision
+    is negative at zero, where ``log10`` lies within 1e-10 of an integer
+    (rounding may carry into the next decade, and ``floor(log10)`` may be
+    off by one), and at ``e >= 12`` (padding zeros before the point).
     """
     with np.errstate(all="ignore"):
         magnitude = np.log10(np.abs(x))
+        precision = 11 - np.floor(magnitude)
         scaled = x * 2.0 ** 17
-        exact = (np.isfinite(magnitude) & (scaled != np.floor(scaled))
+        short = np.nonzero((scaled == np.floor(scaled)) & (precision >= 0))
+        # x = n / 2**17 = (n / 2**t) / 2**(17 - t) with 2**t = gcd(n, 2**17): k = 17 - t places.
+        places = 18 - np.frexp(np.gcd(scaled[short].astype(np.int64), 1 << 17))[1]
+        precision[short] = np.minimum(places, precision[short])
+        exact = (np.isfinite(magnitude) & (precision >= 0)
                  & (np.abs(magnitude - np.rint(magnitude)) >= 1e-10))
-        return np.where(exact, 11 - np.floor(magnitude), -1).astype(int)
+        return np.where(exact, precision, -1).astype(int)
 
 
 def _csv_field(value) -> str:
@@ -625,20 +613,19 @@ def _csv_digits(x: np.ndarray, precision: np.ndarray) -> np.ndarray:
     return np.where(proven, k, np.nan)
 
 
-def _csv_chunk(columns: _Columns, delta: list) -> str:
+def _csv_chunk(columns: _Columns) -> str:
     """CSV lines of a chunk from _chunks.
 
-    ``delta`` is the text of each row's delta.  A row is a twin of the row
-    before it in the chunk when both have the same variant and delta text,
-    and each of their seven number columns prints by "%.*f" at the same
-    precision with the same rounded integer by _csv_digits.  That integer
-    is proven only where the exact scaled value lies strictly inside half
-    a unit of it, so "%.*f", which rounds correctly, prints the same text
-    for both values.  A twin, as a ``both``-mode numeric row mostly is of
-    its analytic row, reuses the text of the row before it up to the
-    engine field.  Every other row is printed by one template of
-    _CSV_BODIES; values that the precision pass cannot print are formatted
-    by _format_number.
+    A row is a twin of the row before it in the chunk when both have the
+    same variant, and each of their eight number columns, delta first,
+    prints by "%.*f" at the same precision with the same rounded integer
+    by _csv_digits.  That integer is proven only where the exact scaled
+    value lies strictly inside half a unit of it, so "%.*f", which rounds
+    correctly, prints the same text for both values.  A twin, as a
+    ``both``-mode numeric row mostly is of its analytic row, reuses the
+    text of the row before it up to the engine field.  Every other row is
+    printed by one template of _CSV_BODIES; values that the precision pass
+    cannot print are formatted by _format_number.
     """
     variant, numbers, engine = columns
     precision = _csv_precisions(numbers)
@@ -646,17 +633,15 @@ def _csv_chunk(columns: _Columns, delta: list) -> str:
     # The numbers first, in one array pass: comparing every row's names in Python costs more.
     same = ((precision[:, 1:] == precision[:, :-1]) & (digits[:, 1:] == digits[:, :-1])).all(axis=0)
     head = np.ones(len(variant), bool)
-    head[[i for i in (np.flatnonzero(same) + 1).tolist()
-          if variant[i] == variant[i - 1] and delta[i] == delta[i - 1]]] = False
+    head[[i for i in (np.flatnonzero(same) + 1).tolist() if variant[i] == variant[i - 1]]] = False
     precision = precision[:, head]
     fallback = precision < 0
     values = numbers[:, head].tolist()
     for j, i in zip(*np.nonzero(fallback)):
         values[j][i] = _format_number(values[j][i])
     precision[fallback] = 0
-    keep = head.tolist()
     quote = {name: _csv_field(name) for name in set(variant)}.__getitem__
-    fields = [map(quote, compress(variant, keep)), compress(delta, keep)]
+    fields = [map(quote, compress(variant, head.tolist()))]
     for width_or_precision, column in zip(precision.tolist(), values):
         fields += (width_or_precision, column)
     templates = map(_CSV_BODIES.__getitem__, (_MASK_BITS @ fallback).tolist())
@@ -667,14 +652,11 @@ def _csv_chunk(columns: _Columns, delta: list) -> str:
     return "".join(chain.from_iterable(zip(text, map(end, engine))))
 
 
-def _json_chunk(columns: _Columns, delta: list) -> str:
-    """The array items of a chunk from _chunks, each printed by the _JSON_ROW template.
-
-    ``delta`` is the text of each row's delta.
-    """
+def _json_chunk(columns: _Columns) -> str:
+    """The array items of a chunk from _chunks, each printed by the _JSON_ROW template."""
     variant, numbers, engine = columns
     encoded = {name: encode_basestring_ascii(name) for name in {*variant, *engine}}
-    args = zip(map(encoded.__getitem__, variant), delta, *numbers.tolist(),
+    args = zip(map(encoded.__getitem__, variant), *numbers.tolist(),
                map(encoded.__getitem__, engine))
     return ",\n  ".join(map(_JSON_ROW.__mod__, args))
 
@@ -682,19 +664,18 @@ def _json_chunk(columns: _Columns, delta: list) -> str:
 def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
     """The output bytes of ``blocks``, one chunk of at most _CHUNK_ROWS rows at a time.
 
-    ``blocks`` are not checked (see _Columns).  A block's distinct deltas
-    are formatted before its first chunk is encoded (see _chunks).
+    ``blocks`` are not checked (see _Columns).
     """
     # map and chain hold no chunk once it is encoded, so a block is let
     # go before the next one is requested.
-    chunks = chain.from_iterable(map(_chunks, blocks, repeat(out_format)))
+    chunks = chain.from_iterable(map(_chunks, blocks))
     if out_format == "csv":
         yield (",".join(CSV_HEADER) + "\n").encode()
-        for text in starmap(_csv_chunk, chunks):
+        for text in map(_csv_chunk, chunks):
             yield text.encode("utf-8")
         return
     separator = "[\n  "
-    for text in starmap(_json_chunk, chunks):
+    for text in map(_json_chunk, chunks):
         yield (separator + text).encode("utf-8")
         separator = ",\n  "
     yield b"\n]\n"

@@ -241,6 +241,31 @@ def reference_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray
     return matrix.reshape(16, 16)
 
 
+def kronecker_generator(p: SystemParams, g1: complex, g2: complex) -> np.ndarray:
+    """Reference for ``build_generator`` independent of both hand-typed
+    tables: the textbook master equation (Breuer & Petruccione, *The
+    Theory of Open Quantum Systems*, §3.2) on the row-major vector of rho,
+    ``L = -i(H⊗I - I⊗Hᵀ) + Σ [C⊗C* - ½ C†C⊗I - ½ I⊗(C†C)ᵀ]``.
+
+    ``H = diag(Δ+δ, δ+Ω, δ-Ω, 0) - V - V†`` in the basis {e, 1, 2, g}, V
+    holding G1, G2, g1, g2 on e-1, e-2, 1-g, 2-g; the collapse operators
+    are ``√(2Γ1)|1⟩⟨e|``, ``√(2Γ2)|2⟩⟨e|``, ``√(2γ1)|g⟩⟨1|``, ``√(2γ2)|g⟩⟨2|``.
+    """
+    E, M1, M2, G = range(4)
+    V = np.zeros((4, 4), dtype=complex)
+    V[E, M1], V[E, M2], V[M1, G], V[M2, G] = p.G1, p.G2, g1, g2
+    H = np.diag([p.Delta + p.delta, p.delta + p.Omega, p.delta - p.Omega, 0.0]) - V - V.conj().T
+    identity = np.identity(4)
+    L = -1j * (np.kron(H, identity) - np.kron(identity, H.T))
+    for rate, lower, upper in ((p.Gamma1, M1, E), (p.Gamma2, M2, E),
+                               (p.gamma1, G, M1), (p.gamma2, G, M2)):
+        C = np.zeros((4, 4))
+        C[lower, upper] = math.sqrt(2.0 * rate)
+        decay = C.T @ C  # C is real: C* = C and C† = Cᵀ
+        L += np.kron(C, C) - 0.5 * np.kron(decay, identity) - 0.5 * np.kron(identity, decay.T)
+    return L
+
+
 def reference_density_checks(rho: np.ndarray) -> None:
     """Reference for the ``DensityMatrix`` checks, one scalar at a time.
 

@@ -116,8 +116,8 @@ def test_rows_across_chunks_match_reference():
 
 
 def test_repeated_deltas_match_reference():
-    # Each distinct delta is formatted once per block, told apart by its
-    # bits: JSON prints 0.0 and -0.0 where each occurs, CSV prints 0 for both.
+    # Delta prints by the rule of the other numbers, and a row may reuse the text
+    # of the row before it: JSON prints 0.0 and -0.0 where each occurs, CSV prints 0 for both.
     cycle = [0.0, -0.0, -79.5, 0.1, -0.0, 0.0, 5e-324, -79.5, 0.1]
     rows = [OutputRow("v", cycle[i % len(cycle)], *[0.5] * 7, "analytic")
             for i in range(2 * _CHUNK_ROWS + 3)]
@@ -126,6 +126,69 @@ def test_repeated_deltas_match_reference():
     assert json_deltas == [f'    "delta": {row.delta!r},' for row in rows]
     csv_deltas = [line.split(",")[1] for line in emit(rows, "csv").decode().split("\n")[1:-1]]
     assert csv_deltas[:2] == ["0", "0"]
+
+
+# -- short binary fractions: "%.*f" at their own number of places ---------
+
+
+def _short_fractions():
+    """Positive short binary fractions n / 2**k (n odd, so k places): every k
+    from 0 to 17 at decimal exponents -6 to 13, then at the 12-digit edge
+    e = 11 - k (12 digits, printed exactly) and e = 12 - k (13 digits
+    ending in 5, an exact tie at the twelfth), then values at powers of ten,
+    zero and the smallest subnormal."""
+    rng = random.Random(20261021)
+    values = []
+    for k in range(18):
+        for e in [*range(-6, 14), *[11 - k, 12 - k] * 2]:
+            for _ in range(6):
+                n = int(rng.uniform(1.0, 10.0) * 10.0 ** e * 2 ** k) | 1
+                values.append(math.ldexp(n, -k))
+    for x in (1.0, 10.0, 1e5, 1e11, 999999999999.0, 1e12, 2.0 ** 40, 2.0 ** 46):
+        values += [x, x + 0.5, x - 0.5, x + 2.0 ** -17, x - 2.0 ** -17]
+    return values + [0.0, 5e-324]
+
+
+def _assert_short_values_print_like_reference(values):
+    x = np.array(values)
+    precision = _csv_precisions(x)
+    for value, p in zip(values, precision.tolist()):
+        if p >= 0:
+            assert "%.*f" % (p, value) == reference_number(value), (value, p)
+    return precision
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_short_binary_fractions_match_reference(sign):
+    values = [sign * x for x in _short_fractions()]
+    precision = _assert_short_values_print_like_reference(values)
+    assert (precision >= 0).sum() > len(values) // 2
+    # Each value as delta and in every number column, in twin rows, then beside other values.
+    rows = [OutputRow("v", x, *[x] * 7, engine) for x in values for engine in ("analytic", "numeric")]
+    _assert_same_bytes(rows + _rows(values))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(-2 ** 53, 2 ** 53), st.integers(0, 17), st.integers(0, 7))
+def test_any_short_binary_fraction_matches_reference(n, k, column):
+    x = math.ldexp(n, -k)
+    _assert_short_values_print_like_reference([x])
+    numbers = [0.3] * 8
+    numbers[column] = x
+    _assert_same_bytes([OutputRow("v", *numbers, engine) for engine in ("analytic", "numeric")])
+
+
+@pytest.mark.parametrize("value, precision", [
+    (0.5, 1), (-79.5, 1), (20.0, 0), (2.0 ** -17, 17), (-123.25, 2), (12345678901.5, 1),
+    (999999999.125, 3),
+    # More than 12 digits: rounded at the twelfth, as any other value.
+    (1.0 + 2.0 ** -17, 11), (-79.25 + 2.0 ** -16, 10), (1234567890.125, 2),
+    # Zero, e >= 12 and values whose decimal exponent is not certain: _format_number.
+    (0.0, -1), (-0.0, -1), (1e12, -1), (2.0 ** 40, -1), (1.0, -1), (10.0, -1), (1e11, -1),
+    (999999999999.0, -1), (99999999999.5, -1),
+])
+def test_csv_precisions_of_short_values(value, precision):
+    assert _csv_precisions(np.array([value])).tolist() == [precision]
 
 
 # -- rows that print like the row before them ---------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     apply_generator,
+    kronecker_generator,
     pair_rel_err,
     random_complex,
     random_density,
@@ -29,7 +30,7 @@ from morsim import (
     steady_state,
     validate_params,
 )
-from morsim import lindblad
+from morsim import lindblad, sweep
 from morsim.lindblad import probe_response_perturbative_grid
 
 FIG3_BASE = SystemParams(Omega=5.0, Delta=5.0, G1=20.0, G2=0.0, alpha_l=30.0)
@@ -361,6 +362,26 @@ def test_generator_is_the_commutator_with_the_coupling_hamiltonian():
         expected = (build_generator(replace(p, G1=0.0, G2=0.0), 0.0, 0.0)
                     - 1j * (np.kron(H, identity) - np.kron(identity, H.T)))
         np.testing.assert_allclose(build_generator(p, g1, g2), expected, rtol=1e-15, atol=0)
+
+
+def test_generators_are_the_textbook_master_equation():
+    # build_generator and the finite-probe pair against the Kronecker form of the
+    # Lindblad equation, which shares no table with them, to a few ulps of max|L|.
+    rng = np.random.default_rng(87)
+    points = [random_params(rng, g_max=10.0 ** rng.uniform(0, 4), equal_gammas=False)
+              for _ in range(300)]
+    for name in sweep.PRESET_NAMES:
+        cfg = sweep.preset(name)
+        points += [replace(variant.apply(cfg.base), delta=float(delta))
+                   for variant in cfg.variants for delta in cfg.delta_grid.values()[::100]]
+    for p in points:
+        g1, g2 = random_complex(rng, 1e-2), random_complex(rng, 1e-2)
+        g = float(rng.uniform(1e-6, 1e-2))
+        got = [build_generator(p, g1, g2), *lindblad._generator_pair(p, g)]
+        expected = [kronecker_generator(p, *amplitudes) for amplitudes in ((g1, g2), (g, 0), (0, g))]
+        for L, reference in zip(got, expected):
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(L - reference)) <= 4 * np.finfo(float).eps * scale
 
 
 def test_first_order_block_is_the_oracle_tables_coherence_block_bit_for_bit():

@@ -156,11 +156,25 @@ MUTANTS = [
            "(precision[:, 1:] == precision[:, :-1]) & (digits", "(digits",
            test="test_emit.py::test_rows_that_differ_in_decade_match_reference"),
     Mutant("twin rows under different variants", "sweep.py",
-           "if variant[i] == variant[i - 1] and delta", "if delta",
+           ".tolist() if variant[i] == variant[i - 1]]] = False", ".tolist()]] = False",
            test="test_emit.py::test_equal_numbers_under_other_names_or_deltas_match_reference"),
     Mutant("twin rows at different deltas", "sweep.py",
-           "variant[i - 1] and delta[i] == delta[i - 1]]", "variant[i - 1]]",
+           "(digits[:, 1:] == digits[:, :-1])).all(axis=0)",
+           "(digits[:, 1:] == digits[:, :-1]))[1:].all(axis=0)",
            test="test_emit.py::test_equal_numbers_under_other_names_or_deltas_match_reference"),
+    Mutant("short values printed exactly up to 13 digits", "sweep.py",
+           "np.minimum(places, precision[short])", "np.minimum(places, precision[short] + 1)",
+           test="test_emit.py::test_short_binary_fractions_match_reference"),
+    Mutant("short values exempt from the near-decade guard", "sweep.py",
+           "& (np.abs(magnitude - np.rint(magnitude)) >= 1e-10))",
+           "& ((np.abs(magnitude - np.rint(magnitude)) >= 1e-10) | (scaled == np.floor(scaled))))",
+           test="test_emit.py::test_csv_precisions_of_short_values"),
+    Mutant("excited-state feeding of |1> at Gamma1, not 2 Gamma1", "lindblad.py",
+           "2.0 * p.Gamma1", "1.0 * p.Gamma1",
+           test="test_lindblad.py::test_generators_are_the_textbook_master_equation"),
+    Mutant("detuning of rho_e1 with the sign of Omega flipped", "lindblad.py",
+           "(De - Om)", "(De + Om)",
+           test="test_lindblad.py::test_generators_are_the_textbook_master_equation"),
     Mutant("DensityMatrix checks outside the ignored floating-point errors", "lindblad.py",
            "        with np.errstate(all=\"ignore\"):  # an inf or 1e308 entry fails a check, "
            "not a warning\n"
