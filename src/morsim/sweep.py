@@ -41,7 +41,7 @@ import stat
 import tempfile
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
-from itertools import chain, compress
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
@@ -497,16 +497,6 @@ def _format_number(x: float) -> str:
 # not of a whole block, is alive at once.
 _CHUNK_ROWS = 4096
 
-# Templates of a CSV row's text up to its engine field, indexed by a
-# fallback mask.  Bit j set means the j-th number column is a string from
-# _format_number, printed by "%*s" at width 0; the others print by "%.*f"
-# at the precision that gives the same digits.
-_CSV_BODIES = tuple(
-    "%s," + "".join("%*s," if mask >> j & 1 else "%.*f," for j in range(8))
-    for mask in range(256)
-)
-_MASK_BITS = 1 << np.arange(8)
-
 # 10**p for the precisions at which it is a float exactly (5**22 < 2**53).
 _POWERS_OF_TEN = np.array([float(10 ** p) for p in range(23)])
 
@@ -603,7 +593,8 @@ def _csv_digits(x: np.ndarray, precision: np.ndarray) -> np.ndarray:
     lies strictly inside ``(k - 0.5, k + 0.5)``.  "%.*f" rounds correctly,
     so it prints the digits and sign of ``k`` and meets no tie; at ``k = 0``
     it would print ``0`` or ``-0`` by the sign of ``x``.  Two values with the
-    same precision and the same ``k`` therefore print the same text.
+    same precision and the same ``k`` therefore print the same text, which
+    _csv_bodies writes from ``k`` and the precision alone.
     """
     with np.errstate(all="ignore"):
         scaled = x * _POWERS_OF_TEN[np.clip(precision, 0, 22)]
@@ -613,43 +604,104 @@ def _csv_digits(x: np.ndarray, precision: np.ndarray) -> np.ndarray:
     return np.where(proven, k, np.nan)
 
 
-def _csv_chunk(columns: _Columns) -> str:
+# A cell printed by the array pass of _csv_bodies: |k| < 10**12 at a precision of
+# at most 20, whose text with its comma fits a slot of three little-endian words.
+_SLOT_PRECISION = 20
+_DECADES = 10 ** np.arange(12)  # the digit count of k is how many of these are <= |k|
+# The ASCII of 0000 to 9999, each in the low four bytes of a word.
+_GROUPS = ((np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+           .copy().view("<u4")[:, 0].astype("<u8"))
+
+
+def _slot_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the slot bytes kept in place and of those kept one byte to the
+    left, and the bytes filled in, as ``(3, layouts)`` words: word ``j`` of
+    layout ``(precision * 13 + digit count) * 2 + negative``.  The last
+    precision is a cell printed alone, whose slot reads ",%s"."""
+    p = np.arange(_SLOT_PRECISION + 2, dtype=np.int8)[:, None, None, None]
+    count = np.arange(13, dtype=np.int8)[:, None, None]
+    minus = np.array([False, True])[:, None]
+    at = np.arange(24, dtype=np.int8)
+    fraction = at >= 24 - p
+    keep = fraction | (p == 0) & (at >= 24 - count)
+    shift = (p > 0) & (at >= 23 - count) & (at <= 22 - p)
+    start = np.where(p == 0, 24 - count, np.minimum(23 - count, 22 - p))
+    unit = (p > 0) & (count <= p) & (at == 22 - p)
+    fill = np.select([(p > 0) & (at == 23 - p), unit | fraction & (at < 12),
+                      minus & (at == start - 1), at == start - 1 - minus],
+                     np.frombuffer(b".0-,", np.uint8))
+    layouts = np.zeros((3, p.size, 13, 2, 24), np.uint8)
+    layouts[0], layouts[1], layouts[2] = keep, shift, fill
+    layouts[:2] *= 0xFF
+    layouts[:, -1] = 0
+    layouts[2, -1, ..., -3:] = np.frombuffer(b",%s", np.uint8)
+    keep, shift, fill = (table.view("<u8").reshape(-1, 3).T.copy() for table in layouts)
+    return keep, shift, fill
+
+
+_KEEP, _SHIFT, _FILL = _slot_layout()
+
+
+def _csv_bodies(numbers: np.ndarray, precision: np.ndarray, digits: np.ndarray) -> list[bytes]:
+    """The CSV text of each row of ``numbers``, ``(8, n)``, between its two name
+    fields: each number after a comma.
+
+    ``precision`` is from _csv_precisions and ``digits``, the integers
+    ``k``, from _csv_digits.  The twelve digits of ``|k|``, zero-padded,
+    go to bytes 12 to 23 of the cell's 24-byte slot.  Its layout keeps
+    the last ``p`` of them in place (all of them at ``p = 0``), takes the
+    integer digits one byte to the left, and fills in the point, the unit
+    zero of ``|x| < 1``, the fraction's leading zeros, the sign and the
+    comma.  A marker byte ends each row's slots, and the padding of all
+    rows goes at once.  Any other cell is printed alone, by _format_number
+    at a negative precision, else by "%.*f", and put into its row's text.
+    """
+    numbers, precision, digits = numbers.T, precision.T, digits.T
+    cell = (precision <= _SLOT_PRECISION) & (abs(digits) < 1e12)
+    magnitude = np.where(cell, abs(digits), 0).astype(np.int64)
+    layout = ((np.where(cell, precision, _SLOT_PRECISION + 1) * 13
+               + np.searchsorted(_DECADES, magnitude, side="right")) * 2 + (digits < 0))
+    middle = _GROUPS.take(magnitude // 10 ** 8) << 32
+    last = _GROUPS.take(magnitude // 10 ** 4 % 10 ** 4) | _GROUPS.take(magnitude % 10 ** 4) << 32
+    words = np.empty((len(layout), 25), "<u8")
+    words[:, 0:24:3] = _FILL[0].take(layout)  # no digit is in word 0
+    for j, placed, moved in ((1, middle, middle >> 8 | last << 56), (2, last, last >> 8)):
+        words[:, j:24:3] = (placed & _KEEP[j].take(layout) | moved & _SHIFT[j].take(layout)
+                            | _FILL[j].take(layout))
+    words[:, 24] = ord("\n")
+    bodies = words.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    alone = ~cell
+    texts = [(_format_number(x) if p < 0 else "%.*f" % (p, x)).encode()
+             for x, p in zip(numbers[alone].tolist(), precision[alone].tolist())]
+    for i, cells in groupby(zip(np.nonzero(alone)[0].tolist(), texts), operator.itemgetter(0)):
+        bodies[i] %= tuple(text for _, text in cells)
+    return bodies
+
+
+def _csv_chunk(columns: _Columns) -> bytes:
     """CSV lines of a chunk from _chunks.
 
-    A row is a twin of the row before it in the chunk when both have the
-    same variant, and each of their eight number columns, delta first,
-    prints by "%.*f" at the same precision with the same rounded integer
-    by _csv_digits.  That integer is proven only where the exact scaled
-    value lies strictly inside half a unit of it, so "%.*f", which rounds
-    correctly, prints the same text for both values.  A twin, as a
-    ``both``-mode numeric row mostly is of its analytic row, reuses the
-    text of the row before it up to the engine field.  Every other row is
-    printed by one template of _CSV_BODIES; values that the precision pass
-    cannot print are formatted by _format_number.
+    A row is a twin of the row before it in the chunk when each of their
+    eight number columns, delta first, prints by "%.*f" at the same
+    precision with the same rounded integer by _csv_digits.  That integer
+    is proven only where the exact scaled value lies strictly inside half
+    a unit of it, so "%.*f", which rounds correctly, prints the same text
+    for both values.  A twin, as a ``both``-mode numeric row mostly is of
+    its analytic row, reuses the numbers' text of the row before it;
+    _csv_bodies prints that of every other row.  The quoted names of each
+    row are joined around it.
     """
     variant, numbers, engine = columns
     precision = _csv_precisions(numbers)
     digits = _csv_digits(numbers, precision)
-    # The numbers first, in one array pass: comparing every row's names in Python costs more.
     same = ((precision[:, 1:] == precision[:, :-1]) & (digits[:, 1:] == digits[:, :-1])).all(axis=0)
-    head = np.ones(len(variant), bool)
-    head[[i for i in (np.flatnonzero(same) + 1).tolist() if variant[i] == variant[i - 1]]] = False
-    precision = precision[:, head]
-    fallback = precision < 0
-    values = numbers[:, head].tolist()
-    for j, i in zip(*np.nonzero(fallback)):
-        values[j][i] = _format_number(values[j][i])
-    precision[fallback] = 0
-    quote = {name: _csv_field(name) for name in set(variant)}.__getitem__
-    fields = [map(quote, compress(variant, head.tolist()))]
-    for width_or_precision, column in zip(precision.tolist(), values):
-        fields += (width_or_precision, column)
-    templates = map(_CSV_BODIES.__getitem__, (_MASK_BITS @ fallback).tolist())
-    bodies = list(map(str.__mod__, templates, zip(*fields)))
-    # A row's body is its own or, for a twin, that of the row before it.
+    head = np.concatenate(([True], ~same))
+    bodies = _csv_bodies(numbers[:, head], precision[:, head], digits[:, head])
+    # A row's numbers are its own or, for a twin, those of the row before it.
     text = map(bodies.__getitem__, (np.cumsum(head) - 1).tolist())
-    end = {name: _csv_field(name) + "\n" for name in set(engine)}.__getitem__
-    return "".join(chain.from_iterable(zip(text, map(end, engine))))
+    start = {name: _csv_field(name).encode() for name in set(variant)}.__getitem__
+    end = {name: b"," + _csv_field(name).encode() + b"\n" for name in set(engine)}.__getitem__
+    return b"".join(chain.from_iterable(zip(map(start, variant), text, map(end, engine))))
 
 
 def _json_chunk(columns: _Columns) -> str:
@@ -671,8 +723,7 @@ def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
     chunks = chain.from_iterable(map(_chunks, blocks))
     if out_format == "csv":
         yield (",".join(CSV_HEADER) + "\n").encode()
-        for text in map(_csv_chunk, chunks):
-            yield text.encode("utf-8")
+        yield from map(_csv_chunk, chunks)
         return
     separator = "[\n  "
     for text in map(_json_chunk, chunks):

@@ -8,6 +8,7 @@ table names.
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,40 @@ def test_closed_case_message_is_pinned(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
+
+
+# NumPy values in an emitted row.  A float or str subclass is written as its
+# plain value; anything else is the EmitError that names its row and column.
+NUMPY_VALUES = {
+    "float16": np.float16(1.5),
+    "float32": np.float32(1.5),
+    "float64": np.float64(1.5),
+    "longdouble": np.longdouble(1.5),
+    "bool_": np.bool_(True),
+    "str_": np.str_("x"),
+    "bytes_": np.bytes_(b"x"),
+    "0-d array": np.array(1.5),
+    "one-element array": np.array([1.5]),
+    "masked": np.ma.masked,
+    "object array": np.array([1.5, "x"], dtype=object),
+}
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("value", NUMPY_VALUES.values(), ids=NUMPY_VALUES)
+def test_numpy_values_in_rows_print_plain_or_name_their_field(value, out_format):
+    for j, name in enumerate(CSV_HEADER):
+        kind = str if name in ("variant", "engine") else float
+        row = OutputRow(*ROW[:j], value, *ROW[j + 1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(value, kind):
+                plain = OutputRow(*ROW[:j], kind(value), *ROW[j + 1:])
+                assert emit([ROW, row], out_format) == emit([ROW, plain], out_format)
+                continue
+            with pytest.raises(EmitError) as raised:
+                emit([ROW, row], out_format)
+        assert str(raised.value).startswith(f"output row 1: {name} must be a {kind.__name__}, got ")
 
 
 def test_huge_int_grid_bound_sweeps_as_its_float():

@@ -1,9 +1,11 @@
 """Byte identity of ``emit`` with the reference writers in ``helpers``.
 
-The CSV and JSON writers print rows through templates; these tests hold
-them to the plain ``Decimal`` / ``csv.writer`` / ``json.dumps`` encoders
-they replaced, on drawn and on hostile values and on rows that repeat
-the text of the row before them, hold their type errors
+The CSV writer prints numbers from their proven rounded integers in an
+array pass, and the JSON writer prints rows through a template; these
+tests hold them to the plain ``Decimal`` / ``csv.writer`` /
+``json.dumps`` encoders they replaced, on drawn and on hostile values,
+on every layout of the array pass and on rows that repeat the text of
+the row before them, hold their type errors
 to a field-by-field check, and check that a path to a regular file is
 replaced whole or not at all, while a device or a FIFO is written in
 place.
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 import morsim
 from morsim import EmitError, OutputRow, emit
-from morsim.sweep import _CHUNK_ROWS, _csv_digits, _csv_precisions
+from morsim.sweep import _CHUNK_ROWS, _csv_bodies, _csv_digits, _csv_precisions
 
 from helpers import reference_csv, reference_json, reference_number
 
@@ -346,6 +348,102 @@ def test_near_twins_match_reference(base, steps, epsilon):
 def test_names_are_quoted_and_escaped_like_reference(name):
     _assert_same_bytes(_rows([0.1, 2.5, -3.75], variant=name, engine=name))
     _assert_same_bytes(_rows([0.1], variant=name) + _rows([0.2], variant="plain"))
+
+
+# -- the array pass: numbers printed from their proven integers ----------
+
+
+def _layout_cases():
+    """(precision, value) pairs ``x = k / 10**p`` for every precision from 0 to
+    22 and every digit count of ``k`` from 1 to 13, the smallest, the
+    largest and one other ``k`` of each count, with both signs."""
+    rng = random.Random(20261022)
+    cases = []
+    for p in range(23):
+        for count in range(1, 14):
+            low, high = 10 ** (count - 1), 10 ** count
+            for k in (low, high - 1, rng.randrange(low, high)):
+                cases += [(p, k / 10 ** p), (p, -k / 10 ** p)]
+    return cases
+
+
+def test_array_pass_prints_every_layout_as_printf():
+    # Precisions 21 and 22 and |k| >= 1e12 are beyond the slot, a negative precision
+    # is _format_number's; each of those cells is printed alone, among the others.
+    cases = _layout_cases() + [(-1, 0.0), (-1, -0.0), (-1, 1e12), (-1, -79.5), (-1, 1.0)]
+    cases += [(-1, 0.5)] * (-len(cases) % 8)
+    precision = np.array([p for p, _ in cases]).reshape(-1, 8).T
+    numbers = np.array([x for _, x in cases]).reshape(-1, 8).T
+    digits = _csv_digits(numbers, precision)
+    assert not np.isnan(digits[precision >= 0]).any()
+    cells = ["," + ("%.*f" % (p, x) if p >= 0 else reference_number(x)) for p, x in cases]
+    expected = ["".join(cells[i:i + 8]) for i in range(0, len(cells), 8)]
+    assert [body.decode() for body in _csv_bodies(numbers, precision, digits)] == expected
+
+
+def _every_precision_and_digit_count():
+    """Values at every precision from 0 to 22 (12 digits, ``1.2345678901234 *
+    10**(11 - p)``), and short binary fractions ``n / 2**q`` whose ``n * 5**q``
+    has each digit count from that of ``5**q`` to 12, away from a power of ten."""
+    values = [1.2345678901234 * 10.0 ** (11 - p) for p in range(23)]
+    for q in range(18):
+        for count in range(len(str(5 ** q)), 13):
+            values.append(math.ldexp(3 * 10 ** (count - 1) // 5 ** q | 1, -q))
+    return values
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_every_precision_and_digit_count_matches_reference(sign):
+    values = [sign * x for x in _every_precision_and_digit_count()]
+    x = np.array(values)
+    precision = _csv_precisions(x)
+    digits = _csv_digits(x, precision)
+    assert set(precision.tolist()) == set(range(23))
+    counts = {len(str(abs(int(k)))) for k in digits.tolist() if not math.isnan(k)}
+    assert counts == set(range(1, 13))
+    rows = [OutputRow("v", x, *[x] * 7, engine)
+            for x in values for engine in ("analytic", "numeric")]
+    _assert_same_bytes(rows + _rows(values) + _rows(values[::-1]))
+
+
+# Cells the array pass leaves to be printed alone: zero and 1e12 (_format_number),
+# and a near-tie whose integer the digit rule does not prove ("%.*f" at precision 11).
+_NEAR_TIE = 5.123456789015
+
+
+@pytest.mark.parametrize("column", range(8))
+def test_rows_mixing_array_and_fallback_cells_match_reference(column):
+    alone = [0.0, 1e12, _NEAR_TIE, -_NEAR_TIE]
+    precision = _csv_precisions(np.array(alone))
+    assert precision.tolist() == [-1, -1, 11, 11]
+    assert np.isnan(_csv_digits(np.array(alone), precision)).all()
+    base = [-79.5, 0.123456789012, -3.25e-05, 42.0, 6022.14076, -0.5, 1.5e-09, 999.999]
+    rows = []
+    for cells in ([0.0], [1e12], [_NEAR_TIE], alone, alone[::-1]):
+        numbers = list(base)
+        for offset, value in enumerate(cells):
+            numbers[(column + offset) % 8] = value
+        rows += [OutputRow("v", *numbers, engine) for engine in ("analytic", "numeric", "numeric")]
+    _assert_same_bytes(rows)
+
+
+# Names with the bytes a renderer could take for padding or a row marker, and
+# with CSV's special characters.  None ends in NUL, which numpy.str_ drops.
+_HOSTILE_NAMES = ["\x00a", "a\x01b", "a,b", 'say "x"', "two\nlines", "é", '\x00,\x01\n"é']
+
+
+@pytest.mark.parametrize("engines", [('a\x01,"b', "\x00\né"), ("\x00\x01,\n",)],
+                         ids=["both", "single"])
+def test_hostile_names_across_a_chunk_bound_match_reference(engines):
+    rng = random.Random(33)
+    rows = []
+    while len(rows) < _CHUNK_ROWS + 40:
+        variant = rng.choice(_HOSTILE_NAMES)
+        for _ in range(rng.randrange(1, 6)):
+            numbers = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-8, 8) for _ in range(8)]
+            numbers[rng.randrange(8)] = rng.choice([0.0, 1e12, _NEAR_TIE, 0.5])
+            rows += [OutputRow(variant, *numbers, engine) for engine in engines]
+    _assert_same_bytes(rows)
 
 
 def _assert_same_error(rows, out_format, destination=None):

@@ -155,13 +155,22 @@ MUTANTS = [
     Mutant("twin rows at different precisions", "sweep.py",
            "(precision[:, 1:] == precision[:, :-1]) & (digits", "(digits",
            test="test_emit.py::test_rows_that_differ_in_decade_match_reference"),
-    Mutant("twin rows under different variants", "sweep.py",
-           ".tolist() if variant[i] == variant[i - 1]]] = False", ".tolist()]] = False",
-           test="test_emit.py::test_equal_numbers_under_other_names_or_deltas_match_reference"),
     Mutant("twin rows at different deltas", "sweep.py",
            "(digits[:, 1:] == digits[:, :-1])).all(axis=0)",
            "(digits[:, 1:] == digits[:, :-1]))[1:].all(axis=0)",
            test="test_emit.py::test_equal_numbers_under_other_names_or_deltas_match_reference"),
+    Mutant("array pass takes precision 21, past its slot", "sweep.py",
+           "cell = (precision <= _SLOT_PRECISION) &", "cell = (precision <= _SLOT_PRECISION + 1) &",
+           test="test_emit.py::test_every_precision_and_digit_count_matches_reference"),
+    Mutant("array pass takes 13-digit integers, past its slot", "sweep.py",
+           "(abs(digits) < 1e12)", "(abs(digits) < 1e13)",
+           test="test_emit.py::test_array_pass_prints_every_layout_as_printf"),
+    Mutant("array pass drops the unit zero of |x| < 1", "sweep.py",
+           "unit | fraction & (at < 12),", "fraction & (at < 12),",
+           test="test_emit.py::test_rows_mixing_array_and_fallback_cells_match_reference"),
+    Mutant("array pass puts the sign one byte to the left", "sweep.py",
+           "minus & (at == start - 1)", "minus & (at == start - 2)",
+           test="test_emit.py::test_array_pass_prints_every_layout_as_printf"),
     Mutant("short values printed exactly up to 13 digits", "sweep.py",
            "np.minimum(places, precision[short])", "np.minimum(places, precision[short] + 1)",
            test="test_emit.py::test_short_binary_fractions_match_reference"),
