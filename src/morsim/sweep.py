@@ -494,26 +494,41 @@ def _format_number(x: float) -> str:
 
 
 # Rows are serialized in chunks of this many, so the text of one chunk,
-# not of a whole block, is alive at once.
+# not of a whole block, is alive at once.  JSON takes a quarter: its digit
+# pass over 4,096 rows raised the scan workload's peak memory by 16%.
 _CHUNK_ROWS = 4096
+_JSON_CHUNK_ROWS = 1024
 
 # 10**p for the precisions at which it is a float exactly (5**22 < 2**53).
 _POWERS_OF_TEN = np.array([float(10 ** p) for p in range(23)])
 
-# JSON object template of one row, as json.dumps(..., indent=2) lays it out
-# inside the top-level array: strings pre-encoded, floats by float.__repr__.
-_JSON_ROW = "{\n    " + ",\n    ".join(
-    f"{encode_basestring_ascii(name)}: " + ("%s" if kind is str else "%r")
-    for name, kind in zip(CSV_HEADER, _KINDS)
-) + "\n  }"
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of float64 ``v`` into ``hi + lo`` exactly, each of at most 26 bits."""
+    scaled = v * 134217729.0  # 2**27 + 1
+    hi = scaled - (scaled - v)
+    return hi, v - hi
 
 
-def _chunks(columns: _Columns) -> Iterator[_Columns]:
-    """``columns`` in chunks of _CHUNK_ROWS rows."""
+# Each power of ten of _POWERS_OF_TEN and its split.
+_POWER_PARTS = np.stack((_POWERS_OF_TEN, *_split(_POWERS_OF_TEN)))
+
+
+def _chunks(columns: _Columns, rows: int) -> Iterator[_Columns]:
+    """``columns`` in chunks of ``rows`` rows."""
     variant, numbers, engine = columns
-    for start in range(0, len(variant), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
+    for start in range(0, len(variant), rows):
+        stop = start + rows
         yield _Columns(variant[start:stop], numbers[:, start:stop], engine[start:stop])
+
+
+def _shown_with_type(value) -> str:
+    """``value`` in a message, after its type's name unless the type is built in,
+    so that a NumPy value whose text reads like a valid one is told apart."""
+    kind = type(value)
+    if kind.__module__ == "builtins":
+        return _shown(value)
+    return f"{kind.__module__}.{kind.__qualname__} {_shown(value)}"
 
 
 def _row_columns(rows: list[OutputRow]) -> _Columns:
@@ -537,7 +552,7 @@ def _row_columns(rows: list[OutputRow]) -> _Columns:
     if bad:
         i, j, value = min(bad, key=lambda b: b[:2])
         raise EmitError(f"output row {i}: {CSV_HEADER[j]} must be a "
-                        f"{_KINDS[j].__name__}, got {_shown(value)}")
+                        f"{_KINDS[j].__name__}, got {_shown_with_type(value)}")
     variant, *numbers, engine = columns
     numbers = np.array(numbers, float)
     nonfinite = _first_failure([
@@ -547,6 +562,20 @@ def _row_columns(rows: list[OutputRow]) -> _Columns:
     if nonfinite:
         raise nonfinite[1]
     return _Columns(list(variant), numbers, list(engine))
+
+
+_NOT_UTF8 = "holds a lone surrogate, which UTF-8 cannot encode"
+
+
+def _not_utf8(names: Iterable[str]) -> set[str]:
+    """Those of ``names`` that a CSV file cannot hold: UTF-8 cannot encode them."""
+    bad = set()
+    for name in names:
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            bad.add(name)
+    return bad
 
 
 def _csv_precisions(x: np.ndarray) -> np.ndarray:
@@ -594,7 +623,7 @@ def _csv_digits(x: np.ndarray, precision: np.ndarray) -> np.ndarray:
     so it prints the digits and sign of ``k`` and meets no tie; at ``k = 0``
     it would print ``0`` or ``-0`` by the sign of ``x``.  Two values with the
     same precision and the same ``k`` therefore print the same text, which
-    _csv_bodies writes from ``k`` and the precision alone.
+    _bodies writes from ``k`` and the precision alone.
     """
     with np.errstate(all="ignore"):
         scaled = x * _POWERS_OF_TEN[np.clip(precision, 0, 22)]
@@ -604,22 +633,132 @@ def _csv_digits(x: np.ndarray, precision: np.ndarray) -> np.ndarray:
     return np.where(proven, k, np.nan)
 
 
-# A cell printed by the array pass of _csv_bodies: |k| < 10**12 at a precision of
-# at most 20, whose text with its comma fits a slot of three little-endian words.
+def _csv_text(x: float, precision: int) -> str:
+    """A CSV number cell that _bodies leaves, printed alone."""
+    return _format_number(x) if precision < 0 else "%.*f" % (precision, x)
+
+
+def _json_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The "%.*f" precision and rounded integer with which "%.*f" prints
+    ``repr`` of each value of ``x``; precision -1 and integer 0 where that
+    is not proven.
+
+    ``repr`` prints ``1e-4 <= |x| < 1e15`` without exponent: the fewest
+    digits that read back as ``x``, the nearest to ``x`` of them, with at
+    least one after the point.  Any other value is left: zero, smaller,
+    larger, and exponent notation.  ``|x| = M·2**(q-53)``, ``M`` a 53-bit
+    integer, reads back from any number less than ``h = 2**(q-54)`` above it
+    or below it, ``h / 2`` below it where ``M = 2**52``.
+
+    Scale by ``10**s``, ``s = 14 - floor((q-1)·log10(2))`` from 0 to 19:
+    ``z = |x|·10**s`` lies in [1e14, 1e15), or in [1e15, 2e15) where a power
+    of ten lies between ``2**(q-1)`` and ``|x|``.  At level ``k`` from 0 to 2,
+    the neighbours of ``Z = z·10**k`` are the numbers of 15 + ``k`` digits
+    (16 + ``k`` from 1e15) nearest ``|x|``.  ``Z`` is ``p + e`` exactly, by
+    Dekker's product of ``|x|`` and the float ``10**(s+k)`` (exact: 5**21 <
+    2**53), with Veltkamp's split.  Its neighbours are ``L = floor(p) +
+    floor(r)`` and ``L + 1``, with ``r = (p - floor(p)) + e``; ``d = r -
+    floor(r)`` is ``Z - L``, ``1 - d`` is ``L + 1 - Z``, and the half-width
+    is ``H = h·10**(s+k)``.  ``Z = 2·M·5**(s+k)·g`` with ``g = 2**(q-54+s+k)``
+    above 1.4e-15 (above 1.1e-14 at ``Z >= 1e17``), and each of these values
+    is a multiple of ``g`` below 9 (below 17 at ``Z >= 1e17``, where ``|e| <=
+    16``), so below ``2**53·g``: every value and every comparison below is
+    exact.  No margin is needed.
+
+    The first level with a neighbour inside its bounds wins (17 digits
+    always read back: from ``Z = 1e16``, ``H > 0.55``), and of two inside,
+    the nearer.  A bound is never a neighbour: ``Z ± H = (2·M ± 1)·5**(s+k)·g``
+    is an integer only where ``g >= 1`` (``g >= 2`` on the narrow side), yet
+    ``H = 5**(s+k)·g`` is below ``0.23·10**k < 5**k``; so whether a bound
+    reads back does not matter.  Two neighbours at equal distance (``d =
+    0.5``) are a tie that ``repr`` breaks by the even digit; the value is
+    left.  No neighbour is ``10**(15+k)`` where ``z < 1e15``: the float
+    nearest each ``10**j``, ``j`` from -3 to 15, is not below it.  A
+    neighbour at level 1 or 2 ends in no zero (else a shorter one is
+    inside), and prints at precision ``s + k`` as itself.  One at level 0,
+    below 2e15 and so a float exactly, loses its ``t`` trailing zeros (a
+    division by ``10**t`` is exact where it leaves an integer, and leaves
+    none elsewhere) and prints at precision ``max(s - t, 1)``.
+    """
+    magnitude = abs(x)
+    proven = (magnitude >= 1e-4) & (magnitude < 1e15)  # false at nan and inf
+    a = np.where(proven, magnitude, 1.0)
+    mantissa, q = np.frexp(a)
+    s = 14 - np.floor((q - 1) * math.log10(2)).astype(np.intp)
+    a_hi, a_lo = _split(a)
+    ulp = a / mantissa * 2.0 ** -53  # 2**(q-53)
+    narrow = np.where(mantissa == 0.5, 0.25, 0.5)
+    for k in (2, 1, 0):
+        power, hi, lo = _POWER_PARTS.take(s + k, axis=1)
+        p = a * power
+        e = ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+        whole = np.floor(p)
+        r = (p - whole) + e
+        low = np.floor(r)
+        below = r - low
+        above = 1.0 - below
+        spacing = power * ulp
+        lower = below < narrow * spacing
+        upper = above < 0.5 * spacing
+        nearest = whole.astype(np.int64) + (low + (upper & (~lower | (above < below)))).astype(np.int64)
+        tie = lower & upper & (above == below)
+        if k == 2:  # 17 digits always read back
+            digits, unproven, level = nearest, tie, np.full_like(s, 2)
+            continue
+        found = lower | upper
+        digits = np.where(found, nearest, digits)
+        unproven = np.where(found, tie, unproven)
+        level = np.where(found, k, level)
+    proven &= ~unproven
+    precision = s + level
+    first = np.nonzero(found)  # found at level 0
+    short = digits[first].astype(float)
+    zeros = 0
+    for t in (8, 4, 2, 1):
+        shorter = short / _POWERS_OF_TEN[t]
+        integral = shorter == np.floor(shorter)
+        short = np.where(integral, shorter, short)
+        zeros += t * integral
+    precision[first] = np.maximum(s[first] - zeros, 1)
+    digits[first] = (short * _POWERS_OF_TEN[zeros + precision[first] - s[first]]).astype(np.int64)
+    return (np.where(proven, precision, -1),
+            np.where(proven, np.where(x < 0, -digits, digits), 0))
+
+
+def _json_name(name: str) -> bytes:
+    """``name`` as a JSON string, as a "%" format."""
+    return encode_basestring_ascii(name).encode().replace(b"%", b"%%")
+
+
+# A cell printed by the array pass of _bodies has a precision of at most 20 and
+# an integer of at most 12 digits in CSV, 17 in JSON; its text with its
+# separator fits a slot of three little-endian words.
 _SLOT_PRECISION = 20
-_DECADES = 10 ** np.arange(12)  # the digit count of k is how many of these are <= |k|
 # The ASCII of 0000 to 9999, each in the low four bytes of a word.
 _GROUPS = ((np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
            .copy().view("<u4")[:, 0].astype("<u8"))
+# The byte that ends each row's slots in the array pass; no cell or key holds it.
+_ROW_END = 1
 
 
-def _slot_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the slot bytes kept in place and of those kept one byte to the
-    left, and the bytes filled in, as ``(3, layouts)`` words: word ``j`` of
-    layout ``(precision * 13 + digit count) * 2 + negative``.  The last
-    precision is a cell printed alone, whose slot reads ",%s"."""
+class _Slot(NamedTuple):
+    """The tables of _slot_layout: masks of the slot bytes kept in place and
+    of those kept one byte to the left, and the bytes filled in, each
+    ``(3, layouts)`` words, and the powers of ten below the slot's bound."""
+
+    keep: np.ndarray
+    shift: np.ndarray
+    fill: np.ndarray
+    decades: np.ndarray
+
+
+def _slot_layout(digits: int, alone: bytes) -> _Slot:
+    """The tables of a slot for integers of up to ``digits`` digits: word ``j``
+    of layout ``(precision * (digits + 1) + digit count) * 2 + negative``.
+    The first byte of ``alone`` goes before the number.  The last precision
+    is a cell printed alone, whose slot reads ``alone``."""
     p = np.arange(_SLOT_PRECISION + 2, dtype=np.int8)[:, None, None, None]
-    count = np.arange(13, dtype=np.int8)[:, None, None]
+    count = np.arange(digits + 1, dtype=np.int8)[:, None, None]
     minus = np.array([False, True])[:, None]
     at = np.arange(24, dtype=np.int8)
     fraction = at >= 24 - p
@@ -627,55 +766,81 @@ def _slot_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shift = (p > 0) & (at >= 23 - count) & (at <= 22 - p)
     start = np.where(p == 0, 24 - count, np.minimum(23 - count, 22 - p))
     unit = (p > 0) & (count <= p) & (at == 22 - p)
-    fill = np.select([(p > 0) & (at == 23 - p), unit | fraction & (at < 12),
+    fill = np.select([(p > 0) & (at == 23 - p), unit | fraction & (at < 24 - digits),
                       minus & (at == start - 1), at == start - 1 - minus],
-                     np.frombuffer(b".0-,", np.uint8))
-    layouts = np.zeros((3, p.size, 13, 2, 24), np.uint8)
+                     np.frombuffer(b".0-" + alone[:1], np.uint8))
+    layouts = np.zeros((3, p.size, count.size, 2, 24), np.uint8)
     layouts[0], layouts[1], layouts[2] = keep, shift, fill
     layouts[:2] *= 0xFF
     layouts[:, -1] = 0
-    layouts[2, -1, ..., -3:] = np.frombuffer(b",%s", np.uint8)
-    keep, shift, fill = (table.view("<u8").reshape(-1, 3).T.copy() for table in layouts)
-    return keep, shift, fill
+    layouts[2, -1, ..., -len(alone):] = np.frombuffer(alone, np.uint8)
+    return _Slot(*(table.view("<u8").reshape(-1, 3).T.copy() for table in layouts),
+                 10 ** np.arange(digits))
 
 
-_KEEP, _SHIFT, _FILL = _slot_layout()
+# A CSV cell printed alone is put in by "%s", a JSON one by "%r".
+_CSV_SLOT = _slot_layout(12, b",%s")
+_JSON_SLOT = _slot_layout(17, b" %r")
+# The text before each number: none in CSV, where the separator is the comma, and in
+# JSON its key, as three words padded in front with NUL bytes.
+_NO_KEYS = np.empty((8, 0), "<u8")
+_JSON_KEYS = np.frombuffer(b"".join(
+    f",\n    {encode_basestring_ascii(name)}:".encode().rjust(24, b"\0")
+    for name in CSV_HEADER[1:-1]), "<u8").reshape(8, 3)
 
 
-def _csv_bodies(numbers: np.ndarray, precision: np.ndarray, digits: np.ndarray) -> list[bytes]:
-    """The CSV text of each row of ``numbers``, ``(8, n)``, between its two name
-    fields: each number after a comma.
+def _bodies(numbers: np.ndarray, precision: np.ndarray, digits: np.ndarray,
+            keys: np.ndarray, slot: _Slot) -> tuple[list[bytes], np.ndarray]:
+    """The text of each row of ``numbers``, ``(8, n)``, between its two names
+    (each number after its key, ``keys[j]`` as ``(8, w)`` words, and a
+    separator), and where, in ``(n, 8)``, a cell is left to be printed alone.
 
-    ``precision`` is from _csv_precisions and ``digits``, the integers
-    ``k``, from _csv_digits.  The twelve digits of ``|k|``, zero-padded,
-    go to bytes 12 to 23 of the cell's 24-byte slot.  Its layout keeps
-    the last ``p`` of them in place (all of them at ``p = 0``), takes the
-    integer digits one byte to the left, and fills in the point, the unit
-    zero of ``|x| < 1``, the fraction's leading zeros, the sign and the
-    comma.  A marker byte ends each row's slots, and the padding of all
-    rows goes at once.  Any other cell is printed alone, by _format_number
-    at a negative precision, else by "%.*f", and put into its row's text.
+    ``digits`` are the int64 integers ``k`` that "%.*f" prints at
+    ``precision`` for each number, 0 for a cell left.  The twelve last
+    digits of ``|k|``, zero-padded, go to bytes 12 to 23 of the cell's
+    24-byte slot; a 17-digit slot takes the five before them to bytes 7 to
+    11.  The layout keeps the last ``p`` of them in place (all of them at
+    ``p = 0``), takes the integer digits one byte to the left, and fills in
+    the point, the unit zero of ``|x| < 1``, the fraction's leading zeros,
+    the sign and the separator.  A marker byte ends each row's keys and
+    slots, and the padding of all rows goes at once.  Any other cell (``k =
+    0``, or beyond the slot) is left: its slot reads the format of the text
+    the caller puts in by ``%``.
     """
+    keep, shift, fill, decades = slot
     numbers, precision, digits = numbers.T, precision.T, digits.T
-    cell = (precision <= _SLOT_PRECISION) & (abs(digits) < 1e12)
-    magnitude = np.where(cell, abs(digits), 0).astype(np.int64)
-    layout = ((np.where(cell, precision, _SLOT_PRECISION + 1) * 13
-               + np.searchsorted(_DECADES, magnitude, side="right")) * 2 + (digits < 0))
-    middle = _GROUPS.take(magnitude // 10 ** 8) << 32
-    last = _GROUPS.take(magnitude // 10 ** 4 % 10 ** 4) | _GROUPS.take(magnitude % 10 ** 4) << 32
-    words = np.empty((len(layout), 25), "<u8")
-    words[:, 0:24:3] = _FILL[0].take(layout)  # no digit is in word 0
-    for j, placed, moved in ((1, middle, middle >> 8 | last << 56), (2, last, last >> 8)):
-        words[:, j:24:3] = (placed & _KEEP[j].take(layout) | moved & _SHIFT[j].take(layout)
-                            | _FILL[j].take(layout))
-    words[:, 24] = ord("\n")
-    bodies = words.tobytes().translate(None, b"\0").split(b"\n")[:-1]
-    alone = ~cell
-    texts = [(_format_number(x) if p < 0 else "%.*f" % (p, x)).encode()
-             for x, p in zip(numbers[alone].tolist(), precision[alone].tolist())]
-    for i, cells in groupby(zip(np.nonzero(alone)[0].tolist(), texts), operator.itemgetter(0)):
-        bodies[i] %= tuple(text for _, text in cells)
-    return bodies
+    magnitude = abs(digits)
+    cell = (precision <= _SLOT_PRECISION) & (digits != 0) & (magnitude < 10 * decades[-1])
+    magnitude = np.where(cell, magnitude, 0)
+    layout = ((np.where(cell, precision, _SLOT_PRECISION + 1) * (len(decades) + 1)
+               + np.searchsorted(decades, magnitude, side="right")) * 2 + (digits < 0))
+    width = keys.shape[1] + 3
+    words = np.empty((len(layout), 8 * width + 1), "<u8")
+    for j in range(width - 3):
+        words[:, j:8 * width:width] = keys[:, j]
+    high = magnitude // 10 ** 8
+    last = _eight_digits(magnitude - high * 10 ** 8)
+    if len(decades) == 12:
+        middle = _GROUPS.take(high) << 32
+        words[:, width - 3:8 * width:width] = fill[0].take(layout)  # no digit is in word 0
+        placed = [(1, middle, middle >> 8 | last << 56), (2, last, last >> 8)]
+    else:
+        top = high // 10 ** 8
+        first, middle = _GROUPS.take(top) << 32, _eight_digits(high - top * 10 ** 8)
+        placed = [(0, first, first >> 8 | middle << 56), (1, middle, middle >> 8 | last << 56),
+                  (2, last, last >> 8)]
+    for j, digit_bytes, moved in placed:
+        words[:, width - 3 + j:8 * width:width] = (digit_bytes & keep[j].take(layout)
+                                                   | moved & shift[j].take(layout)
+                                                   | fill[j].take(layout))
+    words[:, -1] = _ROW_END
+    return words.tobytes().translate(None, b"\0").split(bytes([_ROW_END]))[:-1], ~cell
+
+
+def _eight_digits(n: np.ndarray) -> np.ndarray:
+    """The ASCII of the eight digits of each ``n < 10**8``, zero-padded, as a word."""
+    four = n // 10 ** 4
+    return _GROUPS.take(four) | _GROUPS.take(n - four * 10 ** 4) << 32
 
 
 def _csv_chunk(columns: _Columns) -> bytes:
@@ -688,7 +853,7 @@ def _csv_chunk(columns: _Columns) -> bytes:
     a unit of it, so "%.*f", which rounds correctly, prints the same text
     for both values.  A twin, as a ``both``-mode numeric row mostly is of
     its analytic row, reuses the numbers' text of the row before it;
-    _csv_bodies prints that of every other row.  The quoted names of each
+    _bodies prints that of every other row.  The quoted names of each
     row are joined around it.
     """
     variant, numbers, engine = columns
@@ -696,7 +861,12 @@ def _csv_chunk(columns: _Columns) -> bytes:
     digits = _csv_digits(numbers, precision)
     same = ((precision[:, 1:] == precision[:, :-1]) & (digits[:, 1:] == digits[:, :-1])).all(axis=0)
     head = np.concatenate(([True], ~same))
-    bodies = _csv_bodies(numbers[:, head], precision[:, head], digits[:, head])
+    numbers, precision = numbers[:, head], precision[:, head]
+    bodies, alone = _bodies(numbers, precision, np.nan_to_num(digits[:, head]).astype(np.int64),
+                            _NO_KEYS, _CSV_SLOT)
+    texts = map(_csv_text, numbers.T[alone].tolist(), precision.T[alone].tolist())
+    for i, cells in groupby(zip(np.nonzero(alone)[0].tolist(), texts), operator.itemgetter(0)):
+        bodies[i] %= tuple(text.encode() for _, text in cells)
     # A row's numbers are its own or, for a twin, those of the row before it.
     text = map(bodies.__getitem__, (np.cumsum(head) - 1).tolist())
     start = {name: _csv_field(name).encode() for name in set(variant)}.__getitem__
@@ -704,31 +874,39 @@ def _csv_chunk(columns: _Columns) -> bytes:
     return b"".join(chain.from_iterable(zip(map(start, variant), text, map(end, engine))))
 
 
-def _json_chunk(columns: _Columns) -> str:
-    """The array items of a chunk from _chunks, each printed by the _JSON_ROW template."""
+def _json_chunk(columns: _Columns) -> bytes:
+    """The array items of a chunk from _chunks, as json.dumps(..., indent=2)
+    lays them out inside the top-level array, each after ",\n  ".
+
+    _bodies prints the numbers after their keys, from _json_digits; names
+    go around them, by encode_basestring_ascii, with any "%" doubled.  One
+    "%" then puts in the cells left, by ``repr``.
+    """
     variant, numbers, engine = columns
-    encoded = {name: encode_basestring_ascii(name) for name in {*variant, *engine}}
-    args = zip(map(encoded.__getitem__, variant), *numbers.tolist(),
-               map(encoded.__getitem__, engine))
-    return ",\n  ".join(map(_JSON_ROW.__mod__, args))
+    bodies, alone = _bodies(numbers, *_json_digits(numbers), _JSON_KEYS, _JSON_SLOT)
+    start = {name: b',\n  {\n    "variant": ' + _json_name(name) for name in set(variant)}.__getitem__
+    end = {name: b',\n    "engine": ' + _json_name(name) + b"\n  }" for name in set(engine)}.__getitem__
+    text = b"".join(chain.from_iterable(zip(map(start, variant), bodies, map(end, engine))))
+    return text % tuple(numbers.T[alone].tolist())
 
 
 def _encode(blocks: Iterable[_Columns], out_format: str) -> Iterator[bytes]:
-    """The output bytes of ``blocks``, one chunk of at most _CHUNK_ROWS rows at a time.
+    """The output bytes of ``blocks``, one chunk of rows at a time.
 
     ``blocks`` are not checked (see _Columns).
     """
     # map and chain hold no chunk once it is encoded, so a block is let
     # go before the next one is requested.
-    chunks = chain.from_iterable(map(_chunks, blocks))
+    rows = _CHUNK_ROWS if out_format == "csv" else _JSON_CHUNK_ROWS
+    chunks = chain.from_iterable(_chunks(block, rows) for block in blocks)
     if out_format == "csv":
         yield (",".join(CSV_HEADER) + "\n").encode()
         yield from map(_csv_chunk, chunks)
         return
-    separator = "[\n  "
-    for text in map(_json_chunk, chunks):
-        yield (separator + text).encode("utf-8")
-        separator = ",\n  "
+    opening = b"["  # in place of the first item's comma
+    for data in map(_json_chunk, chunks):
+        yield opening + data[1:] if opening else data
+        opening = b""
     yield b"\n]\n"
 
 
@@ -817,8 +995,9 @@ def emit(rows: Iterable[OutputRow], out_format: str, destination=None) -> bytes:
     write them out.
 
     Names are ``str`` and numbers finite ``float`` values (subclasses such
-    as ``numpy.float64`` included); any other value is an EmitError.
-    ``destination`` may be None (return bytes only), a path, or a
+    as ``numpy.float64`` included); any other value is an EmitError, and
+    so is a CSV name that UTF-8 cannot encode (a lone surrogate, which
+    JSON escapes).  ``destination`` may be None (return bytes only), a path, or a
     binary file-like object.  Output is deterministic byte-for-byte for
     identical rows.  A path to a regular file is replaced as a whole: if
     the write fails, no partial file is left and an existing file keeps
@@ -829,7 +1008,12 @@ def emit(rows: Iterable[OutputRow], out_format: str, destination=None) -> bytes:
         raise EmitError("no rows to emit")
     if out_format not in FORMATS:
         raise EmitError(f"unknown output format {_shown(out_format)}")
-    data = b"".join(_encode([_row_columns(rows)], out_format))
+    columns = _row_columns(rows)
+    if out_format == "csv" and (bad := _not_utf8({*columns.variant, *columns.engine})):
+        i, j, name = next((i, j, name) for i, names in enumerate(zip(columns.variant, columns.engine))
+                          for j, name in zip((0, -1), names) if name in bad)
+        raise EmitError(f"output row {i}: {CSV_HEADER[j]} {_shown(name)} {_NOT_UTF8}")
+    data = b"".join(_encode([columns], out_format))
     if destination is not None:
         _write([data], destination)
     return data
@@ -839,7 +1023,8 @@ def write_sweep(cfg: SweepConfig, destination) -> int:
     """Evaluate ``cfg`` and write its rows to ``destination``; return their number.
 
     The bytes are those of ``emit(run_sweep(cfg), cfg.out_format)`` and
-    a failure is the one ``run_sweep`` raises, but no row is built: each
+    a failure is the one ``run_sweep`` raises, or the EmitError of a CSV
+    variant name that UTF-8 cannot encode, but no row is built: each
     block of the sweep goes from its columns straight into the writer.
     ``destination`` is a path or a binary file-like object, written as
     :func:`_write` writes: a failed sweep leaves no file, an existing file
@@ -847,6 +1032,9 @@ def write_sweep(cfg: SweepConfig, destination) -> int:
     refused before the sweep is evaluated.
     """
     blocks = _blocks(cfg, _variant_params(cfg))
+    if cfg.out_format == "csv" and (bad := _not_utf8(v.name for v in cfg.variants)):
+        name = next(v.name for v in cfg.variants if v.name in bad)
+        raise EmitError(f"variant {_shown(name)} {_NOT_UTF8}")
     _write(_encode(blocks, cfg.out_format), destination)
     engines = 2 if cfg.engine == "both" else 1
     return len(cfg.variants) * cfg.delta_grid.points * engines

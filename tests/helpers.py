@@ -463,13 +463,16 @@ def reference_number(x) -> str:
 
 def _check_types(rows) -> None:
     """The EmitError for the first value, in row order, that is not a
-    ``str`` name or a ``float`` number, checked one field at a time."""
+    ``str`` name or a ``float`` number, checked one field at a time.  The
+    value is named by its text, after its type unless the type is built in."""
     for i, row in enumerate(rows):
         for name, value in zip(CSV_HEADER, row):
             kind = str if name in ("variant", "engine") else float
             if not isinstance(value, kind):
-                raise EmitError(f"output row {i}: {name} must be a {kind.__name__}, "
-                                f"got {value!r}")
+                shown = repr(str(value)) if isinstance(value, str) else str(value)
+                if type(value).__module__ != "builtins":
+                    shown = f"{type(value).__module__}.{type(value).__qualname__} {shown}"
+                raise EmitError(f"output row {i}: {name} must be a {kind.__name__}, got {shown}")
 
 
 def reference_csv(rows) -> bytes:
@@ -482,7 +485,18 @@ def reference_csv(rows) -> bytes:
         writer.writerow([row.variant,
                          *(reference_number(getattr(row, name)) for name in CSV_HEADER[1:-1]),
                          row.engine])
-    return buffer.getvalue().encode("utf-8")
+    try:
+        return buffer.getvalue().encode("utf-8")
+    except UnicodeEncodeError:
+        # A name with a lone surrogate, the first in row order.
+        for i, row in enumerate(rows):
+            for name in ("variant", "engine"):
+                try:
+                    getattr(row, name).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise EmitError(f"output row {i}: {name} {str(getattr(row, name))!r} holds a "
+                                    "lone surrogate, which UTF-8 cannot encode") from None
+        raise
 
 
 def reference_json(rows) -> bytes:

@@ -73,6 +73,7 @@ def test_bytes_do_not_depend_on_block_bounds(monkeypatch, engine, out_format):
     for block_rows, chunk_rows in [(1, 4096), (5, 4096), (13, 3), (14, 2), (64, 5)]:
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(sweep, "_JSON_CHUNK_ROWS", chunk_rows)
         assert _written(cfg) == one_block
         assert emit(run_sweep(cfg), out_format) == one_block
 

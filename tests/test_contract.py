@@ -22,6 +22,7 @@ from morsim import (
     NumericError,
     OutputRow,
     ParameterError,
+    SingularSystemError,
     SusceptibilityPair,
     SweepConfig,
     SystemParams,
@@ -51,6 +52,8 @@ from morsim.core import _VARIANT_FIELDS, ParamColumns
 from morsim.lindblad import probe_response_perturbative_grid
 from morsim.observables import observables_grid
 from morsim.sweep import CSV_HEADER, validate_config
+
+from helpers import reference_csv, reference_json
 
 # More than 4,300 digits: str() refuses it, and so did every message that printed it.
 HUGE = 10 ** 5000
@@ -338,7 +341,88 @@ def test_numpy_values_in_rows_print_plain_or_name_their_field(value, out_format)
                 continue
             with pytest.raises(EmitError) as raised:
                 emit([ROW, row], out_format)
-        assert str(raised.value).startswith(f"output row 1: {name} must be a {kind.__name__}, got ")
+        with pytest.raises(EmitError) as expected:
+            (reference_csv if out_format == "csv" else reference_json)([ROW, row])
+        assert str(raised.value) == str(expected.value)
+        # A value's type is named unless it is built in, so that one whose text reads
+        # like a valid value is told apart.
+        assert str(raised.value).startswith(f"output row 1: {name} must be a {kind.__name__}, "
+                                            f"got {type(value).__module__}.")
+
+
+def test_a_refused_numpy_value_is_named_by_its_type():
+    for value, shown in [(np.float32(1.5), "numpy.float32 1.5"),
+                         (np.ma.masked, "numpy.ma.core.MaskedConstant --"),
+                         (np.array(1.5), "numpy.ndarray 1.5"), (3, "3"), ("x", "'x'")]:
+        with pytest.raises(EmitError) as raised:
+            emit([ROW, ROW._replace(t_x=value)], "csv")
+        assert str(raised.value) == f"output row 1: t_x must be a float, got {shown}"
+
+
+def _hostile_arrays(valid: np.ndarray) -> dict:
+    """Arrays made from ``valid``, a square complex array, for an entry point
+    that takes it."""
+    n = len(valid)
+    return {
+        "inf fill": np.full((n, n), np.inf),
+        "nan fill": np.full((n, n), np.nan),
+        "1e308 fill": np.full((n, n), 1e308),
+        "inf entry": np.where(np.eye(n, dtype=bool), np.inf, valid),
+        "object": valid.astype(object),
+        "object of None": np.full((n, n), None, dtype=object),
+        "str": valid.astype(str),
+        "bool": np.eye(n, dtype=bool),
+        "0-d": np.array(valid[0, 0]),
+        "wrong shape": valid[:-1],
+        "stacked": valid[np.newaxis],
+        "masked": np.ma.masked_array(valid, mask=np.eye(n, dtype=bool)),
+        "float16": valid.real.astype(np.float16),
+        "clongdouble": valid.astype(np.clongdouble),
+    }
+
+
+# What each hostile array gives: None where the entry point works, on the same
+# numbers as ``valid`` where the array holds them (object, str, masked, clongdouble).
+# NumPy reads an object array of None as nan and a masked array as its data, so
+# those are values, not types: a nan fails a check as for any nan array.
+HOSTILE_ARRAY_OUTCOMES = {
+    "DensityMatrix": {
+        "inf fill": ParameterError, "nan fill": ParameterError, "1e308 fill": ParameterError,
+        "inf entry": ParameterError, "object": None, "object of None": ParameterError,
+        "str": None, "bool": ParameterError, "0-d": ParameterError,
+        "wrong shape": ParameterError, "stacked": ParameterError, "masked": None,
+        "float16": ParameterError, "clongdouble": None,
+    },
+    "steady_state": {
+        "inf fill": SingularSystemError, "nan fill": SingularSystemError,
+        "1e308 fill": SingularSystemError, "inf entry": SingularSystemError, "object": None,
+        "object of None": SingularSystemError, "str": None, "bool": SingularSystemError,
+        "0-d": ParameterError, "wrong shape": ParameterError, "stacked": ParameterError,
+        "masked": None, "float16": None, "clongdouble": None,
+    },
+}
+
+
+@pytest.mark.parametrize("entry", HOSTILE_ARRAY_OUTCOMES)
+def test_hostile_arrays_work_or_raise_the_documented_errors(entry):
+    # steady_state is fed build_generator's output, made hostile.
+    call, valid = {"DensityMatrix": (DensityMatrix, STATE.rho.copy()),
+                   "steady_state": (steady_state, build_generator(PARAMS, 1e-3, 0.0))}[entry]
+    expected = call(valid)
+    arrays = _hostile_arrays(valid)
+    assert arrays.keys() == HOSTILE_ARRAY_OUTCOMES[entry].keys()
+    for name, array in arrays.items():
+        outcome = HOSTILE_ARRAY_OUTCOMES[entry][name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if outcome is not None:
+                with pytest.raises(outcome):
+                    call(array)
+                continue
+            result = call(array)
+        assert isinstance(result, DensityMatrix), name
+        if name != "float16":
+            assert np.array_equal(result.rho, expected.rho), name
 
 
 def test_huge_int_grid_bound_sweeps_as_its_float():

@@ -1,12 +1,13 @@
 """Byte identity of ``emit`` with the reference writers in ``helpers``.
 
-The CSV writer prints numbers from their proven rounded integers in an
-array pass, and the JSON writer prints rows through a template; these
-tests hold them to the plain ``Decimal`` / ``csv.writer`` /
-``json.dumps`` encoders they replaced, on drawn and on hostile values,
-on every layout of the array pass and on rows that repeat the text of
-the row before them, hold their type errors
-to a field-by-field check, and check that a path to a regular file is
+Both writers print numbers from their proven rounded integers in an
+array pass: the CSV integer rounded to 12 digits, the JSON one the
+shortest that reads back.  These tests hold them to the plain
+``Decimal`` / ``csv.writer`` / ``json.dumps`` encoders they replaced, on
+drawn and on hostile values, on every layout of the array pass, at the
+JSON pass's edges against an exact-rational oracle, and on rows that
+repeat the text of the row before them, hold their type errors to a
+field-by-field check, and check that a path to a regular file is
 replaced whole or not at all, while a device or a FIFO is written in
 place.
 """
@@ -20,6 +21,9 @@ import stat
 import struct
 import subprocess
 import sys
+from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +32,8 @@ from hypothesis import strategies as st
 
 import morsim
 from morsim import EmitError, OutputRow, emit
-from morsim.sweep import _CHUNK_ROWS, _csv_bodies, _csv_digits, _csv_precisions
+from morsim.sweep import (_CHUNK_ROWS, _CSV_SLOT, _JSON_KEYS, _JSON_SLOT, _NO_KEYS, _bodies,
+                          _csv_digits, _csv_precisions, _csv_text, _json_digits)
 
 from helpers import reference_csv, reference_json, reference_number
 
@@ -354,31 +359,58 @@ def test_names_are_quoted_and_escaped_like_reference(name):
 
 
 def _layout_cases():
-    """(precision, value) pairs ``x = k / 10**p`` for every precision from 0 to
-    22 and every digit count of ``k`` from 1 to 13, the smallest, the
-    largest and one other ``k`` of each count, with both signs."""
+    """(precision, k) pairs for every precision from 0 to 22 and every digit
+    count of ``k`` from 1 to 18, the smallest, the largest and one other
+    ``k`` of each count, with both signs."""
     rng = random.Random(20261022)
     cases = []
     for p in range(23):
-        for count in range(1, 14):
+        for count in range(1, 19):
             low, high = 10 ** (count - 1), 10 ** count
             for k in (low, high - 1, rng.randrange(low, high)):
-                cases += [(p, k / 10 ** p), (p, -k / 10 ** p)]
+                cases += [(p, k), (p, -k)]
     return cases
 
 
+def _printf_or_reference(x, p):
+    return "%.*f" % (p, x) if p >= 0 else reference_number(x)
+
+
+# Each slot: the words before each number, and the text of each, and of a cell left.
+_SLOTS = [
+    (_NO_KEYS, _CSV_SLOT, [","] * 8, _printf_or_reference),
+    (_JSON_KEYS, _JSON_SLOT, [f',\n    "{name}": ' for name in morsim.CSV_HEADER[1:-1]],
+     lambda x, p: repr(x)),
+]
+
+
 def test_array_pass_prints_every_layout_as_printf():
-    # Precisions 21 and 22 and |k| >= 1e12 are beyond the slot, a negative precision
-    # is _format_number's; each of those cells is printed alone, among the others.
-    cases = _layout_cases() + [(-1, 0.0), (-1, -0.0), (-1, 1e12), (-1, -79.5), (-1, 1.0)]
-    cases += [(-1, 0.5)] * (-len(cases) % 8)
+    # Precisions 21 and 22 and |k| of more digits than the slot's (12 in CSV, 17
+    # in JSON) are beyond the slot, a negative precision is _format_number's;
+    # each of those cells is left to be printed alone.
+    cases = _layout_cases()
+    numbers = [k / 10 ** p for p, k in cases]
+    cases += [(-1, 0)] * 5
+    numbers += [0.0, -0.0, 1e12, -79.5, 1.0]
+    cases += [(-1, 0)] * (-len(cases) % 8)
+    numbers += [0.5] * (len(cases) - len(numbers))
     precision = np.array([p for p, _ in cases]).reshape(-1, 8).T
-    numbers = np.array([x for _, x in cases]).reshape(-1, 8).T
-    digits = _csv_digits(numbers, precision)
-    assert not np.isnan(digits[precision >= 0]).any()
-    cells = ["," + ("%.*f" % (p, x) if p >= 0 else reference_number(x)) for p, x in cases]
-    expected = ["".join(cells[i:i + 8]) for i in range(0, len(cells), 8)]
-    assert [body.decode() for body in _csv_bodies(numbers, precision, digits)] == expected
+    digits = np.array([k for _, k in cases]).reshape(-1, 8).T
+    x = np.array(numbers).reshape(-1, 8).T
+    # The CSV digit rule proves every integer of up to 13 digits here.
+    rule = _csv_digits(x, precision)
+    up_to_13 = (precision >= 0) & (abs(digits) < 10 ** 13)
+    assert (rule[up_to_13] == digits[up_to_13]).all()
+    for keys, slot, before, alone in _SLOTS:
+        in_slot = [0 <= p <= 20 and 0 < abs(k) < 10 * slot.decades[-1] for p, k in cases]
+        cells = [key + (format(Decimal(k).scaleb(-p), "f") if fits else alone(v, p))
+                 for key, (p, k), v, fits in zip(before * len(cases), cases, numbers, in_slot)]
+        expected = ["".join(cells[i:i + 8]) for i in range(0, len(cells), 8)]
+        bodies, left = _bodies(x, precision, digits, keys, slot)
+        assert left.ravel().tolist() == [not fits for fits in in_slot]
+        values = [_csv_text(v, p).encode() if slot is _CSV_SLOT else v
+                  for v, p in zip(x.T[left].tolist(), precision.T[left].tolist())]
+        assert (b"\n".join(bodies) % tuple(values)).decode() == "\n".join(expected)
 
 
 def _every_precision_and_digit_count():
@@ -446,6 +478,148 @@ def test_hostile_names_across_a_chunk_bound_match_reference(engines):
     _assert_same_bytes(rows)
 
 
+# The JSON pass: _json_digits proves the integer and precision at which "%.*f"
+# prints a value's repr, and _bodies prints it as the CSV pass does.
+
+def _shortest_digits(x: float) -> tuple[int, int, bool]:
+    """Oracle for a positional ``repr``: the fewest significant digits ``n`` that
+    read back as ``x``, the nearest such number as ``c·10**e`` with ``e =
+    decimal exponent - n + 1``, and whether two were nearest, by exact
+    rationals.  A bound reads back where the mantissa is even."""
+    v = Fraction(abs(x))
+    m, q = math.frexp(abs(x))
+    even = int(m * 2 ** 53) % 2 == 0
+    above = Fraction(2) ** (q - 54)
+    below = above / 2 if m == 0.5 else above
+    exponent = len(str(math.floor(v))) - 1 if v >= 1 else -len(str(math.floor(1 / v)))
+    while Fraction(10) ** exponent > v:
+        exponent -= 1
+    for n in range(1, 18):
+        unit = Fraction(10) ** (exponent - n + 1)
+        low = math.floor(v / unit)
+        inside = [c for c in (low, low + 1)
+                  if (v - below < c * unit < v + above)
+                  or (even and c * unit in (v - below, v + above))]
+        if inside:
+            nearest = min(abs(c * unit - v) for c in inside)
+            ties = [c for c in inside if abs(c * unit - v) == nearest]
+            return n, ties[0], len(ties) > 1
+    raise AssertionError(f"17 digits do not read back as {x!r}")
+
+
+def _json_pass_texts(values):
+    """Each value as the JSON pass prints it, None where it is left; and its
+    precision, by _json_digits and _bodies on one row of eight per value."""
+    x = np.repeat(np.array(values, float)[None, :], 8, axis=0)
+    precision, digits = _json_digits(x)
+    bodies, left = _bodies(x, precision, digits, _JSON_KEYS, _JSON_SLOT)
+    texts = [None if gone else body.decode().split(",")[1].split(": ")[1]
+             for body, gone in zip(bodies, left[:, 0])]
+    return texts, precision[0]
+
+
+def _repr_digits(text: str) -> str:
+    """The significant digits of a positional ``repr`` text."""
+    return text.lstrip("-").replace(".", "").strip("0")
+
+
+def _every_repr_layout():
+    """A value of each layout the JSON pass prints: the point from 3 places
+    left of the first digit to 15 places right of it, each digit count from
+    1 to 17, both signs."""
+    rng = random.Random(34)
+    values = []
+    for point in range(-3, 16):
+        for count in range(1, 18):
+            while True:
+                digits = str(rng.randrange(10 ** (count - 1), 10 ** count))
+                x = float(f"0.{digits}e{point}")
+                if _repr_digits(repr(x)) == digits:  # a trailing zero never matches
+                    break
+            values += [x, -x]
+    return values
+
+
+def test_json_pass_prints_every_layout_as_repr():
+    values = _every_repr_layout()
+    assert len(values) == 19 * 17 * 2
+    texts, _ = _json_pass_texts(values)
+    assert texts == [repr(v) for v in values]
+    rows = _rows(values)
+    assert emit(rows, "json") == reference_json(rows)
+
+
+def _json_edges():
+    """Values at the edges of the JSON pass: every power of two in its range and
+    beside it, with its bound below nearer; values an eighth, a quarter and a
+    half past an integer from 1e14, where the 17th or the 16th digit may tie
+    between an even and an odd one; 2**53, 1e15 + k/8, each power of ten, and
+    the range's ends with their neighbours."""
+    powers = [v for n in range(-14, 51) for v in _ulps(2.0 ** n, 1)]
+    ties = ([1e14 + k / 8 for k in range(64)] + [2e14 + k / 4 for k in range(32)]
+            + [6e14 + k / 2 for k in range(16)] + [1e15 - k / 8 for k in range(64)])
+    beyond = [1e15 + k / 8 for k in range(16)] + _ulps(2.0 ** 53, 2)
+    ends = _ulps(1e-4, 2) + _ulps(1e15, 2) + [float(f"1e{j}") for j in range(-4, 16)]
+    return powers + ties + beyond + ends
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_json_pass_proves_the_shortest_nearest_digits_at_its_edges(sign):
+    values = [sign * v for v in _json_edges()]
+    texts, precision = _json_pass_texts(values)
+    left = 0
+    for x, text, p in zip(values, texts, precision.tolist()):
+        if not 1e-4 <= abs(x) < 1e15:
+            assert text is None and p == -1, x
+            continue
+        _, c, tie = _shortest_digits(x)
+        if tie:  # repr takes the even digit; the pass leaves the value
+            assert text is None and p == -1, x
+            left += 1
+            continue
+        assert text == repr(x), x
+        assert _repr_digits(text) == str(c).rstrip("0"), x
+    assert left >= 48  # the 32 ties at 1e14 + k/8 and the 16 at 2e14 + k/4
+    rows = _rows(values)
+    assert emit(rows, "json") == reference_json(rows)
+
+
+def test_no_float_nearest_a_power_of_ten_in_the_json_pass_is_below_it():
+    # So no float below 10**j prints as 10**j, and no neighbour of the pass is
+    # the power of ten above its decade.
+    for j in range(-4, 16):
+        assert Fraction(float(f"1e{j}")) >= Fraction(10) ** j
+
+
+# Cells the JSON pass leaves to repr: zeros, subnormal, below 1e-4, from 1e15, the largest.
+_JSON_ALONE = [0.0, -0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("column", range(8))
+def test_rows_mixing_json_pass_and_repr_cells_match_reference(column):
+    base = [-79.5, 0.123456789012345, -3.25e-04, 42.0, 6022.14076, -0.1, 123456789012345.6, 1e-4]
+    rows = []
+    for offset in range(len(_JSON_ALONE)):
+        numbers = list(base)
+        for i, value in enumerate(_JSON_ALONE):
+            if i <= offset:
+                numbers[(column + i) % 8] = value
+        rows += [OutputRow("v%", *numbers, engine) for engine in ("analytic", "%s")]
+    texts, _ = _json_pass_texts(_JSON_ALONE + base)
+    assert texts[:len(_JSON_ALONE)] == [None] * len(_JSON_ALONE)
+    assert texts[len(_JSON_ALONE):] == [repr(v) for v in base]
+    assert emit(rows, "json") == reference_json(rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=8, max_size=64))
+def test_json_of_any_float_bits_matches_reference(bits):
+    values = [struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits]
+    values = [v for v in values if math.isfinite(v)]
+    rows = _rows(values) if values else _rows([0.5])
+    assert emit(rows, "json") == reference_json(rows)
+
+
 def _assert_same_error(rows, out_format, destination=None):
     reference = reference_csv if out_format == "csv" else reference_json
     with pytest.raises(EmitError) as expected:
@@ -454,6 +628,33 @@ def _assert_same_error(rows, out_format, destination=None):
         emit(rows, out_format, destination)
     assert str(actual.value) == str(expected.value)
     return str(actual.value)
+
+
+@pytest.mark.parametrize("column", ["variant", "engine"])
+def test_lone_surrogate_names_are_refused_in_csv_and_escaped_in_json(column, tmp_path):
+    rows = _rows([0.1, 2.5, -3.0] * 8)
+    rows[1] = rows[1]._replace(**{column: "a\ud800"})
+    rows[2] = rows[2]._replace(variant="\udfff")
+    target = tmp_path / "out.csv"
+    message = _assert_same_error(rows, "csv", target)
+    assert message == (f"output row 1: {column} 'a\\ud800' holds a lone surrogate, "
+                       "which UTF-8 cannot encode")
+    assert not target.exists()
+    assert emit(rows, "json") == reference_json(rows)
+    assert b'"a\\ud800"' in emit(rows, "json")
+
+
+def test_sweep_with_a_lone_surrogate_variant_name_is_refused_in_csv(tmp_path):
+    cfg = morsim.SweepConfig(delta_grid=morsim.DeltaGrid(-1.0, 1.0, 3), out_format="csv",
+                             variants=(morsim.Variant("a"), morsim.Variant("b\ud800")))
+    target = tmp_path / "out.csv"
+    with pytest.raises(EmitError) as raised:
+        morsim.write_sweep(cfg, target)
+    assert str(raised.value) == "variant 'b\\ud800' holds a lone surrogate, which UTF-8 cannot encode"
+    assert os.listdir(tmp_path) == []
+    json_cfg = replace(cfg, out_format="json")
+    assert morsim.write_sweep(json_cfg, target) == 12  # 2 variants, 3 points, 2 engines
+    assert target.read_bytes() == emit(morsim.run_sweep(json_cfg), "json")
 
 
 @pytest.mark.parametrize("variant, engine", [(1, True), (True, 1.0), (0.0, -0.0), (1, "1")])

@@ -162,11 +162,11 @@ MUTANTS = [
     Mutant("array pass takes precision 21, past its slot", "sweep.py",
            "cell = (precision <= _SLOT_PRECISION) &", "cell = (precision <= _SLOT_PRECISION + 1) &",
            test="test_emit.py::test_every_precision_and_digit_count_matches_reference"),
-    Mutant("array pass takes 13-digit integers, past its slot", "sweep.py",
-           "(abs(digits) < 1e12)", "(abs(digits) < 1e13)",
+    Mutant("array pass takes integers of one digit more than its slot", "sweep.py",
+           "(magnitude < 10 * decades[-1])", "(magnitude < 100 * decades[-1])",
            test="test_emit.py::test_array_pass_prints_every_layout_as_printf"),
     Mutant("array pass drops the unit zero of |x| < 1", "sweep.py",
-           "unit | fraction & (at < 12),", "fraction & (at < 12),",
+           "unit | fraction & (at < 24 - digits),", "fraction & (at < 24 - digits),",
            test="test_emit.py::test_rows_mixing_array_and_fallback_cells_match_reference"),
     Mutant("array pass puts the sign one byte to the left", "sweep.py",
            "minus & (at == start - 1)", "minus & (at == start - 2)",
@@ -178,6 +178,19 @@ MUTANTS = [
            "& (np.abs(magnitude - np.rint(magnitude)) >= 1e-10))",
            "& ((np.abs(magnitude - np.rint(magnitude)) >= 1e-10) | (scaled == np.floor(scaled))))",
            test="test_emit.py::test_csv_precisions_of_short_values"),
+    Mutant("JSON pass without its tie check", "sweep.py",
+           "tie = lower & upper & (above == below)", "tie = lower & upper & (above != above)",
+           test="test_emit.py::test_json_pass_proves_the_shortest_nearest_digits_at_its_edges"),
+    Mutant("JSON pass builds the 17-digit integer in float", "sweep.py",
+           "nearest = whole.astype(np.int64) + (low + (upper & (~lower | (above < below)))).astype(np.int64)",
+           "nearest = (whole + (low + (upper & (~lower | (above < below))))).astype(np.int64)",
+           test="test_emit.py::test_json_pass_prints_every_layout_as_repr"),
+    Mutant("JSON pass without the narrow lower bound of a power of two", "sweep.py",
+           "narrow = np.where(mantissa == 0.5, 0.25, 0.5)", "narrow = 0.5",
+           survives="no power of two from 1e-4 to 1e15 has a shortest neighbour between "
+                    "the narrow and the full lower bound, so all 63 print the same either way "
+                    "(test_json_pass_proves_the_shortest_nearest_digits_at_its_edges checks "
+                    "each); the narrow bound is kept as the read-back interval's own"),
     Mutant("excited-state feeding of |1> at Gamma1, not 2 Gamma1", "lindblad.py",
            "2.0 * p.Gamma1", "1.0 * p.Gamma1",
            test="test_lindblad.py::test_generators_are_the_textbook_master_equation"),
