@@ -9,46 +9,29 @@ transmission, rotation angle, output Jones vector).  A sweep layer and
 CLI produce the spectra as CSV/JSON.
 """
 
-from .analytic import s_pair
-from .core import (
-    JonesVector,
-    SusceptibilityPair,
-    SystemParams,
-    cartesian_to_circular,
-    circular_to_cartesian,
-    validate_params,
-)
-from .errors import (
-    ConfigError,
-    CrossValidationError,
-    EmitError,
-    MorsimError,
-    NumericError,
-    ParameterError,
-    SingularSystemError,
-)
-from .lindblad import (
-    DensityMatrix,
-    build_generator,
-    probe_response_finite,
-    probe_response_perturbative,
-    steady_state,
-)
-from .observables import output_field, rotation_angle, transmission_x, transmission_y
-from .sweep import (
-    CSV_HEADER,
-    DeltaGrid,
-    OutputRow,
-    SweepConfig,
-    Variant,
-    emit,
-    parse_config,
-    preset,
-    run_sweep,
-    write_sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Each public name, and each submodule, to the submodule that holds it.  ``import morsim``
+# loads none of them: the first read of a name imports its submodule (PEP 562) and binds
+# the name here, so later reads are plain attribute reads.  A caller that only solves
+# points never loads the sweep layer, nor its ``json``, ``csv`` and ``decimal``.
+_HOMES = {
+    "s_pair": "analytic",
+    **dict.fromkeys(("JonesVector", "SusceptibilityPair", "SystemParams", "cartesian_to_circular",
+                     "circular_to_cartesian", "validate_params"), "core"),
+    **dict.fromkeys(("ConfigError", "CrossValidationError", "EmitError", "MorsimError",
+                     "NumericError", "ParameterError", "SingularSystemError"), "errors"),
+    **dict.fromkeys(("DensityMatrix", "build_generator", "probe_response_finite",
+                     "probe_response_perturbative", "steady_state"), "lindblad"),
+    **dict.fromkeys(("output_field", "rotation_angle", "transmission_x", "transmission_y"),
+                    "observables"),
+    **dict.fromkeys(("CSV_HEADER", "DeltaGrid", "OutputRow", "SweepConfig", "Variant", "emit",
+                     "parse_config", "preset", "run_sweep", "write_sweep"), "sweep"),
+    **{module: module for module in ("analytic", "complexgrid", "core", "errors", "lindblad",
+                                     "observables", "sweep")},
+}
 
 __all__ = [
     "SystemParams",
@@ -86,3 +69,17 @@ __all__ = [
     "EmitError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

@@ -398,7 +398,7 @@ def steady_state(generator: np.ndarray) -> DensityMatrix:
     checks are those of :class:`DensityMatrix`, run once, by its
     constructor, after the residual check.
     """
-    L = _converted(np.ascontiguousarray, generator, complex)
+    L = _converted(np.asarray, generator, complex, "C")
     if L.shape != (16, 16):
         raise ParameterError(f"generator must be 16x16, got {L.shape}")
     rho, _, _ = _steady_states(L[np.newaxis], check_states=False)

@@ -1,6 +1,9 @@
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,9 @@ import pytest
 import morsim
 
 MODULES = sorted(f"morsim.{info.name}" for info in pkgutil.iter_modules(morsim.__path__))
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+IMPORT_GRAPH = Path(__file__).with_name("import_graph.py")
 
 
 @pytest.mark.parametrize("module_name", ["morsim", *MODULES])
@@ -38,3 +43,14 @@ def test_readme_config_blocks_parse():
     # Each config block parses as written, comments and all.
     for block in _readme_blocks("cfg"):
         morsim.sweep.parse_config(block)
+
+
+@pytest.mark.parametrize("first", ["emit", "sweep.parse_config"])
+def test_solving_points_does_not_load_the_sweep_layer(first, tmp_path):
+    # A fresh interpreter, since this one has loaded everything; `first` is the
+    # first read of the sweep layer, through a public name or the submodule's.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", IMPORT_GRAPH.read_text(encoding="utf-8"), first],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert Path(run.stdout.splitlines()[-1]).parent == ROOT / "src" / "morsim"

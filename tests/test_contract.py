@@ -373,6 +373,7 @@ def _hostile_arrays(valid: np.ndarray) -> dict:
         "str": valid.astype(str),
         "bool": np.eye(n, dtype=bool),
         "0-d": np.array(valid[0, 0]),
+        "scalar": complex(valid[0, 0]),
         "wrong shape": valid[:-1],
         "stacked": valid[np.newaxis],
         "masked": np.ma.masked_array(valid, mask=np.eye(n, dtype=bool)),
@@ -382,22 +383,30 @@ def _hostile_arrays(valid: np.ndarray) -> dict:
 
 
 # What each hostile array gives: None where the entry point works, on the same
-# numbers as ``valid`` where the array holds them (object, str, masked, clongdouble).
+# numbers as ``valid`` where the array holds them (object, str, masked, clongdouble),
+# else the error's type, with its message where the message is pinned.  A wrong shape
+# is reported as the caller passed it: ``()`` for a 0-d array or a scalar.
 # NumPy reads an object array of None as nan and a masked array as its data, so
 # those are values, not types: a nan fails a check as for any nan array.
 HOSTILE_ARRAY_OUTCOMES = {
     "DensityMatrix": {
         "inf fill": ParameterError, "nan fill": ParameterError, "1e308 fill": ParameterError,
         "inf entry": ParameterError, "object": None, "object of None": ParameterError,
-        "str": None, "bool": ParameterError, "0-d": ParameterError,
-        "wrong shape": ParameterError, "stacked": ParameterError, "masked": None,
-        "float16": ParameterError, "clongdouble": None,
+        "str": None, "bool": ParameterError,
+        "0-d": (ParameterError, "density matrix must be 4x4, got ()"),
+        "scalar": (ParameterError, "density matrix must be 4x4, got ()"),
+        "wrong shape": (ParameterError, "density matrix must be 4x4, got (3, 4)"),
+        "stacked": (ParameterError, "density matrix must be 4x4, got (1, 4, 4)"),
+        "masked": None, "float16": ParameterError, "clongdouble": None,
     },
     "steady_state": {
         "inf fill": SingularSystemError, "nan fill": SingularSystemError,
         "1e308 fill": SingularSystemError, "inf entry": SingularSystemError, "object": None,
         "object of None": SingularSystemError, "str": None, "bool": SingularSystemError,
-        "0-d": ParameterError, "wrong shape": ParameterError, "stacked": ParameterError,
+        "0-d": (ParameterError, "generator must be 16x16, got ()"),
+        "scalar": (ParameterError, "generator must be 16x16, got ()"),
+        "wrong shape": (ParameterError, "generator must be 16x16, got (15, 16)"),
+        "stacked": (ParameterError, "generator must be 16x16, got (1, 16, 16)"),
         "masked": None, "float16": None, "clongdouble": None,
     },
 }
@@ -416,8 +425,11 @@ def test_hostile_arrays_work_or_raise_the_documented_errors(entry):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if outcome is not None:
-                with pytest.raises(outcome):
+                error, message = outcome if isinstance(outcome, tuple) else (outcome, None)
+                with pytest.raises(error) as raised:
                     call(array)
+                if message is not None:
+                    assert str(raised.value) == message, name
                 continue
             result = call(array)
         assert isinstance(result, DensityMatrix), name

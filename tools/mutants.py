@@ -203,6 +203,13 @@ MUTANTS = [
            "            failure = _first_failure(_state_checks(rho[np.newaxis]))\n",
            "        failure = _first_failure(_state_checks(rho[np.newaxis]))\n",
            test="test_contract.py::test_closed_case_message_is_pinned"),
+    Mutant("steady_state's shape read after a 0-d array became (1,)", "lindblad.py",
+           "L = _converted(np.asarray, generator, complex, \"C\")",
+           "L = _converted(np.ascontiguousarray, generator, complex)",
+           test="test_contract.py::test_hostile_arrays_work_or_raise_the_documented_errors"),
+    Mutant("import morsim loads the sweep layer eagerly", "__init__.py",
+           "\n_HOMES = {", "\nfrom . import sweep  # noqa: E402\n\n_HOMES = {",
+           test="test_api.py::test_solving_points_does_not_load_the_sweep_layer"),
 ]
 
 
